@@ -77,18 +77,14 @@ def test_wallclock_trajectory(wallclock, tmp_path):
     assert reread["meta"]["python"] == platform.python_version()
     assert reread["meta"]["numpy"]
     assert reread["meta"]["platform"]
-    # The hardware/parallelism facts (how many cores the box had, how
-    # many workers the context was bound to, the chunk grid) must ride
-    # with the numbers too — a scaling claim is meaningless without them.
+    # How many cores the box had must ride with the numbers too.
     assert reread["meta"]["cpu_count"] == (os.cpu_count() or 1)
-    assert reread["meta"]["workers"] >= 1
     # The timing protocol must ride with the numbers too: how many
     # repeats the min was taken over and how many discarded warmup
     # iterations preceded them (see repro.analysis.wallclock.best_of).
     assert reread["meta"]["repeats"] >= 1
     assert reread["meta"]["warmup"] >= 1
-    assert reread["meta"]["chunk_size"] >= 1
-    assert reread["meta"]["context"]["backend"] in ("reference", "fast", "parallel")
+    assert reread["meta"]["context"]["backend"] in ("reference", "fast")
     assert reread["meta"]["context"]["sanitize"] is False
     assert set(reread["kernels"]) == {
         "first_winner", "radix_argsort", "expand", "hash_dedup",

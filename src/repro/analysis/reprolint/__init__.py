@@ -1,6 +1,6 @@
 """reprolint: the PRAM-invariant static analyzer (``repro lint``).
 
-Nine rules machine-check the disciplines the reproduction's
+Six rules machine-check the disciplines the reproduction's
 guarantees rest on (see docs/static_analysis.md for the catalog).
 The syntactic family (per-function AST patterns):
 
@@ -13,20 +13,16 @@ The syntactic family (per-function AST patterns):
   post-expand return path;
 * **RL004** — no ``np.random`` global state or wall-clock reads in
   simulation code;
-* **RL005** — no reads of the retired global-singleton accessors.
+* **RL010** — the tracing layer (``repro.obs``) never mutates what it
+  observes.
 
-The interprocedural family (call graph + CFG + dataflow; see
+The interprocedural rule (call graph + CFG + dataflow; see
 :mod:`~repro.analysis.reprolint.cfg`,
 :mod:`~repro.analysis.reprolint.callgraph`,
 :mod:`~repro.analysis.reprolint.dataflow`):
 
-* **RL006** — worker-count taint never reaches allocation sizes, the
-  chunk grid, or reduction operands;
-* **RL007** — parallel task writes carry a disjoint-slice proof;
 * **RL008** — claim/release resource lifecycles hold on every CFG
-  path, including exceptional ones;
-* **RL009** — shard combines stay inside the sanctioned deterministic
-  combiner shapes.
+  path, including exceptional ones.
 
 The static half's runtime complement — the PRAM race sanitizer behind
 the global ``--sanitize`` flag — lives in :mod:`repro.pram.sanitizer`
@@ -42,12 +38,7 @@ from repro.analysis.reprolint.config import (
     LintConfig,
     load_config,
 )
-from repro.analysis.reprolint.dataflow import (
-    SEED,
-    Summary,
-    TaintAnalysis,
-    run_forward,
-)
+from repro.analysis.reprolint.dataflow import run_forward
 from repro.analysis.reprolint.linter import (
     RULE_SCOPES,
     LintReport,
@@ -64,7 +55,6 @@ from repro.analysis.reprolint.sarif import to_sarif, validate_sarif
 from repro.pram.sanitizer import (  # noqa: F401  (discoverability re-export)
     PramSanitizer,
     RaceReport,
-    active_sanitizer,
     sanitizing,
 )
 
@@ -91,9 +81,6 @@ __all__ = [
     "ClassInfo",
     "FunctionInfo",
     "Program",
-    "SEED",
-    "Summary",
-    "TaintAnalysis",
     "run_forward",
     "LINT_VERSION",
     "LintCache",
@@ -101,6 +88,5 @@ __all__ = [
     "validate_sarif",
     "PramSanitizer",
     "RaceReport",
-    "active_sanitizer",
     "sanitizing",
 ]

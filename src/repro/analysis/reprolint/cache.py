@@ -30,7 +30,7 @@ from .rules import Violation
 __all__ = ["LINT_VERSION", "LintCache", "CACHE_BASENAME"]
 
 #: Bump on any rule-behavior change; mismatched entries are ignored.
-LINT_VERSION = 2
+LINT_VERSION = 3
 
 CACHE_BASENAME = ".reprolint-cache.json"
 

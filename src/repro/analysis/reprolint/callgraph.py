@@ -8,8 +8,8 @@ callee(s):
 * ``f(...)`` — the module-level function named ``f`` (same module
   first, then any analyzed module);
 * ``self.m(...)`` — method ``m`` on the enclosing class, walking the
-  (name-resolved) base chain, exactly how ``ParallelWorkspace``
-  inherits the serial ``Workspace`` vocabulary;
+  (name-resolved) base chain, exactly how ``Workspace`` inherits the
+  ``NullWorkspace`` vocabulary;
 * ``Class.m(...)`` / ``Class(...)`` — the named class's method /
   ``__init__``;
 * ``obj.m(...)`` with a receiver whose class is locally evident
@@ -18,12 +18,11 @@ callee(s):
   every analyzed class that defines (or inherits) ``m``.  This is how
   calls through the execution-backend seam (a workspace handed over as
   ``state.ws``) resolve to all registered implementations
-  (``NullWorkspace`` / ``Workspace`` / ``ParallelWorkspace``), so a
-  taint summary covers whichever backend runs.
+  (``NullWorkspace`` / ``Workspace``), so an analysis covers whichever
+  backend runs.
 
 Resolution is deliberately an over-approximation: extra candidates
-make the dataflow summaries built on top *more* conservative, never
-less.
+make any analysis built on top *more* conservative, never less.
 """
 
 from __future__ import annotations

@@ -1,286 +1,21 @@
-"""Forward dataflow engines for the interprocedural lint rules.
+"""Forward dataflow engine for the interprocedural lint rule.
 
-Two engines live here:
-
-* **Taint propagation** (:class:`TaintAnalysis`) — an origin-set
-  analysis over the :class:`~repro.analysis.reprolint.callgraph.Program`
-  call graph.  Each function gets a :class:`Summary` saying whether its
-  return value carries a seed taint and which parameters flow to the
-  return; summaries are iterated to a fixpoint, so mutual recursion and
-  cyclic call graphs terminate (the lattice — sets of origins over a
-  finite universe — has finite height and the transfer functions are
-  monotone).  RL006 instantiates this with worker-count seeds.
-
-* **Typestate runner** (:func:`run_forward`) — a generic worklist
-  solver over a per-function :class:`~repro.analysis.reprolint.cfg.CFG`
-  for must-style lifecycle analyses.  RL008 instantiates it with the
-  {UNCLAIMED, CLAIMED, RELEASED, MAYBE} lattice.  Exceptional edges
-  propagate ``join(in, out)`` of the raising statement, modelling a
-  raise at any point mid-statement.
+:func:`run_forward` is a generic worklist solver over a per-function
+:class:`~repro.analysis.reprolint.cfg.CFG` for must-style lifecycle
+analyses.  RL008 instantiates it with the {UNCLAIMED, CLAIMED,
+RELEASED, MAYBE} lattice.  Exceptional edges propagate
+``join(in, out)`` of the raising statement, modelling a raise at any
+point mid-statement.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, Dict, List, Set, TypeVar
 
-from .callgraph import FunctionInfo, Program
 from .cfg import CFG
 
-__all__ = [
-    "SEED",
-    "Summary",
-    "TaintAnalysis",
-    "run_forward",
-]
-
-#: Distinguished origin meaning "derived from an analysis seed".
-SEED = "<seed>"
-
-Origins = FrozenSet[str]
-_EMPTY: Origins = frozenset()
-
-
-@dataclass
-class Summary:
-    """Interprocedural taint summary of one function.
-
-    ``returns`` holds origins of the return value: :data:`SEED` and/or
-    parameter names of *this* function whose value reaches the return.
-    """
-
-    returns: Origins = _EMPTY
-
-
-class TaintAnalysis:
-    """Origin-set taint over a :class:`Program`.
-
-    ``seed_expr(expr) -> bool`` marks the atoms that introduce the
-    :data:`SEED` origin (e.g. a ``.workers`` attribute read).
-    ``seed_params`` names parameters treated as seed sources wherever
-    they appear (e.g. a ``workers`` keyword argument threaded through
-    constructors).
-
-    The per-function environment is deliberately flow-insensitive
-    (one origin set per local name, iterated to a local fixpoint):
-    the rules built on top are "does a tainted value *ever* reach this
-    sink", for which flow-insensitivity is the sound and cheap choice.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        *,
-        seed_expr: Callable[[ast.expr], bool],
-        seed_params: Tuple[str, ...] = (),
-    ) -> None:
-        self.program = program
-        self.seed_expr = seed_expr
-        self.seed_params = seed_params
-        self.summaries: Dict[Tuple[str, str], Summary] = {
-            key: Summary() for key in program.functions
-        }
-        self._solve_summaries()
-
-    # -- summary fixpoint --------------------------------------------------
-
-    def _solve_summaries(self) -> None:
-        changed = True
-        iterations = 0
-        # |functions| * (|params|+1) bounds lattice ascents; the extra
-        # slack is for multi-edge propagation per round.
-        limit = 4 * len(self.program.functions) + 16
-        while changed and iterations < limit:
-            changed = False
-            iterations += 1
-            for key, info in self.program.functions.items():
-                env = self.local_env(info)
-                returns: Set[str] = set()
-                for node in ast.walk(info.node):
-                    if isinstance(node, ast.Return) and node.value is not None:
-                        returns |= self.origins_of(node.value, env, info)
-                new = frozenset(returns)
-                if new != self.summaries[key].returns:
-                    self.summaries[key] = Summary(returns=new)
-                    changed = True
-
-    # -- per-function environment -----------------------------------------
-
-    def local_env(self, info: FunctionInfo) -> Dict[str, Origins]:
-        """Name -> origin set inside *info*, at local fixpoint."""
-        env: Dict[str, Origins] = {p: frozenset({p}) for p in info.params}
-        for p in info.params:
-            if p in self.seed_params:
-                env[p] = env[p] | {SEED}
-        changed = True
-        while changed:
-            changed = False
-            for node in ast.walk(info.node):
-                targets: List[ast.expr] = []
-                value: Optional[ast.expr] = None
-                if isinstance(node, ast.Assign):
-                    targets, value = node.targets, node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    targets, value = [node.target], node.value
-                elif isinstance(node, ast.AugAssign):
-                    targets, value = [node.target], node.value
-                elif isinstance(node, (ast.For, ast.AsyncFor)):
-                    targets, value = [node.target], node.iter
-                elif isinstance(node, ast.comprehension):
-                    targets, value = [node.target], node.iter
-                elif isinstance(node, ast.NamedExpr):
-                    targets, value = [node.target], node.value
-                if value is None:
-                    continue
-                origins = self.origins_of(value, env, info)
-                if isinstance(node, ast.AugAssign):
-                    # x += e keeps x's old origins too.
-                    base = _target_name(node.target)
-                    if base is not None:
-                        origins = origins | env.get(base, _EMPTY)
-                for target in targets:
-                    for name in _bound_names(target):
-                        if origins - env.get(name, _EMPTY):
-                            env[name] = env.get(name, _EMPTY) | origins
-                            changed = True
-        return env
-
-    # -- expression transfer ----------------------------------------------
-
-    def origins_of(
-        self,
-        expr: ast.expr,
-        env: Dict[str, Origins],
-        info: Optional[FunctionInfo] = None,
-    ) -> Origins:
-        """Origin set of *expr* under *env*."""
-        if self.seed_expr(expr):
-            return frozenset({SEED})
-        if isinstance(expr, ast.Name):
-            return env.get(expr.id, _EMPTY)
-        if isinstance(expr, ast.Call):
-            return self._call_origins(expr, env, info)
-        if isinstance(expr, ast.Subscript):
-            # The *value* carries the taint; a tainted index selecting
-            # from an untainted container yields untainted data.
-            return self.origins_of(expr.value, env, info)
-        if isinstance(expr, ast.Attribute):
-            return self.origins_of(expr.value, env, info)
-        if isinstance(expr, ast.IfExp):
-            return (
-                self.origins_of(expr.body, env, info)
-                | self.origins_of(expr.orelse, env, info)
-            )
-        if isinstance(expr, ast.BinOp):
-            return (
-                self.origins_of(expr.left, env, info)
-                | self.origins_of(expr.right, env, info)
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return self.origins_of(expr.operand, env, info)
-        if isinstance(expr, ast.Compare):
-            out = self.origins_of(expr.left, env, info)
-            for comp in expr.comparators:
-                out |= self.origins_of(comp, env, info)
-            return out
-        if isinstance(expr, ast.BoolOp):
-            out: Origins = _EMPTY
-            for value in expr.values:
-                out |= self.origins_of(value, env, info)
-            return out
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            out = _EMPTY
-            for elt in expr.elts:
-                out |= self.origins_of(elt, env, info)
-            return out
-        if isinstance(expr, ast.Starred):
-            return self.origins_of(expr.value, env, info)
-        if isinstance(expr, ast.NamedExpr):
-            return self.origins_of(expr.value, env, info)
-        return _EMPTY
-
-    def _call_origins(
-        self,
-        call: ast.Call,
-        env: Dict[str, Origins],
-        info: Optional[FunctionInfo],
-    ) -> Origins:
-        arg_origins = [self.origins_of(a, env, info) for a in call.args]
-        kw_origins = {
-            kw.arg: self.origins_of(kw.value, env, info)
-            for kw in call.keywords
-            if kw.arg is not None
-        }
-        callees = self.program.resolve_call(call, info)
-        if not callees:
-            # Unknown callee: conservatively, taint-in taint-out.
-            out: Origins = _EMPTY
-            for o in arg_origins:
-                out |= o
-            for o in kw_origins.values():
-                out |= o
-            # A method call also carries its receiver's taint through.
-            if isinstance(call.func, ast.Attribute):
-                out |= self.origins_of(call.func.value, env, info)
-            return out
-        out = _EMPTY
-        for callee in callees:
-            summary = self.summaries.get((callee.path, callee.qualname))
-            if summary is None:
-                continue
-            params = callee.params
-            offset = 1 if params[:1] in (["self"], ["cls"]) else 0
-            for origin in summary.returns:
-                if origin == SEED:
-                    out |= {SEED}
-                    continue
-                # Map the callee parameter back to this call's argument.
-                try:
-                    idx = params.index(origin) - offset
-                except ValueError:
-                    continue
-                if origin in kw_origins:
-                    out |= kw_origins[origin]
-                elif 0 <= idx < len(arg_origins):
-                    out |= arg_origins[idx]
-        return out
-
-    def is_tainted(
-        self,
-        expr: ast.expr,
-        env: Dict[str, Origins],
-        info: Optional[FunctionInfo] = None,
-    ) -> bool:
-        return SEED in self.origins_of(expr, env, info)
-
-
-def _bound_names(target: ast.expr) -> List[str]:
-    """Plain names bound by an assignment target (tuple-aware)."""
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: List[str] = []
-        for elt in target.elts:
-            out.extend(_bound_names(elt))
-        return out
-    if isinstance(target, ast.Starred):
-        return _bound_names(target.value)
-    return []
-
-
-def _target_name(target: ast.expr) -> Optional[str]:
-    return target.id if isinstance(target, ast.Name) else None
+__all__ = ["run_forward"]
 
 
 # -- generic forward CFG solver -------------------------------------------

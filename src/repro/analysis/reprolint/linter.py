@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.reprolint import rules_flow  # noqa: F401  (registers RL006-RL009)
+from repro.analysis.reprolint import rules_flow  # noqa: F401  (registers RL008)
 from repro.analysis.reprolint.cache import CACHE_BASENAME, LintCache
 from repro.analysis.reprolint.config import AllowEntry, LintConfig, load_config
 from repro.analysis.reprolint.rules import RULE_CHECKERS, Violation
@@ -44,7 +44,6 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
     "RL002": (
         "src/repro/engine/kernels.py",
         "src/repro/engine/workspace.py",
-        "src/repro/engine/parallel.py",
     ),
     "RL003": (
         "src/repro/engine/",
@@ -52,10 +51,7 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
         "src/repro/connectivity/",
     ),
     "RL004": ("src/repro/",),
-    "RL005": ("src/repro/",),
-    # The flow rules (interprocedural; see rules_flow.py).
-    "RL006": ("src/repro/engine/",),
-    "RL007": ("src/repro/engine/parallel.py",),
+    # The flow rule (interprocedural; see rules_flow.py).
     "RL008": (
         "src/repro/runtime/",
         "src/repro/engine/",
@@ -63,7 +59,6 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
         "src/repro/decomp/",
         "src/repro/connectivity/",
     ),
-    "RL009": ("src/repro/engine/parallel.py",),
     "RL010": ("src/repro/obs/",),
 }
 
@@ -80,11 +75,6 @@ RL004_EXEMPT: Tuple[str, ...] = (
     "src/repro/obs/",
     "src/repro/runtime/session.py",
 )
-
-#: Carve-out from RL005's blanket scope: the runtime package hosts the
-#: replacement API, so reads of the deprecated names there are the
-#: shims' own implementation plumbing, not call sites to migrate.
-RL005_EXEMPT: Tuple[str, ...] = ("src/repro/runtime/",)
 
 
 def path_key_for(path: Path) -> str:
@@ -115,11 +105,6 @@ def rules_for_path(path_key: str) -> List[str]:
         if rule == "RL004" and any(
             path_key == p or (p.endswith("/") and path_key.startswith(p))
             for p in RL004_EXEMPT
-        ):
-            continue
-        if rule == "RL005" and any(
-            path_key == p or (p.endswith("/") and path_key.startswith(p))
-            for p in RL005_EXEMPT
         ):
             continue
         selected.append(rule)

@@ -1,4 +1,4 @@
-"""The repo-specific AST rules (RL001-RL005).
+"""The repo-specific AST rules (RL001-RL004, RL010).
 
 Each rule is a function ``(module_ast, path_key) -> list[Violation]``.
 Scoping — which files each rule applies to — lives in
@@ -26,13 +26,6 @@ RL004  No ``np.random`` module-global state and no wall-clock reads in
        simulation code: randomness flows through seeded generators
        (``primitives.rand`` / ``default_rng(seed)``), real time only
        through the wall-clock harness (``analysis/wallclock.py``).
-RL005  No reads of the retired global-singleton accessors
-       (``current_tracker``, ``active_sanitizer``/``current_sanitizer``,
-       ``active_fault_plan``, ``set_default_backend``) outside the
-       runtime package that hosts their replacement: ambient state is
-       read from ``repro.runtime.current_context()``.  The deprecated
-       shim *definitions* are flagged too, so retiring one forces the
-       allowlist entry to be removed with it.
 RL010  Observational purity of the tracing layer (``repro.obs``): code
        there may never mutate caller-owned state — no subscript or
        augmented stores into parameters, no attribute stores on them,
@@ -288,8 +281,6 @@ def _is_charge_call(node: ast.Call) -> bool:
         if isinstance(base, ast.Attribute):
             # ctx.tracker.add / current_context().tracker.add
             return base.attr == "tracker"
-        if isinstance(base, ast.Call) and isinstance(base.func, ast.Name):
-            return base.func.id == "current_tracker"
     return False
 
 
@@ -519,68 +510,6 @@ def check_rl004(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
-#: The retired singleton accessors (and their shim definitions).  Reads
-#: of ambient run state go through ``repro.runtime.current_context()``.
-_RL005_ACCESSORS = frozenset(
-    {
-        "current_tracker",
-        "active_sanitizer",
-        "current_sanitizer",
-        "active_fault_plan",
-        "set_default_backend",
-    }
-)
-
-
-def check_rl005(tree: ast.Module, path: str) -> List[Violation]:
-    """Calls to (or definitions of) the retired singleton accessors."""
-    violations: List[Violation] = []
-    qualnames: Dict[int, str] = {}
-    for qualname, fn in iter_functions(tree):
-        for node in ast.walk(fn):
-            qualnames.setdefault(id(node), qualname)
-        if fn.name in _RL005_ACCESSORS:
-            violations.append(
-                Violation(
-                    rule="RL005",
-                    path=path,
-                    line=fn.lineno,
-                    col=fn.col_offset,
-                    qualname=qualname,
-                    message=(
-                        f"definition of deprecated accessor {fn.name}(); "
-                        "shims live behind allowlist entries until "
-                        "retirement"
-                    ),
-                )
-            )
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name) and func.id in _RL005_ACCESSORS:
-            name = func.id
-        elif isinstance(func, ast.Attribute) and func.attr in _RL005_ACCESSORS:
-            name = func.attr
-        if name is None:
-            continue
-        violations.append(
-            Violation(
-                rule="RL005",
-                path=path,
-                line=node.lineno,
-                col=node.col_offset,
-                qualname=qualnames.get(id(node), "<module>"),
-                message=(
-                    f"deprecated global-singleton accessor {name}(); read "
-                    "repro.runtime.current_context() instead"
-                ),
-            )
-        )
-    return violations
-
-
 #: ``np.*`` callables that mutate an existing array in place.
 _RL010_NP_MUTATORS = frozenset(
     {"copyto", "put", "place", "putmask", "fill_diagonal", "shuffle"}
@@ -705,6 +634,5 @@ RULE_CHECKERS = {
     "RL002": check_rl002,
     "RL003": check_rl003,
     "RL004": check_rl004,
-    "RL005": check_rl005,
     "RL010": check_rl010,
 }

@@ -25,7 +25,7 @@ import json
 import os
 import platform
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,12 +35,11 @@ from repro.engine.backend import (
     DEFAULT_BACKEND_NAME,
     use_backend,
 )
-from repro.engine.parallel import DEFAULT_CHUNK_SIZE
 from repro.engine.workspace import Workspace, make_workspace
 from repro.experiments.registry import build_graph
 from repro.graphs.generators import random_kregular
 from repro.pram.cost import tracking
-from repro.primitives.atomics import first_winner, write_min
+from repro.primitives.atomics import first_winner
 from repro.primitives.hashing import dedup
 from repro.primitives.sort import radix_argsort
 from repro.runtime.context import current_context
@@ -48,14 +47,10 @@ from repro.runtime.context import current_context
 __all__ = [
     "DEFAULT_GRAPHS",
     "DEFAULT_WARMUP",
-    "DEFAULT_WORKER_SWEEP",
     "best_of",
     "kernel_microbench",
     "end_to_end_bench",
     "run_wallclock_suite",
-    "parallel_kernel_bench",
-    "parallel_end_to_end_bench",
-    "run_parallel_suite",
     "trace_run",
     "write_json",
 ]
@@ -68,12 +63,6 @@ DEFAULT_GRAPHS: List[str] = ["rMat", "random", "3D-grid"]
 #: Kernel-microbench problem size per scale preset (stream length 2n).
 _SCALE_N = {"tiny": 1 << 14, "small": 1 << 17, "medium": 1 << 20}
 
-#: The thread-scaling sweep of the parallel suite (the paper's scaling
-#: story in miniature: 1 is the chunking-overhead check, 8 the
-#: oversubscription check on typical 4-core CI boxes).
-DEFAULT_WORKER_SWEEP: Tuple[int, ...] = (1, 2, 4, 8)
-
-
 def _environment_meta() -> Dict[str, object]:
     """The machine/context facts every bench artifact must record."""
     ctx = current_context()
@@ -84,8 +73,6 @@ def _environment_meta() -> Dict[str, object]:
         "machine": platform.machine(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count() or 1,
-        "workers": ctx.workers,
-        "chunk_size": DEFAULT_CHUNK_SIZE,
         "context": {
             "backend": ctx.backend.name,
             "sanitize": ctx.sanitizer is not None,
@@ -275,195 +262,6 @@ def run_wallclock_suite(
             repeats=repeats,
             graphs=graphs,
             backends=backends,
-            beta=beta,
-            seed=seed,
-        ),
-    }
-
-
-# -- the thread-scaling (parallel backend) suite ---------------------------
-
-
-def parallel_kernel_bench(
-    scale: str = "small",
-    repeats: int = 3,
-    workers: Sequence[int] = DEFAULT_WORKER_SWEEP,
-    seed: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Per-kernel seconds: serial ``fast`` vs ``parallel`` at each width.
-
-    Returns ``{kernel: {"fast": s, "parallel@N": s, ..., "speedup@N":
-    fast/parallel@N}}``.  Every configuration computes identical
-    outputs (the chunked kernels' determinism contract); only the
-    wall-clock differs.
-    """
-    n = _SCALE_N.get(scale, _SCALE_N["small"])
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=2 * n).astype(np.int64)
-    keys = rng.integers(0, n, size=2 * n).astype(np.int64)
-    values = rng.integers(0, 1 << 30, size=2 * n).astype(np.int64)
-    pair = np.empty(n, dtype=np.int64)
-    graph = random_kregular(n, k=8, seed=seed)
-    frontier = np.arange(n, dtype=np.int64)
-
-    def make_first_winner(name: str, w: int) -> Callable[[], object]:
-        ws = make_workspace(BACKENDS[name], n, w)
-        return lambda: first_winner(idx, workspace=ws)
-
-    def make_write_min(name: str, w: int) -> Callable[[], object]:
-        ws = make_workspace(BACKENDS[name], n, w)
-
-        def run() -> None:
-            pair.fill(np.iinfo(np.int64).max)
-            write_min(pair, idx, values, workspace=ws)
-
-        return run
-
-    def make_expand(name: str, w: int) -> Callable[[], object]:
-        ws = make_workspace(BACKENDS[name], n, w)
-        return lambda: graph.expand(frontier, workspace=ws)
-
-    def make_dedup(name: str, w: int) -> Callable[[], object]:
-        return lambda: dedup(keys)
-
-    kernels = {
-        "first_winner": make_first_winner,
-        "write_min": make_write_min,
-        "expand": make_expand,
-        "hash_dedup": make_dedup,
-    }
-    configs: List[Tuple[str, str, int]] = [("fast", "fast", 1)] + [
-        ("parallel", f"parallel@{w}", w) for w in workers
-    ]
-    out: Dict[str, Dict[str, float]] = {}
-    for kname, make_fn in kernels.items():
-        times: Dict[str, float] = {}
-        for backend_name, label, w in configs:
-            ctx = current_context().child(
-                backend=BACKENDS[backend_name], workers=w
-            )
-            with ctx.activate():
-                # best_of's warmup lets the arena + shard pool reach
-                # steady state before timing starts.
-                times[label] = best_of(make_fn(backend_name, w), repeats)
-        for w in workers:
-            par = times.get(f"parallel@{w}", 0.0)
-            times[f"speedup@{w}"] = (
-                times["fast"] / par if par > 0 else float("nan")
-            )
-        out[kname] = times
-    return out
-
-
-def parallel_end_to_end_bench(
-    scale: str = "small",
-    repeats: int = 3,
-    graphs: Optional[Sequence[str]] = None,
-    workers: Sequence[int] = DEFAULT_WORKER_SWEEP,
-    beta: float = 0.2,
-    seed: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """End-to-end ``decomp-arb-CC``: measured and predicted scaling.
-
-    Per graph: seconds under serial ``fast`` and under ``parallel`` at
-    each worker count (labelings asserted bit-identical first — a
-    wrong chunked kernel can never report a "speedup"), plus the cost
-    model's *predicted* speedup at the same thread counts
-    (``MachineModel.with_threads`` over the run's (work, depth)
-    profile) — the simulation finally validated against real hardware.
-    """
-    from repro.runtime.session import execute_profiled
-
-    graphs = list(graphs) if graphs is not None else list(DEFAULT_GRAPHS)
-    out: Dict[str, Dict[str, float]] = {}
-    for gname in graphs:
-        graph = build_graph(gname, scale)
-        labels: Dict[str, np.ndarray] = {}
-
-        def make_run(backend_name: str, w: int, label: str) -> Callable[[], object]:
-            def run() -> object:
-                with tracking():
-                    result = decomp_cc(graph, beta=beta, seed=seed)
-                labels[label] = result.labels
-                return result
-
-            return run
-
-        times: Dict[str, float] = {}
-        for backend_name, label, w in [("fast", "fast", 1)] + [
-            ("parallel", f"parallel@{w}", w) for w in workers
-        ]:
-            ctx = current_context().child(
-                backend=BACKENDS[backend_name], workers=w
-            )
-            with ctx.activate():
-                times[label] = best_of(make_run(backend_name, w, label), repeats)
-            if not np.array_equal(labels["fast"], labels[label]):
-                raise AssertionError(
-                    f"parallel parity violated on {gname}: fast and "
-                    f"{label} labelings differ"
-                )
-        # Cost-model prediction from one profiled run's (work, depth).
-        profile = execute_profiled(
-            "decomp-arb-CC",
-            graph,
-            graph_name=gname,
-            backend="fast",
-            beta=beta,
-            seed=seed,
-        )
-        predicted_base = profile.seconds_at(1)
-        for w in workers:
-            par = times.get(f"parallel@{w}", 0.0)
-            times[f"speedup@{w}"] = (
-                times["fast"] / par if par > 0 else float("nan")
-            )
-            predicted_w = profile.seconds_at(w)
-            times[f"predicted_speedup@{w}"] = (
-                predicted_base / predicted_w if predicted_w > 0 else float("nan")
-            )
-        out[gname] = times
-    return out
-
-
-def run_parallel_suite(
-    scale: str = "small",
-    repeats: int = 3,
-    graphs: Optional[Sequence[str]] = None,
-    workers: Sequence[int] = DEFAULT_WORKER_SWEEP,
-    beta: float = 0.2,
-    seed: int = 1,
-) -> Dict[str, object]:
-    """The thread-scaling trajectory: kernels + end-to-end, one dict.
-
-    JSON-shaped; ``benchmarks/bench_parallel.py`` writes it to
-    ``BENCH_parallel.json``.  ``meta.cpu_count`` records how many cores
-    the sweep actually had — read any speedup column against it (a
-    1-core container cannot beat 1.0x no matter how good the chunking
-    is, and the artifact says so honestly).
-    """
-    meta: Dict[str, object] = {
-        "scale": scale,
-        "repeats": repeats,
-        "warmup": DEFAULT_WARMUP,
-        "beta": beta,
-        "seed": seed,
-        "baseline": "fast",
-        "worker_sweep": list(workers),
-        "algorithm": "decomp-arb-CC",
-        "timer": "best-of wall clock (time.perf_counter), discarded warmup",
-    }
-    meta.update(_environment_meta())
-    return {
-        "meta": meta,
-        "kernels": parallel_kernel_bench(
-            scale=scale, repeats=repeats, workers=workers, seed=seed
-        ),
-        "end_to_end": parallel_end_to_end_bench(
-            scale=scale,
-            repeats=repeats,
-            graphs=graphs,
-            workers=workers,
             beta=beta,
             seed=seed,
         ),

@@ -17,8 +17,8 @@ Gives shell access to the whole reproduction:
 ``figure {2,3,4,5,6,7,8}``
     Regenerate one of the paper's figures as ASCII series.
 ``lint``
-    Run the reprolint PRAM-invariant static analyzer (RL001–RL004; see
-    docs/static_analysis.md).
+    Run the reprolint PRAM-invariant static analyzer (RL001–RL004,
+    RL008, RL010; see docs/static_analysis.md).
 ``fuzz``
     Run the differential fuzzer: seed-determined adversarial inputs
     through every implementation x backend, failures delta-debugged to
@@ -31,9 +31,8 @@ Gives shell access to the whole reproduction:
     see docs/observability.md).
 
 All commands accept ``--scale {tiny,small,medium}`` (default small),
-``--backend`` naming any registered execution backend (default fast),
-and ``--workers N`` (thread count for the chunked ``parallel``
-backend) — the execution backend changes wall-clock speed only, never
+and ``--backend`` naming any registered execution backend (default
+fast) — the execution backend changes wall-clock speed only, never
 results or simulated costs (see docs/performance.md).  The global
 ``--sanitize`` flag arms the runtime PRAM race sanitizer around
 whatever command runs (optimized backends only; a detected race aborts
@@ -110,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"any of {{{', '.join(sorted(BACKENDS))}}}; the optimized backends "
         "only change wall-clock speed "
         f"(default: {DEFAULT_BACKEND_NAME}; see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the chunked 'parallel' backend "
-        "(default: 1; other backends ignore it)",
     )
     parser.add_argument(
         "--sanitize",
@@ -530,7 +521,6 @@ def _cmd_trace(args) -> int:
         "scale": args.scale,
         "algorithm": args.algorithm,
         "backend": args.backend,
-        "workers": args.workers,
         "seed": args.seed,
         "work": prof.tracker.total_work(),
         "depth": prof.tracker.total_depth(),
@@ -785,20 +775,13 @@ def _dispatch(args) -> int:
             "repro.pram.sanitizing() to sanitize the reference "
             "backend directly)"
         )
-    if args.workers < 1:
-        raise ParameterError(
-            f"--workers must be >= 1, got {args.workers}"
-        )
     # One execution context for the whole command: the --backend,
-    # --workers, --sanitize and --trace flags become context fields,
+    # --sanitize and --trace flags become context fields,
     # and every run the command performs derives its child context
     # from this one.
     from repro.runtime.context import current_context
 
-    overrides: dict = {
-        "backend": resolve_backend(args.backend),
-        "workers": args.workers,
-    }
+    overrides: dict = {"backend": resolve_backend(args.backend)}
     sanitizer = None
     if args.sanitize:
         from repro.pram.sanitizer import PramSanitizer
@@ -825,7 +808,6 @@ def _dispatch(args) -> int:
                 "command": args.command,
                 "scale": args.scale,
                 "backend": args.backend,
-                "workers": args.workers,
             },
         )
         print(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.decomp.base import Decomposition
-from repro.engine.parallel import context_gather
 from repro.errors import GraphFormatError
 from repro.graphs.builder import from_directed_edges
 from repro.graphs.csr import CSRGraph
@@ -139,15 +138,11 @@ def contract(
         rank[-1] if num_vertices else 0
     )
     component_of_center = rank  # valid at positions where present is True
-    # The relabel gathers go through context_gather: identical to the
-    # plain fancy-index under the serial backends, chunked across the
-    # worker pool under the parallel backend (disjoint output slices,
-    # so the result is the same array either way).
-    vertex_to_component = context_gather(component_of_center, labels)
+    vertex_to_component = component_of_center[labels]
     tracker.add("gather", work=float(num_vertices), depth=1.0)
 
-    src = context_gather(component_of_center, decomposition.inter_src)
-    dst = context_gather(component_of_center, decomposition.inter_dst)
+    src = component_of_center[decomposition.inter_src]
+    dst = component_of_center[decomposition.inter_dst]
     orig_src = decomposition.orig_src
     orig_dst = decomposition.orig_dst
     tracker.add("gather", work=float(2 * src.size), depth=1.0)

@@ -31,7 +31,6 @@ from repro.engine.backend import (
     ExecutionBackend,
     current_backend,
     resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.engine.core import (
@@ -57,7 +56,6 @@ from repro.engine.kernels import (
     filter_edges,
     min_round,
 )
-from repro.engine.parallel import PARALLEL, ParallelWorkspace
 from repro.engine.state import BFSTreeState, ComponentLabelState
 from repro.engine.tiebreak import (
     TIEBREAK_POLICIES,
@@ -79,14 +77,11 @@ __all__ = [
     "DEFAULT_BACKEND_NAME",
     "current_backend",
     "resolve_backend",
-    "set_default_backend",
     "use_backend",
     "Workspace",
     "NullWorkspace",
     "NULL_WORKSPACE",
     "make_workspace",
-    "PARALLEL",
-    "ParallelWorkspace",
     "TraversalEngine",
     "TraversalState",
     "end_round",

@@ -1,6 +1,6 @@
 """Execution backends: *how* the kernels run, never *what* they compute.
 
-The engine's round kernels admit three executions of the same PRAM
+The engine's round kernels admit two executions of the same PRAM
 step batch:
 
 * ``reference`` — the historical kernels: every temporary is a fresh
@@ -17,11 +17,6 @@ step batch:
   one fused pass, dense rounds reuse arena bitmaps, and contraction
   builds its sub-graphs through the trusted (validation-free)
   constructor path.
-* ``parallel`` — the fast kernels executed across a persistent thread
-  pool (:mod:`repro.engine.parallel`): fixed-size chunks over
-  vertex/edge ranges, per-worker workspace shards for the CRCW
-  reductions, and a sequential deterministic combine, so outputs and
-  charges stay byte-identical to ``fast`` at any worker count.
 
 The parity contract — enforced by ``tests/test_engine_parity.py``
 replaying the golden fixture under *both* backends — is that switching
@@ -35,8 +30,7 @@ Selection: ``fast`` is the default.  The bound backend rides in the
 (``current_context().backend``); :func:`use_backend` scopes a switch
 to a ``with`` block by activating a derived context (the parity tests
 do this), and the CLI's ``--backend`` flag builds its command context
-with the chosen backend.  :func:`set_default_backend` survives as a
-deprecated shim that mutates the process-root context.
+with the chosen backend.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ __all__ = [
     "DEFAULT_BACKEND_NAME",
     "current_backend",
     "resolve_backend",
-    "set_default_backend",
     "use_backend",
 ]
 
@@ -68,38 +61,27 @@ class ExecutionBackend:
         Thread a per-run :class:`~repro.engine.workspace.Workspace`
         arena through the kernels so steady-state rounds perform zero
         large allocations (``out=`` writes into reused arena slices).
-    scatter_first_winner:
-        Resolve the arbitrary-CRCW race with the O(n) reverse-order
-        scatter instead of the sort-based ``np.unique`` pass.  Both
-        pick the first occurrence per destination, so the winner
-        schedule is identical.
+        The arena also carries the rest of the round strategy: the O(n)
+        reverse-order scatter for the arbitrary-CRCW race (instead of
+        the sort-based ``np.unique`` pass — both pick the first
+        occurrence per destination) and reused bitmaps on the dense
+        (pull) rounds.
     fused_sort:
         Produce the stable radix permutation with one fused stable
         argsort instead of per-16-bit-digit passes.  Stable sorting
         permutations are unique, so the output is identical; the
         charged pass structure is unchanged.
-    bitmap_dense:
-        Reuse arena bitmaps on the dense (pull) rounds instead of
-        materializing fresh boolean arrays per round.
     trusted_contraction:
         Build contraction sub-graphs via the trusted constructor path
         (skip re-validating invariants the contraction itself just
         established); public builders still validate.
-    chunked:
-        Execute the hot kernels in fixed-size chunks across the
-        execution context's worker pool
-        (:class:`~repro.engine.parallel.ParallelWorkspace`); the worker
-        count rides in ``ExecutionContext.workers``.
     """
 
     name: str
     description: str
     use_workspace: bool
-    scatter_first_winner: bool
     fused_sort: bool
-    bitmap_dense: bool
     trusted_contraction: bool
-    chunked: bool = False
 
 
 REFERENCE = ExecutionBackend(
@@ -107,9 +89,7 @@ REFERENCE = ExecutionBackend(
     description="byte-for-byte the historical kernels (fresh allocations, "
     "sort-based CAS resolution, per-digit radix passes, validating builders)",
     use_workspace=False,
-    scatter_first_winner=False,
     fused_sort=False,
-    bitmap_dense=False,
     trusted_contraction=False,
 )
 
@@ -119,9 +99,7 @@ FAST = ExecutionBackend(
     "CAS resolution, fused stable sort, bitmap dense rounds, trusted "
     "contraction constructors — identical outputs and charges",
     use_workspace=True,
-    scatter_first_winner=True,
     fused_sort=True,
-    bitmap_dense=True,
     trusted_contraction=True,
 )
 
@@ -159,29 +137,6 @@ def current_backend() -> ExecutionBackend:
     return current_context().backend
 
 
-def set_default_backend(
-    spec: Union[str, ExecutionBackend],
-) -> ExecutionBackend:
-    """Deprecated: mutate the process-root context's backend.
-
-    Shim kept for downstream compatibility; returns the previous root
-    backend.  It does not affect already-activated contexts — scope
-    switches with :func:`use_backend` or build an explicit
-    :class:`~repro.runtime.context.ExecutionContext` instead.  Warns
-    once per process.
-    """
-    from repro.runtime.context import root_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.engine.backend.set_default_backend",
-        "ExecutionContext(backend=...).activate()",
-    )
-    root = root_context()
-    previous = root.backend
-    root.backend = resolve_backend(spec)
-    return previous
-
-
 @contextmanager
 def use_backend(spec: Union[str, ExecutionBackend]) -> Iterator[ExecutionBackend]:
     """Scope a backend switch to a ``with`` block (re-entrant).
@@ -195,10 +150,3 @@ def use_backend(spec: Union[str, ExecutionBackend]) -> Iterator[ExecutionBackend
     with current_context().child(backend=backend).activate():
         yield backend
 
-
-# Registration side effect: importing the registry always registers the
-# parallel backend too (repro.engine.parallel appends itself to
-# BACKENDS).  The import sits at module bottom so parallel.py can in
-# turn import ExecutionBackend/BACKENDS from the (by then initialised)
-# top of this module without a cycle.
-import repro.engine.parallel as _parallel  # noqa: E402,F401  isort:skip

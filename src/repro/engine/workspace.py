@@ -28,12 +28,6 @@ the algorithm conceptually allocates (``alloc`` kind at run setup);
 reusing real memory across rounds changes how the NumPy execution
 runs, not what the PRAM run costs — the parity contract of
 :mod:`repro.engine.backend`.
-
-Machine-checked contract (``repro lint`` RL006): arena buffer sizes
-(``_buf``/``_zeroed_bool``/``_iota``/``_grown``) are pure functions of
-batch sizes — the worker-count taint analysis proves no value derived
-from ``workers``/``cpu_count`` ever reaches them, here or in the
-chunked subclass.
 """
 
 from __future__ import annotations
@@ -120,10 +114,8 @@ class NullWorkspace:
     ) -> np.ndarray:
         """Initial probe slots: ``splitmix64(keys ^ seed) & mask``.
 
-        The hash table's per-batch slot computation, exposed as a
-        workspace op so the chunked backend can split it across
-        workers.  Always a fresh array — the table mutates slots as the
-        probe loop advances.
+        The hash table's per-batch slot computation.  Always a fresh
+        array — the table mutates slots as the probe loop advances.
         """
         h = splitmix64(keys.astype(np.uint64) ^ seed)
         return (h & mask).astype(np.int64)
@@ -134,9 +126,7 @@ class NullWorkspace:
         """One batch of priority-CRCW writeMins: ``dest[idx] min= values``.
 
         The execution seam of :func:`repro.primitives.atomics.write_min`
-        (which owns the charging and the sanitizer seam); the chunked
-        backend overrides this with per-worker shard minima and a
-        sequential combine.
+        (which owns the charging and the sanitizer seam).
         """
         np.minimum.at(dest, idx, values)
 
@@ -305,17 +295,9 @@ class Workspace(NullWorkspace):
 
 
 def make_workspace(
-    backend: "ExecutionBackend", num_vertices: int, workers: int = 1
+    backend: "ExecutionBackend", num_vertices: int
 ) -> Union[Workspace, NullWorkspace]:
-    """The workspace a run should thread through its kernels.
-
-    *workers* sizes the chunked backend's shard pool (the execution
-    context's worker count); the serial backends ignore it.
-    """
-    if backend.chunked:
-        from repro.engine.parallel import ParallelWorkspace
-
-        return ParallelWorkspace(num_vertices, workers=workers)
+    """The workspace a run should thread through its kernels."""
     if backend.use_workspace:
         return Workspace(num_vertices)
     return NULL_WORKSPACE

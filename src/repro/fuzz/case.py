@@ -208,7 +208,6 @@ class CaseConfig:
     seed: int = 1
     backends: Tuple[str, ...] = ("reference", "fast")
     sanitize: bool = False
-    workers: int = 1
     fault: Optional[str] = None
     fault_seed: int = 0
     planted: Optional[str] = None
@@ -221,11 +220,6 @@ class CaseConfig:
             "backends": list(self.backends),
             "sanitize": self.sanitize,
         }
-        if self.workers != 1:
-            # Emitted only when non-default, so the checked-in corpus
-            # (written before the parallel backend existed) round-trips
-            # byte-identically.
-            out["workers"] = self.workers
         if self.fault is not None:
             out["fault"] = self.fault
             out["fault_seed"] = self.fault_seed
@@ -241,7 +235,6 @@ class CaseConfig:
             seed=int(data.get("seed", 1)),  # type: ignore[arg-type]
             backends=tuple(str(b) for b in data.get("backends", ["reference", "fast"])),  # type: ignore[union-attr]
             sanitize=bool(data.get("sanitize", False)),
-            workers=int(data.get("workers", 1)),  # type: ignore[arg-type]
             fault=data.get("fault"),  # type: ignore[arg-type]
             fault_seed=int(data.get("fault_seed", 0)),  # type: ignore[arg-type]
             planted=data.get("planted"),  # type: ignore[arg-type]

@@ -16,9 +16,8 @@ schedule-dependent bugs that only structured instances surface):
 * degenerate sizes — empty, single-vertex and two-vertex graphs;
 * bulk randomness — rMat and G(n, m) at randomized (n, m);
 
-crossed with randomized run configs: every registered variant, the
-registered execution backends (the chunked ``parallel`` backend at
-real worker counts), a sweep of beta, optional sanitizer arming, and
+crossed with randomized run configs: every registered variant, both
+execution backends, a sweep of beta, optional sanitizer arming, and
 (for the decomp variants) optional deterministic fault plans.
 """
 
@@ -208,26 +207,17 @@ class CaseGenerator:
         if algorithm.startswith("decomp-") and rng.random() < 0.2:
             fault = str(rng.choice(_FAULT_TEMPLATES))
             fault_seed = int(rng.integers(0, 1 << 16))
-        backends: Tuple[str, ...]
-        workers = 1
+        backends: Tuple[str, ...] = ("reference", "fast")
         if fault is not None:
             # Fault plans consume their RNG stream per activation, so a
             # fault case runs once on one sampled backend.
-            backends = (str(rng.choice(["reference", "fast"])),)
-        elif rng.random() < 0.5:
-            # Half of the clean differentials also cross-check the
-            # chunked backend at a real worker count.
-            backends = ("reference", "fast", "parallel")
-            workers = int(rng.choice([2, 4]))
-        else:
-            backends = ("reference", "fast")
+            backends = (str(rng.choice(backends)),)
         return CaseConfig(
             algorithm=algorithm,
             beta=beta,
             seed=seed,
             backends=backends,
             sanitize=sanitize,
-            workers=workers,
             fault=fault,
             fault_seed=fault_seed,
         )

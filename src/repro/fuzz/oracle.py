@@ -8,9 +8,8 @@ question:
   :func:`repro.analysis.verify.ground_truth_labels` (checked through
   :func:`verify_labeling`, so a failure carries the structured reason);
 * **backend differential** — every backend the case configures
-  (``reference``, ``fast``, and the chunked ``parallel`` at the case's
-  worker count) must produce bit-identical labelings *and* identical
-  (work, depth) charges (the parity contract, here enforced on
+  (``reference`` and ``fast``) must produce bit-identical labelings
+  *and* identical (work, depth) charges (the parity contract, here enforced on
   adversarial inputs instead of the 116 golden fixtures);
 * **sanitizer** — optionally, the run executes under the PRAM race
   sanitizer; a race on a clean run is a finding;
@@ -127,7 +126,6 @@ def _execute(
         fault_plan=fault_plan,
         backend=backend,
         sanitize=case.config.sanitize,
-        workers=case.config.workers,
         **_algorithm_kwargs(case),
     )
     labels = np.asarray(prof.result.labels)

@@ -10,7 +10,7 @@ metrics snapshot and run metadata alongside the events::
       "traceEvents": [...],        # "X"/"B"/"E"/"i"/"M" records
       "displayTimeUnit": "ms",
       "metrics": {...},            # Metrics.snapshot()
-      "meta": {...}                # graph/algorithm/backend/workers
+      "meta": {...}                # graph/algorithm/backend
     }
 
 :func:`validate_trace` re-checks that shape (it is what the CI

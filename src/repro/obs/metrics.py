@@ -2,9 +2,8 @@
 
 Where the tracer (:mod:`repro.obs.tracer`) records *when* things
 happened, the metrics registry records *how often* and *how big*:
-Session memo hits and misses, workspace-pool claims, parallel-backend
-combines and chunk batches, resilience retries, fault injections, fuzz
-oracle comparisons.  The catalog of names lives in
+Session memo hits and misses, workspace-pool claims, resilience
+retries, fault injections, fuzz oracle comparisons.  The catalog of names lives in
 ``docs/observability.md``.
 
 The same null-object idiom as the tracer applies: the process default
@@ -14,9 +13,8 @@ call sites never branch.  An active :class:`Metrics` is thread-safe
 native Python types, ready for ``json.dump``.
 
 Determinism contract: metrics are observational.  Counter values may
-legitimately differ between configurations (a parallel run records
-more chunk batches than a serial one; a second `Session.run` records a
-memo hit), but recording them never feeds back into the run.
+legitimately differ between configurations (a second `Session.run`
+records a memo hit where the first recorded a miss), but recording them never feeds back into the run.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from repro.pram.cost import (
     KINDS,
     SEQUENTIAL_KINDS,
     CostTracker,
-    current_tracker,
     tracking,
 )
 from repro.pram.machine import (
@@ -25,7 +24,6 @@ from repro.pram.machine import (
 from repro.pram.sanitizer import (
     PramSanitizer,
     RaceReport,
-    active_sanitizer,
     sanitizing,
 )
 
@@ -33,11 +31,9 @@ __all__ = [
     "KINDS",
     "SEQUENTIAL_KINDS",
     "CostTracker",
-    "current_tracker",
     "tracking",
     "PramSanitizer",
     "RaceReport",
-    "active_sanitizer",
     "sanitizing",
     "MachineModel",
     "PAPER_MACHINE",

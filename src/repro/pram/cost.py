@@ -28,9 +28,8 @@ The active tracker rides in the process-wide
 :class:`~repro.runtime.context.ExecutionContext` (a ``contextvars``
 binding), so concurrent sessions in different threads or tasks each
 accumulate into their own tracker with no cross-talk.  :func:`tracking`
-derives and activates a child context; :func:`current_tracker` is a
-deprecated shim kept for downstream compatibility — new code reads
-``current_context().tracker``.
+derives and activates a child context; code reads the active tracker
+as ``current_context().tracker``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "KINDS",
     "PhaseObserver",
     "SEQUENTIAL_KINDS",
-    "current_tracker",
     "tracking",
 ]
 
@@ -246,21 +244,6 @@ class _NullTracker(CostTracker):
 
 
 _NULL = _NullTracker()
-
-
-def current_tracker() -> CostTracker:
-    """Deprecated: the execution context's tracker.
-
-    Shim kept for downstream compatibility; new code reads
-    ``repro.runtime.current_context().tracker``.  Warns once per
-    process.
-    """
-    from repro.runtime.context import current_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.pram.cost.current_tracker", "current_context().tracker"
-    )
-    return current_context().tracker
 
 
 @contextlib.contextmanager

@@ -38,7 +38,6 @@ sanitizer rides in the :class:`~repro.runtime.context.ExecutionContext`
 :func:`sanitizing` context manager activates a derived context (the
 CLI's global ``--sanitize`` flag wraps every command in one).  When no
 sanitizer is active every seam is a cheap ``None`` check.
-:func:`active_sanitizer` survives as a deprecated shim.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from repro.errors import SanitizerError
 __all__ = [
     "RaceReport",
     "PramSanitizer",
-    "active_sanitizer",
-    "current_sanitizer",
     "sanitizing",
 ]
 
@@ -158,7 +155,6 @@ class PramSanitizer:
         self.cas_checked = 0
         self.writes_recorded = 0
         self.atomics_recorded = 0
-        self.combines_recorded = 0
         self._frames: List[_RunFrame] = []
 
     # -- engine seam (TraversalEngine.run) ---------------------------------
@@ -286,20 +282,6 @@ class PramSanitizer:
             np.asarray(idx, dtype=np.int64).ravel()
         )
 
-    def record_combine(self, kind: str, shards: int) -> None:
-        """A chunked kernel merged *shards* per-worker partials.
-
-        The parallel backend's contract: worker threads never mutate a
-        registered shared array — they fill private per-worker shards,
-        and the *calling* thread merges them sequentially before the
-        kernel returns.  The end-of-round snapshot diff
-        (:meth:`close_round`) therefore always runs strictly after the
-        combine barrier; this counter records that the barrier was
-        crossed so a sanitized parallel run can assert its sharded
-        merges were actually covered.
-        """
-        self.combines_recorded += 1
-
     def sanction(self, dests: np.ndarray) -> None:
         """A resolved CAS race entitles its winners to claim-once writes.
 
@@ -355,14 +337,11 @@ class PramSanitizer:
 
     def summary(self) -> str:
         """One-line human summary (the CLI prints this after a run)."""
-        msg = (
+        return (
             f"sanitizer: {len(self.races)} race(s) in "
             f"{self.rounds_checked} round(s) across {self.runs_monitored} "
             f"run(s); {self.cas_checked} CAS batches checked"
         )
-        if self.combines_recorded:
-            msg += f", {self.combines_recorded} sharded combine(s)"
-        return msg
 
     # -- internals ---------------------------------------------------------
 
@@ -392,31 +371,6 @@ class PramSanitizer:
         self.races.append(report)
         if self.halt_on_race:
             raise SanitizerError(str(report), report=report)
-
-
-def active_sanitizer() -> Optional[PramSanitizer]:
-    """Deprecated: the execution context's sanitizer (or ``None``).
-
-    Shim kept for downstream compatibility; new code reads
-    ``repro.runtime.current_context().sanitizer``.  Warns once per
-    process.
-    """
-    from repro.runtime.context import current_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.pram.sanitizer.active_sanitizer", "current_context().sanitizer"
-    )
-    return current_context().sanitizer
-
-
-def current_sanitizer() -> Optional[PramSanitizer]:
-    """Deprecated alias of :func:`active_sanitizer` (same shim)."""
-    from repro.runtime.context import current_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.pram.sanitizer.current_sanitizer", "current_context().sanitizer"
-    )
-    return current_context().sanitizer
 
 
 @contextmanager

@@ -108,10 +108,9 @@ def write_min(
     Mutates *dest* in place.  *tracker* lets round kernels pass the
     tracker they already resolved (one context-var read per round, not
     per primitive).  *workspace* is the execution seam: when the round
-    kernel passes one, its ``minimum_scatter`` runs the scatter (the
-    chunked backend shards it per worker); charging and the sanitizer
-    record stay here either way, so the execution strategy is
-    cost-model invisible.
+    kernel passes one, its ``minimum_scatter`` runs the scatter;
+    charging and the sanitizer record stay here either way, so the
+    execution strategy is cost-model invisible.
     """
     idx = np.asarray(idx)
     values = np.asarray(values)

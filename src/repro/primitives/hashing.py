@@ -67,8 +67,7 @@ class HashTable:
         self._workspace = current_context().acquire_workspace(self.size)
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
-        # Workspace seam: the chunked backend splits the slot hash
-        # across workers; every implementation computes
+        # Workspace seam: every implementation computes
         # splitmix64(keys ^ seed) & mask into a fresh array (the probe
         # loop mutates the slots as it advances).
         return self._workspace.hash_slots(keys, self._seed, self._mask, "hash#slots")

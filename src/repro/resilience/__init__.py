@@ -26,7 +26,6 @@ from repro.resilience.faults import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    active_fault_plan,
     parse_fault_plan,
 )
 from repro.resilience.policy import (
@@ -49,7 +48,6 @@ __all__ = [
     "RetryPolicy",
     "RoundBudget",
     "SweepCheckpoint",
-    "active_fault_plan",
     "cell_key",
     "parse_fault_plan",
 ]

@@ -113,11 +113,6 @@ class ResilientRunner:
         Optional :class:`FaultPlan` activated around each attempt
         (testing / chaos-engineering hook; the plan's ``sabotage_runs``
         bounds how many attempts it corrupts).
-    workers:
-        Thread count bound into every attempt's execution context (the
-        chunked ``parallel`` backend's pool width; serial backends
-        ignore it).  ``None`` (default) inherits the ambient context's
-        count at each attempt.
     """
 
     def __init__(
@@ -127,7 +122,6 @@ class ResilientRunner:
         checkpoint: Optional[SweepCheckpoint] = None,
         verify: bool = True,
         fault_plan: Optional[FaultPlan] = None,
-        workers: Optional[int] = None,
     ) -> None:
         if fallbacks is None:
             from repro.experiments.registry import FALLBACK_CHAINS
@@ -138,8 +132,6 @@ class ResilientRunner:
         self.checkpoint = checkpoint
         self.verify = verify
         self.fault_plan = fault_plan
-        #: None inherits the ambient context's worker count per attempt.
-        self.workers = None if workers is None else max(1, int(workers))
         #: Every failed attempt across this runner's lifetime.
         self.failure_log: List[FailureRecord] = []
         #: Cells actually computed (excludes checkpoint replays).
@@ -182,7 +174,6 @@ class ResilientRunner:
                         graph_name=graph_name,
                         verify=False,
                         fault_plan=self.fault_plan,
-                        workers=self.workers,
                         **_algo_kwargs(algo, beta, attempt_seed, extra),
                     )
                     if self.verify:

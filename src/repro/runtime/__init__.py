@@ -1,7 +1,7 @@
 """Explicit runtime: execution contexts and the session facade.
 
-``repro.runtime.context`` is the foundation (imported by the legacy
-accessor shims, so it stays dependency-light); ``repro.runtime.session``
+``repro.runtime.context`` is the foundation (imported by the
+primitives and graphs layers, so it stays dependency-light); ``repro.runtime.session``
 pulls in the experiment registry and is loaded lazily so importing the
 context layer never drags the full algorithm suite along.
 """
@@ -12,12 +12,11 @@ __all__ = [
     "ExecutionContext",
     "current_context",
     "root_context",
-    "ConnectivityService",
     "Session",
     "execute_profiled",
 ]
 
-_SESSION_EXPORTS = ("ConnectivityService", "Session", "execute_profiled")
+_SESSION_EXPORTS = ("Session", "execute_profiled")
 
 
 def __getattr__(name: str) -> object:

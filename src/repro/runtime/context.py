@@ -26,19 +26,16 @@ The writing side is :meth:`ExecutionContext.activate` — the single
 exception-safe push/pop in the whole package (a ``ContextVar`` token
 reset in ``finally``).  The legacy context managers (``tracking``,
 ``sanitizing``, ``use_backend``, ``FaultPlan.activate``) are now thin
-wrappers that derive a :meth:`child` context and activate it; the
-legacy *accessors* (``current_tracker`` & co.) are deprecated shims
-that read this contextvar and warn once per process.
+wrappers that derive a :meth:`child` context and activate it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -56,14 +53,13 @@ __all__ = [
     "ExecutionContext",
     "current_context",
     "root_context",
-    "warn_deprecated_accessor",
 ]
 
 
 def _default_backend() -> "ExecutionBackend":
-    # Imported lazily so this module (the target of every accessor
-    # shim) stays below the engine in the layering — the primitives
-    # and graphs layers import it at module level.
+    # Imported lazily so this module stays below the engine in the
+    # layering — the primitives and graphs layers import it at module
+    # level.
     from repro.engine.backend import BACKENDS, DEFAULT_BACKEND_NAME
 
     return BACKENDS[DEFAULT_BACKEND_NAME]
@@ -91,10 +87,6 @@ class ExecutionContext:
     workspace:
         An optional pooled :class:`~repro.engine.workspace.Workspace`
         arena offered to the next run (see :meth:`acquire_workspace`).
-    workers:
-        Worker-thread count for the chunked (``parallel``) backend's
-        persistent pool; the serial backends ignore it.  Clamped to at
-        least 1.
     seed / rng:
         The context's seed and the generator derived from it; a
         :class:`~repro.runtime.session.Session` threads its seed here
@@ -113,16 +105,24 @@ class ExecutionContext:
     fault_plan: "Optional[FaultPlan]" = None
     sanitizer: "Optional[PramSanitizer]" = None
     workspace: "Optional[NullWorkspace]" = None
-    workers: int = 1
     seed: int = 0
     rng: Optional[np.random.Generator] = None
     tracer: NullTracer = field(default_factory=lambda: NULL_TRACER)
     metrics: NullMetrics = field(default_factory=lambda: NULL_METRICS)
 
     def __post_init__(self) -> None:
-        self.workers = max(1, int(self.workers))
         if self.rng is None:
             self.rng = np.random.default_rng(self.seed)
+
+    @property
+    def workers(self) -> int:
+        """Host threads a run uses: always 1.
+
+        Every backend runs on the calling thread; the paper's thread
+        scaling comes from the cost model.  Benchmark records report
+        this value in their metadata.
+        """
+        return 1
 
     # -- derivation --------------------------------------------------------
 
@@ -181,12 +181,12 @@ class ExecutionContext:
             return ws
         from repro.engine.workspace import make_workspace
 
-        return make_workspace(self.backend, num_vertices, self.workers)
+        return make_workspace(self.backend, num_vertices)
 
 
 #: The ambient default: null tracker, process-default backend, nothing
 #: armed.  Created lazily (its backend field resolves through the
-#: engine layer); ``set_default_backend`` (deprecated) mutates it.
+#: engine layer).
 _ROOT: Optional[ExecutionContext] = None
 _ROOT_LOCK = threading.Lock()
 
@@ -202,7 +202,7 @@ def current_context() -> ExecutionContext:
 
 
 def root_context() -> ExecutionContext:
-    """The process-root context (the ``set_default_backend`` target)."""
+    """The process-root context (the default when nothing is activated)."""
     global _ROOT
     if _ROOT is None:
         with _ROOT_LOCK:
@@ -210,24 +210,3 @@ def root_context() -> ExecutionContext:
                 _ROOT = ExecutionContext()
     return _ROOT
 
-
-# -- deprecation plumbing for the four legacy accessors -------------------
-
-_WARNED: Set[str] = set()
-
-
-def warn_deprecated_accessor(name: str, replacement: str) -> None:
-    """Emit the accessor's :class:`DeprecationWarning` once per process."""
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"{name}() is deprecated; read repro.runtime.{replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process warnings (test hook only)."""
-    _WARNED.clear()

@@ -18,13 +18,11 @@ connectivity queries cost one dictionary lookup.  Sessions are
 internally locked; *different* Session objects in different threads are
 isolated by the ``contextvars`` carrier and never share trackers,
 arenas or memo entries.
-
-:class:`ConnectivityService` is the multi-graph registry facade: named
-sessions built lazily from the experiment registry's graph suite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from typing import Dict, Iterator, Optional, Tuple, Union
@@ -40,9 +38,9 @@ from repro.graphs.csr import CSRGraph
 from repro.pram.cost import CostTracker
 from repro.pram.sanitizer import PramSanitizer
 from repro.resilience.faults import FaultPlan
-from repro.runtime.context import current_context
+from repro.runtime.context import ExecutionContext, current_context
 
-__all__ = ["execute_profiled", "Session", "ConnectivityService"]
+__all__ = ["execute_profiled", "Session"]
 
 #: The session default: the paper's headline algorithm.
 DEFAULT_ALGORITHM = "decomp-arb-CC"
@@ -61,7 +59,6 @@ def execute_profiled(
     halt_on_race: bool = True,
     tracker: Optional[CostTracker] = None,
     workspace: object = None,
-    workers: Optional[int] = None,
     **algorithm_kwargs: object,
 ) -> RunProfile:
     """Run *algorithm* once inside one derived execution context.
@@ -72,9 +69,7 @@ def execute_profiled(
     pooled *workspace*, activates it for exactly one algorithm
     execution, and returns the :class:`RunProfile`.  A *fault_plan* is
     armed inside the context (one call = one run against its sabotage
-    budget).  *workers* binds the chunked backend's thread count for
-    this run (``None`` inherits the ambient context's count).
-    Verification happens outside the context so its costs never
+    budget).  Verification happens outside the context so its costs never
     pollute the run's profile.
     """
     spec = get_algorithm(algorithm)
@@ -83,8 +78,6 @@ def execute_profiled(
     }
     if backend is not None:
         overrides["backend"] = resolve_backend(backend)
-    if workers is not None:
-        overrides["workers"] = max(1, int(workers))
     if sanitize:
         overrides["sanitizer"] = PramSanitizer(halt_on_race=halt_on_race)
     if workspace is not None:
@@ -97,7 +90,6 @@ def execute_profiled(
             algorithm=algorithm,
             graph=graph_name,
             backend=ctx.backend.name,
-            workers=ctx.workers,
             faulted=fault_plan is not None,
         )
         # Phase windows recorded by the tracker flow to the tracer as
@@ -148,10 +140,6 @@ class Session:
     backend:
         The backend every run of this session binds to (default: the
         ambient context's backend at construction time).
-    workers:
-        Thread count for the chunked (``parallel``) backend; serial
-        backends ignore it (default: the ambient context's count at
-        construction time, mirroring *backend*).
     verify:
         Verify each fresh labeling before it enters the memo.
     """
@@ -166,7 +154,6 @@ class Session:
         seed: int = 1,
         beta: float = DEFAULT_BETA,
         backend: Union[str, ExecutionBackend, None] = None,
-        workers: Optional[int] = None,
         verify: bool = True,
     ) -> None:
         if isinstance(graph, str):
@@ -181,11 +168,6 @@ class Session:
             resolve_backend(backend)
             if backend is not None
             else current_context().backend
-        )
-        self.workers = (
-            max(1, int(workers))
-            if workers is not None
-            else current_context().workers
         )
         self.verify = verify
         self.hits = 0
@@ -207,7 +189,7 @@ class Session:
             return None
         n = self.graph.num_vertices
         if self._pool is None or getattr(self._pool, "num_vertices", 0) < n:
-            self._pool = make_workspace(self.backend, n, self.workers)
+            self._pool = make_workspace(self.backend, n)
         return self._pool
 
     def _claim_pool(self) -> object:
@@ -313,7 +295,6 @@ class Session:
                     fault_plan=fault_plan,
                     backend=self.backend,
                     workspace=workspace,
-                    workers=self.workers,
                     **kwargs,
                 )
                 with self._lock:
@@ -331,22 +312,30 @@ class Session:
                 if done is not None:
                     done.set()
 
-    def activate(self):
+    @contextlib.contextmanager
+    def activate(self) -> Iterator[ExecutionContext]:
         """Activate a context bound to this session's backend and pool.
 
         For callers that drive algorithm code directly (the parity
         tests replaying golden captures through the session path)
-        rather than through :meth:`run`.  Offers the pooled arena only
-        when no :meth:`run` currently holds it.
+        rather than through :meth:`run`.  The activation claims the
+        pooled arena for the ``with`` body exactly as a run does, so
+        concurrent activations and runs never share it: whoever finds
+        it busy proceeds on a fresh per-run arena.
         """
-        with self._lock:
-            workspace = None if self._pool_busy else self._ensure_pool()
-        return current_context().child(
-            backend=self.backend,
-            workspace=workspace,
-            workers=self.workers,
-            seed=self.seed,
-        ).activate()
+        workspace: object = None
+        try:
+            with self._lock:
+                workspace = self._claim_pool()
+            with current_context().child(
+                backend=self.backend,
+                workspace=workspace,
+                seed=self.seed,
+            ).activate() as ctx:
+                yield ctx
+        finally:
+            with self._lock:
+                self._release_pool(workspace)
 
     # -- graph management -------------------------------------------------
 
@@ -402,84 +391,3 @@ class Session:
             f"backend={self.backend.name!r}, memo={len(self._memo)})"
         )
 
-
-class ConnectivityService:
-    """Named sessions over the experiment registry's graph suite.
-
-    The long-running-service shape: one object, many graphs, each
-    loaded at most once, each query answered from the graph's session
-    (and therefore memoized).  Thread-safe: concurrent callers may
-    open and query distinct graphs simultaneously.
-    """
-
-    def __init__(
-        self,
-        *,
-        scale: str = "small",
-        algorithm: str = DEFAULT_ALGORITHM,
-        backend: Union[str, ExecutionBackend, None] = None,
-        workers: Optional[int] = None,
-        verify: bool = True,
-    ) -> None:
-        self.scale = scale
-        self.algorithm = algorithm
-        self.backend = backend
-        self.workers = workers
-        self.verify = verify
-        self._sessions: Dict[str, Session] = {}
-        self._lock = threading.Lock()
-
-    def session(self, graph_name: str, **session_kwargs: object) -> Session:
-        """The (lazily created) session for *graph_name*."""
-        with self._lock:
-            sess = self._sessions.get(graph_name)
-            if sess is None:
-                sess = Session(
-                    graph_name,
-                    scale=self.scale,
-                    algorithm=self.algorithm,
-                    backend=self.backend,
-                    workers=self.workers,
-                    verify=self.verify,
-                    **session_kwargs,  # type: ignore[arg-type]
-                )
-                self._sessions[graph_name] = sess
-            return sess
-
-    def open(self, name: str, graph: CSRGraph, **session_kwargs: object) -> Session:
-        """Register a session for an externally built graph."""
-        sess = Session(
-            graph,
-            graph_name=name,
-            algorithm=self.algorithm,
-            backend=self.backend,
-            workers=self.workers,
-            verify=self.verify,
-            **session_kwargs,  # type: ignore[arg-type]
-        )
-        with self._lock:
-            self._sessions[name] = sess
-        return sess
-
-    def close(self, name: str) -> None:
-        with self._lock:
-            self._sessions.pop(name, None)
-
-    def components(self, graph_name: str) -> np.ndarray:
-        return self.session(graph_name).components()
-
-    def connected(
-        self, graph_name: str, u: Union[int, np.ndarray], v: Union[int, np.ndarray]
-    ) -> Union[bool, np.ndarray]:
-        return self.session(graph_name).connected(u, v)
-
-    def component_sizes(self, graph_name: str) -> Dict[int, int]:
-        return self.session(graph_name).component_sizes()
-
-    def __iter__(self) -> Iterator[str]:
-        with self._lock:
-            return iter(sorted(self._sessions))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)

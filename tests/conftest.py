@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.graphs import (
@@ -67,6 +69,36 @@ def zoo_nonempty_params():
         for name, g in _ZOO.items()
         if g.num_vertices > 0
     ]
+
+
+def run_on_threads(fn, threads: int, timeout: float = 120.0) -> list:
+    """Call *fn* on *threads* host threads released together.
+
+    Returns the per-thread results in thread order and re-raises the
+    first failure on the calling thread.  Every thread starts from an
+    empty ``contextvars`` context, so it sees the process-root
+    execution context — like a service worker thread would.
+    """
+    barrier = threading.Barrier(threads)
+    results: list = [None] * threads
+    errors: list = []
+
+    def work(slot: int) -> None:
+        try:
+            barrier.wait(timeout)
+            results[slot] = fn()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in pool), "worker thread hung"
+    if errors:
+        raise errors[0]
+    return results
 
 
 @pytest.fixture()

@@ -29,7 +29,6 @@ from repro.engine.backend import (
     REFERENCE,
     current_backend,
     resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.engine.workspace import NULL_WORKSPACE, Workspace, make_workspace
@@ -191,9 +190,13 @@ def test_table_size_invariants(n):
 
 
 def test_backend_registry_and_resolution():
-    assert set(BACKENDS) == {"reference", "fast", "parallel"}
-    assert BACKENDS["parallel"].chunked and BACKENDS["parallel"].use_workspace
-    assert not FAST.chunked and not REFERENCE.chunked
+    assert set(BACKENDS) == {"reference", "fast"}
+    assert FAST.use_workspace and FAST.fused_sort and FAST.trusted_contraction
+    assert not (
+        REFERENCE.use_workspace
+        or REFERENCE.fused_sort
+        or REFERENCE.trusted_contraction
+    )
     assert resolve_backend("fast") is FAST
     assert resolve_backend(REFERENCE) is REFERENCE
     assert resolve_backend(None) is current_backend()
@@ -209,17 +212,6 @@ def test_use_backend_scopes_and_nests():
             assert current_backend() is FAST
         assert current_backend() is REFERENCE
     assert current_backend() is outer
-
-
-def test_set_default_backend_returns_previous():
-    previous = set_default_backend("reference")
-    try:
-        assert current_backend() is REFERENCE
-        with use_backend("fast"):  # scoped override still wins
-            assert current_backend() is FAST
-    finally:
-        set_default_backend(previous)
-    assert current_backend() is previous
 
 
 def test_make_workspace_follows_backend_flags():

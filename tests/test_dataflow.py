@@ -1,6 +1,6 @@
 """Units for the interprocedural lint framework (cfg/callgraph/dataflow).
 
-These pin the framework semantics RL006-RL009 rely on:
+These pin the framework semantics RL008 relies on:
 
 * CFG construction — branch joins, loop back edges, ``with`` bodies,
   try/finally routing (a ``return`` inside ``try`` flows through the
@@ -9,8 +9,6 @@ These pin the framework semantics RL006-RL009 rely on:
 * call-graph resolution — including the backend-registry pattern
   (a call through an unknown receiver resolves to *every* analyzed
   implementation, the way the workspace seam dispatches);
-* taint summaries — fixpoint termination on cyclic call graphs and
-  taint surviving a trip through a helper's return value;
 * the generic forward solver — exceptional edges propagate
   ``join(in, out)``, so a raise mid-statement is modelled soundly.
 """
@@ -20,13 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Dict
 
-from repro.analysis.reprolint import (
-    SEED,
-    Program,
-    TaintAnalysis,
-    build_cfg,
-    run_forward,
-)
+from repro.analysis.reprolint import Program, build_cfg, run_forward
 
 
 def fn(source: str) -> ast.FunctionDef:
@@ -223,69 +215,6 @@ class TestCallGraphResolution:
         )
         callees = [f.qualname for f in program.resolve_call(call, driver)]
         assert callees == ["Fast.alloc"]
-
-
-def _workers_seed(expr: ast.expr) -> bool:
-    return isinstance(expr, ast.Attribute) and expr.attr == "workers"
-
-
-class TestTaintFixpoint:
-    def test_terminates_and_propagates_on_cyclic_call_graph(self):
-        src = (
-            "def a(self, n):\n"
-            "    if n <= 0:\n"
-            "        return self.workers\n"
-            "    return b(self, n - 1)\n"
-            "def b(self, n):\n"
-            "    return a(self, n)\n"
-            "def unrelated(n):\n"
-            "    return n + 1\n"
-        )
-        program = Program({"src/repro/engine/x.py": ast.parse(src)})
-        analysis = TaintAnalysis(program, seed_expr=_workers_seed)
-        key = "src/repro/engine/x.py"
-        assert SEED in analysis.summaries[(key, "a")].returns
-        assert SEED in analysis.summaries[(key, "b")].returns
-        assert SEED not in analysis.summaries[(key, "unrelated")].returns
-
-    def test_taint_survives_helper_return(self):
-        src = (
-            "def sizer(self):\n"
-            "    return self.workers * 4\n"
-            "def kernel(self, n):\n"
-            "    size = sizer(self)\n"
-            "    clean = n + 1\n"
-            "    return size, clean\n"
-        )
-        program = Program({"p.py": ast.parse(src)})
-        analysis = TaintAnalysis(program, seed_expr=_workers_seed)
-        kernel = program.functions[("p.py", "kernel")]
-        env = analysis.local_env(kernel)
-        assert SEED in env["size"]
-        assert SEED not in env["clean"]
-
-    def test_tainted_index_into_clean_container_is_clean(self):
-        src = (
-            "def f(self, table):\n"
-            "    w = self.workers\n"
-            "    return table[w]\n"
-        )
-        program = Program({"p.py": ast.parse(src)})
-        analysis = TaintAnalysis(program, seed_expr=_workers_seed)
-        info = program.functions[("p.py", "f")]
-        env = analysis.local_env(info)
-        ret = next(
-            n for n in ast.walk(info.node) if isinstance(n, ast.Return)
-        )
-        assert not analysis.is_tainted(ret.value, env, info)
-
-    def test_seed_params_mark_arguments(self):
-        src = "def f(workers):\n    return workers + 1\n"
-        program = Program({"p.py": ast.parse(src)})
-        analysis = TaintAnalysis(
-            program, seed_expr=lambda e: False, seed_params=("workers",)
-        )
-        assert SEED in analysis.summaries[("p.py", "f")].returns
 
 
 class TestForwardSolver:

@@ -24,46 +24,35 @@ import pytest
 
 from repro.decomp import DECOMP_VARIANTS
 from repro.engine.backend import resolve_backend
-from repro.engine.parallel import ParallelWorkspace
 from repro.runtime.context import current_context
 from repro.runtime.session import Session
 
-from tests.conftest import _zoo
+from tests.conftest import _zoo, run_on_threads
 from tests.golden.generate_decomp_parity import capture_bfs, capture_one
 
 #: Every fixture entry must replay identically under every execution
-#: backend — the parity contract of ``repro.engine.backend``.  The
-#: chunked parallel backend additionally must be worker-count invariant,
-#: so it replays at 1, 2, and 4 workers.
+#: backend — the parity contract of ``repro.engine.backend`` — and
+#: independently of host concurrency: ``parallel-wN`` replays the entry
+#: on N threads at once (fast backend, one context per thread) and every
+#: thread must reproduce the capture.  ``threads == 0`` replays on the
+#: calling thread.
 EXECUTIONS = [
-    pytest.param(("reference", 1), id="reference"),
-    pytest.param(("fast", 1), id="fast"),
-    pytest.param(("parallel", 1), id="parallel-w1"),
-    pytest.param(("parallel", 2), id="parallel-w2"),
-    pytest.param(("parallel", 4), id="parallel-w4"),
+    pytest.param(("reference", 0), id="reference"),
+    pytest.param(("fast", 0), id="fast"),
+    pytest.param(("fast", 1), id="parallel-w1"),
+    pytest.param(("fast", 2), id="parallel-w2"),
+    pytest.param(("fast", 4), id="parallel-w4"),
 ]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _tiny_chunks():
-    """Shrink the chunk grid so the zoo graphs actually get chunked.
-
-    At the production chunk size (32768) every zoo graph fits in one
-    chunk and the parallel backend would silently take its serial
-    fallback everywhere — the multi-worker replays would prove nothing.
-    """
-    saved = ParallelWorkspace.chunk_size
-    ParallelWorkspace.chunk_size = 64
-    try:
-        yield
-    finally:
-        ParallelWorkspace.chunk_size = saved
+def _activate(backend):
+    return current_context().child(backend=resolve_backend(backend)).activate()
 
 
-def _activate(backend, workers):
-    return current_context().child(
-        backend=resolve_backend(backend), workers=workers
-    ).activate()
+def _replays(threads, fn):
+    """*fn*'s results: one on the calling thread, or one per thread."""
+    return [fn()] if threads == 0 else run_on_threads(fn, threads)
+
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden", "decomp_parity.json")
 
@@ -125,25 +114,33 @@ def _assert_decomp_entry(want, got):
 @pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("key", _DECOMP_KEYS)
 def test_decomp_matches_pre_engine_capture(key, execution, zoo):
-    backend, workers = execution
+    backend, threads = execution
     gname, variant, beta_s, seed_s = key.split("/")
     beta = float(beta_s.split("=")[1])
     seed = int(seed_s.split("=")[1])
-    with _activate(backend, workers):
-        got = capture_one(DECOMP_VARIANTS[variant], zoo[gname], beta, seed)
-    _assert_decomp_entry(_GOLD[key], got)
+
+    def replay():
+        with _activate(backend):
+            return capture_one(DECOMP_VARIANTS[variant], zoo[gname], beta, seed)
+
+    for got in _replays(threads, replay):
+        _assert_decomp_entry(_GOLD[key], got)
 
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("key", _BFS_KEYS)
 def test_bfs_family_matches_pre_engine_capture(key, execution, zoo):
-    backend, workers = execution
+    backend, threads = execution
     gname = key.split("/", 1)[1]
     want = _GOLD[key]
-    with _activate(backend, workers):
-        got = capture_bfs(zoo[gname])
-    for algo in want:
-        assert got[algo] == want[algo], algo
+
+    def replay():
+        with _activate(backend):
+            return capture_bfs(zoo[gname])
+
+    for got in _replays(threads, replay):
+        for algo in want:
+            assert got[algo] == want[algo], algo
 
 
 # -- the same 116 entries, driven through the Session runtime path --------
@@ -153,19 +150,19 @@ def test_bfs_family_matches_pre_engine_capture(key, execution, zoo):
 # on the same graph) must reproduce each golden capture byte-for-byte.
 # One session per (graph, backend) lives for the whole module, so later
 # parametrized replays run against an arena warmed by earlier ones —
-# pooling must be observationally invisible.
+# pooling must be observationally invisible.  The ``parallel-wN`` cases
+# activate the *same* session on N threads at once: one thread claims
+# the pooled arena, the others must get fresh ones, never a shared one.
 
 
 @pytest.fixture(scope="module")
 def session_for(zoo):
     pool = {}
 
-    def get(gname, backend, workers):
-        key = (gname, backend, workers)
+    def get(gname, backend):
+        key = (gname, backend)
         if key not in pool:
-            pool[key] = Session(
-                zoo[gname], graph_name=gname, backend=backend, workers=workers
-            )
+            pool[key] = Session(zoo[gname], graph_name=gname, backend=backend)
         return pool[key]
 
     return get
@@ -174,22 +171,32 @@ def session_for(zoo):
 @pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("key", _DECOMP_KEYS)
 def test_decomp_parity_via_session(key, execution, zoo, session_for):
-    backend, workers = execution
+    backend, threads = execution
     gname, variant, beta_s, seed_s = key.split("/")
     beta = float(beta_s.split("=")[1])
     seed = int(seed_s.split("=")[1])
-    with session_for(gname, backend, workers).activate():
-        got = capture_one(DECOMP_VARIANTS[variant], zoo[gname], beta, seed)
-    _assert_decomp_entry(_GOLD[key], got)
+    session = session_for(gname, backend)
+
+    def replay():
+        with session.activate():
+            return capture_one(DECOMP_VARIANTS[variant], zoo[gname], beta, seed)
+
+    for got in _replays(threads, replay):
+        _assert_decomp_entry(_GOLD[key], got)
 
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("key", _BFS_KEYS)
 def test_bfs_family_parity_via_session(key, execution, zoo, session_for):
-    backend, workers = execution
+    backend, threads = execution
     gname = key.split("/", 1)[1]
     want = _GOLD[key]
-    with session_for(gname, backend, workers).activate():
-        got = capture_bfs(zoo[gname])
-    for algo in want:
-        assert got[algo] == want[algo], algo
+    session = session_for(gname, backend)
+
+    def replay():
+        with session.activate():
+            return capture_bfs(zoo[gname])
+
+    for got in _replays(threads, replay):
+        for algo in want:
+            assert got[algo] == want[algo], algo

@@ -1,27 +1,19 @@
-"""Cross-validation: what RL006-RL009 flag statically really breaks.
+"""Cross-validation: what RL008 flags statically really breaks.
 
-Each doctored fixture here is *one source string* used twice: staged
-under a ``src/repro/...`` path and linted (the rule must flag it), and
-executed against the real parallel backend (the flagged defect must
-produce an observable wrong result or leaked resource).  This pins the
-static rules to the runtime failures they were built to prevent — a
-rule that stopped firing, or a defect that stopped mattering, fails
-here first.
-
-Determinism note: the RL007 fixture's shared-shard race is exercised
-under a *sequential* task schedule (one of the schedules the pool may
-legally produce), so the wrong answer is reproducible instead of
-thread-timing dependent.
+The doctored fixture here is *one source string* staged under a
+``src/repro/...`` path and linted (the rule must flag it), and its
+defect is then reproduced against the real
+:class:`~repro.runtime.session.Session` (the leaked claim must starve
+the pool).  This pins the static rule to the runtime failure it was
+built to prevent — a rule that stopped firing, or a defect that
+stopped mattering, fails here first.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis.reprolint import lint_paths, load_config
-from repro.engine.parallel import ParallelWorkspace
 from repro.runtime.session import Session
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -34,120 +26,6 @@ def stage_and_lint(tmp_path: Path, rel: str, source: str):
     staged.write_text(source)
     report = lint_paths([staged], load_config(CONFIG), enforce_stale=False)
     return report.violations
-
-
-def load_fixture(source: str) -> dict:
-    ns = {"ParallelWorkspace": ParallelWorkspace, "np": np}
-    exec(compile(source, "<fixture>", "exec"), ns)
-    return ns
-
-
-RL006_FIXTURE = """\
-import numpy as np
-
-class WorkerShapedWorkspace(ParallelWorkspace):
-    def scratch_table(self):
-        return np.empty(self.workers * 4, dtype=np.int64)
-"""
-
-
-class TestRL006CrossValidation:
-    def test_linter_flags_the_worker_shaped_buffer(self, tmp_path):
-        hits = stage_and_lint(tmp_path, "engine/parallel.py", RL006_FIXTURE)
-        # (RL002 also fires — a fresh allocation in the fast backend —
-        # but the worker-count taint is the finding under test.)
-        assert [v.rule for v in hits if v.rule == "RL006"] == ["RL006"]
-
-    def test_runtime_result_depends_on_worker_count(self):
-        cls = load_fixture(RL006_FIXTURE)["WorkerShapedWorkspace"]
-        at2 = cls(128, workers=2).scratch_table()
-        at4 = cls(128, workers=4).scratch_table()
-        # The exact nondeterminism the rule bans: change --workers,
-        # change the result shape.
-        assert at2.shape != at4.shape
-
-
-RL007_FIXTURE = """\
-import numpy as np
-
-class SharedShardWorkspace(ParallelWorkspace):
-    chunk_size = 1024
-
-    def winner_scatter(self, idx):
-        m = idx.shape[0]
-        spans = self._worker_spans(m)
-        if spans is None or len(spans) == 1:
-            return super().winner_scatter(idx)
-        bound = int(idx.max()) + 1
-        slots = self._buf("winner#slots", bound, np.int64)
-        mask = self._zeroed_bool("winner#mask", bound)
-        iota = self._iota(m)
-        touched = [np.zeros(0, dtype=np.int64)] * len(spans)
-
-        def body(w, lo, hi):
-            shard = self._shard_buf(0, "winner#slots", bound, np.int64)
-            shard_mask = self._shard_zeroed_bool(0, "winner#mask", bound)
-            chunk = idx[lo:hi]
-            shard[chunk[::-1]] = iota[lo:hi][::-1]
-            shard_mask[chunk] = True
-            touched[w] = np.flatnonzero(shard_mask)
-
-        self._run(
-            [
-                (lambda w=w, lo=lo, hi=hi: body(w, lo, hi))
-                for w, (lo, hi) in enumerate(spans)
-            ]
-        )
-        for w in range(len(spans) - 1, -1, -1):
-            hit = touched[w]
-            shard = self._shard_buf(0, "winner#slots", bound, np.int64)
-            shard_mask = self._shard_zeroed_bool(0, "winner#mask", bound)
-            slots[hit] = shard[hit]
-            mask[hit] = True
-            shard_mask[hit] = False
-        dests = np.flatnonzero(mask)
-        mask[dests] = False
-        positions = slots[dests]
-        return positions, dests
-"""
-
-
-class TestRL007CrossValidation:
-    def test_linter_flags_the_shared_shard(self, tmp_path):
-        hits = stage_and_lint(tmp_path, "engine/parallel.py", RL007_FIXTURE)
-        assert hits
-        assert {v.rule for v in hits} == {"RL007"}
-        assert all(v.qualname.endswith("winner_scatter") for v in hits)
-
-    def test_runtime_winner_schedule_deviates_from_serial(self):
-        cls = load_fixture(RL007_FIXTURE)["SharedShardWorkspace"]
-        ws = cls(8192, workers=2)
-        # One legal schedule: tasks run to completion in submission
-        # order.  A correct kernel is schedule-independent; this one
-        # is not — the second span's task overwrites the first's
-        # winners in the *shared* shard.
-        ws._run = lambda tasks: [t() for t in tasks]
-        idx = np.arange(8192, dtype=np.int64) % 100
-        positions, dests = ws.winner_scatter(idx)
-        expected_dests, expected_positions = np.unique(
-            idx, return_index=True
-        )
-        assert np.array_equal(np.sort(dests), expected_dests)
-        order = np.argsort(dests)
-        # The serial contract: each destination's *first* occurrence.
-        assert not np.array_equal(positions[order], expected_positions)
-
-    def test_real_backend_matches_serial_on_the_same_input(self):
-        ws = ParallelWorkspace(8192, workers=2)
-        ws.chunk_size = 1024
-        idx = np.arange(8192, dtype=np.int64) % 100
-        positions, dests = ws.winner_scatter(idx)
-        expected_dests, expected_positions = np.unique(
-            idx, return_index=True
-        )
-        order = np.argsort(dests)
-        assert np.array_equal(dests[order], expected_dests)
-        assert np.array_equal(positions[order], expected_positions)
 
 
 RL008_FIXTURE = """\
@@ -182,73 +60,3 @@ class TestRL008CrossValidation:
             repaired = sess._claim_pool()
             sess._release_pool(repaired)
         assert repaired is not None
-
-
-RL009_FIXTURE = """\
-import numpy as np
-
-class AddMergeWorkspace(ParallelWorkspace):
-    chunk_size = 1024
-
-    def minimum_scatter(self, dest, idx, values):
-        spans = self._worker_spans(idx.shape[0])
-        if spans is None or len(spans) == 1:
-            return super().minimum_scatter(dest, idx, values)
-        bound = dest.shape[0]
-        identity = np.iinfo(dest.dtype).max
-        touched = [np.zeros(0, dtype=np.int64)] * len(spans)
-
-        def body(w, lo, hi):
-            shard = self._shard_filled(w, "min#vals", bound, identity, dest.dtype)
-            shard_mask = self._shard_zeroed_bool(w, "min#mask", bound)
-            chunk = idx[lo:hi]
-            np.minimum.at(shard, chunk, values[lo:hi])
-            shard_mask[chunk] = True
-            touched[w] = np.flatnonzero(shard_mask)
-
-        self._run(
-            [
-                (lambda w=w, lo=lo, hi=hi: body(w, lo, hi))
-                for w, (lo, hi) in enumerate(spans)
-            ]
-        )
-        for w in range(len(spans)):
-            hit = touched[w]
-            shard = self._shard_filled(w, "min#vals", bound, identity, dest.dtype)
-            shard_mask = self._shard_zeroed_bool(w, "min#mask", bound)
-            dest[hit] = np.add(dest[hit], shard[hit])
-            shard[hit] = identity
-            shard_mask[hit] = False
-"""
-
-
-class TestRL009CrossValidation:
-    def test_linter_flags_the_additive_merge(self, tmp_path):
-        hits = stage_and_lint(tmp_path, "engine/parallel.py", RL009_FIXTURE)
-        # (RL001 fires on the bare shared write too; the order-
-        # sensitive merge is the finding under test.)
-        rl009 = [v for v in hits if v.rule == "RL009"]
-        assert len(rl009) == 1
-        assert "order" in rl009[0].message or "add" in rl009[0].message
-
-    def test_runtime_merge_is_not_a_write_min(self):
-        cls = load_fixture(RL009_FIXTURE)["AddMergeWorkspace"]
-        ws = cls(8192, workers=2)
-        idx = np.arange(8192, dtype=np.int64) % 100
-        values = np.arange(8192, dtype=np.int64)
-        doctored = np.full(100, np.iinfo(np.int64).max // 2, dtype=np.int64)
-        ws.minimum_scatter(doctored, idx, values)
-        expected = np.full(100, np.iinfo(np.int64).max // 2, dtype=np.int64)
-        np.minimum.at(expected, idx, values)
-        assert not np.array_equal(doctored, expected)
-
-    def test_real_backend_matches_the_serial_write_min(self):
-        ws = ParallelWorkspace(8192, workers=2)
-        ws.chunk_size = 1024
-        idx = np.arange(8192, dtype=np.int64) % 100
-        values = np.arange(8192, dtype=np.int64)
-        dest = np.full(100, np.iinfo(np.int64).max // 2, dtype=np.int64)
-        ws.minimum_scatter(dest, idx, values)
-        expected = np.full(100, np.iinfo(np.int64).max // 2, dtype=np.int64)
-        np.minimum.at(expected, idx, values)
-        assert np.array_equal(dest, expected)

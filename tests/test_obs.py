@@ -6,13 +6,14 @@ byte-identical — labelings, inter-edge lists, round statistics and
 (work, depth) charges — to the same run under the default
 :class:`~repro.obs.NullTracer`.  The determinism tests here replay a
 golden-style capture subset (the same ``capture_one``/``capture_bfs``
-helpers the parity suite uses) with tracing off and on, across the
-fast and chunked-parallel backends, and require exact equality.
+helpers the parity suite uses) with tracing off and on, under both
+execution backends and on several threads sharing one tracer, and
+require exact equality.
 
 The unit half pins the span model (nesting, close-once, thread ids),
 the trace-event schema (via :func:`~repro.obs.validate_trace`), the
 phase-window aggregation, and the metrics counter semantics the
-runtime layers feed (memo hit/miss, pool claims, parallel combines).
+runtime layers feed (memo hit/miss, pool claims).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import pytest
 
 from repro.decomp import DECOMP_VARIANTS
 from repro.engine.backend import resolve_backend
-from repro.engine.parallel import ParallelWorkspace
 from repro.experiments.registry import build_graph
 from repro.obs import (
     NULL_METRICS,
@@ -44,7 +44,7 @@ from repro.obs import (
 from repro.runtime.context import current_context
 from repro.runtime.session import Session, execute_profiled
 
-from tests.conftest import _zoo
+from tests.conftest import _zoo, run_on_threads
 from tests.golden.generate_decomp_parity import capture_bfs, capture_one
 
 
@@ -358,41 +358,17 @@ class TestRuntimeCounters:
         )
         assert claims == 1
 
-    def test_parallel_combines_are_counted(self, zoo):
-        saved = ParallelWorkspace.chunk_size
-        ParallelWorkspace.chunk_size = 64
-        try:
-            metrics = Metrics()
-            ctx = current_context().child(
-                backend=resolve_backend("parallel"), workers=2, metrics=metrics
-            )
-            with ctx.activate():
-                execute_profiled(
-                    "decomp-arb-CC",
-                    zoo["rmat"],
-                    graph_name="rmat",
-                    beta=0.2,
-                    seed=1,
-                )
-        finally:
-            ParallelWorkspace.chunk_size = saved
-        counters = metrics.snapshot()["counters"]
-        assert counters.get("parallel.batches", 0) > 0
-        combines = sum(
-            v for k, v in counters.items() if k.startswith("parallel.combine.")
-        )
-        assert combines > 0
-        shards = metrics.samples("parallel.combine.shards")
-        assert shards and min(shards) >= 2
-
 
 # -- the determinism bar: tracing off vs on, byte-identical ----------------
 
-#: (backend, workers) executions the traced replay must match untraced.
+#: (backend, threads) executions the traced replay must match untraced.
+#: ``parallel-wN`` replays on N threads at once that share one tracer
+#: and one metrics registry; ``threads == 0`` is the calling thread.
 EXECUTIONS = [
-    pytest.param(("fast", 1), id="fast"),
-    pytest.param(("parallel", 1), id="parallel-w1"),
-    pytest.param(("parallel", 4), id="parallel-w4"),
+    pytest.param(("reference", 0), id="reference"),
+    pytest.param(("fast", 0), id="fast"),
+    pytest.param(("fast", 1), id="parallel-w1"),
+    pytest.param(("fast", 4), id="parallel-w4"),
 ]
 
 #: The replay subset: every decomposition variant on a multi-component
@@ -405,26 +381,18 @@ DETERMINISM_CELLS = [
 ]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _tiny_chunks():
-    """Chunk the zoo graphs for real (see test_engine_parity)."""
-    saved = ParallelWorkspace.chunk_size
-    ParallelWorkspace.chunk_size = 64
-    try:
-        yield
-    finally:
-        ParallelWorkspace.chunk_size = saved
+def _capture(execution, tracer, metrics, fn):
+    """*fn*'s results under *execution*: one per replaying thread."""
+    backend, threads = execution
 
+    def replay():
+        ctx = current_context().child(
+            backend=resolve_backend(backend), tracer=tracer, metrics=metrics
+        )
+        with ctx.activate():
+            return fn()
 
-def _capture(backend, workers, tracer, metrics, fn):
-    ctx = current_context().child(
-        backend=resolve_backend(backend),
-        workers=workers,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    with ctx.activate():
-        return fn()
+    return [replay()] if threads == 0 else run_on_threads(replay, threads)
 
 
 class TestTracingDeterminism:
@@ -434,33 +402,34 @@ class TestTracingDeterminism:
     )
     def test_decomp_capture_identical_with_tracing_on(self, cell, execution, zoo):
         variant, gname = cell
-        backend, workers = execution
         run = lambda: capture_one(DECOMP_VARIANTS[variant], zoo[gname], 0.2, 1)
-        untraced = _capture(backend, workers, NULL_TRACER, NullMetrics(), run)
+        untraced = _capture(execution, NULL_TRACER, NullMetrics(), run)
         tracer = Tracer()
-        traced = _capture(backend, workers, tracer, Metrics(), run)
+        traced = _capture(execution, tracer, Metrics(), run)
         # The capture dict pins labelings (sha256), inter-edges, round
         # statistics and the full (phase, kind) work/depth profile:
         # whole-dict equality IS the byte-identical contract.
         assert traced == untraced
         # ... and the traced replay genuinely recorded the run (the
         # capture's num_rounds counts one decomposition; the traced
-        # replay may run further engine loops, e.g. contraction levels).
-        assert len(tracer.spans("round")) >= untraced["num_rounds"] > 0
+        # replay may run further engine loops, e.g. contraction levels),
+        # on every replaying thread.
+        rounds = tracer.spans("round")
+        assert len(rounds) >= len(traced) * untraced[0]["num_rounds"] > 0
+        assert len({e["tid"] for e in rounds}) == len(traced)
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_bfs_family_identical_with_tracing_on(self, execution, zoo):
-        backend, workers = execution
         run = lambda: capture_bfs(zoo["grid"])
-        untraced = _capture(backend, workers, NULL_TRACER, NullMetrics(), run)
+        untraced = _capture(execution, NULL_TRACER, NullMetrics(), run)
         tracer = Tracer()
-        traced = _capture(backend, workers, tracer, Metrics(), run)
+        traced = _capture(execution, tracer, Metrics(), run)
         assert traced == untraced
         assert len(tracer) > 0
 
     def test_traced_parallel_matches_untraced_fast(self, zoo):
-        """Cross-configuration: tracing + chunking vs plain serial fast."""
+        """Cross-configuration: 4 threads sharing one tracer vs plain fast."""
         run = lambda: capture_one(DECOMP_VARIANTS["arb"], zoo["rmat"], 0.2, 1)
-        baseline = _capture("fast", 1, NULL_TRACER, NullMetrics(), run)
-        traced = _capture("parallel", 4, Tracer(), Metrics(), run)
-        assert traced == baseline
+        (baseline,) = _capture(("fast", 0), NULL_TRACER, NullMetrics(), run)
+        traced = _capture(("fast", 4), Tracer(), Metrics(), run)
+        assert traced == [baseline] * 4

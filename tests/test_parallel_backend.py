@@ -1,22 +1,23 @@
-"""The chunked parallel backend: determinism, combines, concurrency.
+"""The fast backend under concurrent host threads.
 
-The golden suite (tests/test_engine_parity.py) already replays all 116
-fixtures under ``parallel`` at 1/2/4 workers; this module covers the
-mechanism underneath and the edges the zoo cannot hit directly:
+Every backend runs a labeling on the calling thread; the paper's thread
+scaling lives in the cost model.  What *can* run in parallel is the
+host: service-style callers label graphs from several threads at once,
+each with its own execution context and workspace arena.  The golden
+suite (tests/test_engine_parity.py) replays all 116 fixtures on 1, 2
+and 4 concurrent threads; this module covers the pieces underneath:
 
-* every chunked ``ParallelWorkspace`` op equals its serial spec at any
-  worker count, across sizes that straddle the chunk grid (empty, one
-  element, chunk-1 / chunk / chunk+1, non-divisible totals);
-* the sharded scatters (``winner_scatter``, ``minimum_scatter``)
-  reproduce the serial priority-CRCW schedules *and* restore their
-  shard invariants, so arena reuse across rounds stays correct;
-* sanitized parallel runs are race-free and actually record sharded
-  combines (proof the chunked paths fired, not the fallbacks);
-* concurrent ``Session.run`` callers — the narrowed memo lock — compute
-  each key once and never corrupt the pool.
-
-Chunk sizes are shrunk per-test so a few hundred elements exercise real
-multi-chunk, multi-worker execution on any machine.
+* every ``Workspace`` op, driven from ``workers`` threads at once (one
+  arena each), equals its serial spec across sizes from empty to many
+  buffer growths;
+* the arena scatters (``winner_scatter``, ``minimum_scatter``) keep
+  the serial priority-CRCW schedules and restore their scratch
+  invariants, so arena reuse across rounds stays correct on every
+  thread;
+* concurrent end-to-end runs match the serial labeling, and sanitized
+  concurrent runs are race-free with per-thread sanitizer accounting;
+* concurrent ``Session.run`` callers compute each key once and never
+  corrupt the pool.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.engine.backend import BACKENDS, resolve_backend
-from repro.engine.parallel import DEFAULT_CHUNK_SIZE, ParallelWorkspace, context_gather
-from repro.engine.workspace import NULL_WORKSPACE, Workspace, make_workspace
+from repro.engine.workspace import NULL_WORKSPACE, Workspace
 from repro.experiments.harness import profile_run
 from repro.graphs import empty_graph, line_graph, random_gnm
 from repro.pram.sanitizer import sanitizing
@@ -37,52 +37,22 @@ from repro.primitives.atomics import write_min
 from repro.runtime.context import current_context
 from repro.runtime.session import Session
 
-#: Worker counts exercised everywhere: serial fallback, even split,
-#: ragged split (3 does not divide most chunk counts), oversubscribed.
+from tests.conftest import run_on_threads
+
+#: Concurrent thread counts exercised everywhere: one thread, an even
+#: pair, an odd count, and more threads than most CI machines have cores.
 WORKER_COUNTS = (1, 2, 3, 4)
 
-#: Sizes straddling a chunk grid of 64: empty, single, chunk-1, chunk,
-#: chunk+1, a non-divisible multi-chunk total, and a many-chunk total.
+#: Sizes straddling the arena's growth steps: empty, single, just below,
+#: at and above a power of two, a ragged multi-growth total, and more.
 CHUNK = 64
 SIZES = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 17, 1000)
 
 
-@pytest.fixture(autouse=True)
-def _tiny_chunks():
-    saved = ParallelWorkspace.chunk_size
-    ParallelWorkspace.chunk_size = CHUNK
-    try:
-        yield
-    finally:
-        ParallelWorkspace.chunk_size = saved
-
-
-def _ws(workers: int) -> ParallelWorkspace:
-    return ParallelWorkspace(256, workers=workers)
-
-
-# --------------------------------------------------------------- chunk grid
-
-
-def test_chunk_grid_is_fixed_and_covers():
-    ws = _ws(3)
-    chunks = ws._chunks(5 * CHUNK + 17)
-    assert chunks is not None
-    assert chunks[0][0] == 0 and chunks[-1][1] == 5 * CHUNK + 17
-    for (alo, ahi), (blo, bhi) in zip(chunks, chunks[1:]):
-        assert ahi == blo  # contiguous, no gaps or overlap
-    # All chunks are exactly chunk_size except the ragged tail.
-    assert all(hi - lo == CHUNK for lo, hi in chunks[:-1])
-
-
-def test_serial_fallback_when_small_or_single_worker():
-    assert _ws(1)._chunks(10_000) is None
-    assert _ws(4)._chunks(CHUNK) is None
-    assert _ws(4)._chunks(0) is None
-
-
-def test_default_chunk_size_is_production_scale():
-    assert DEFAULT_CHUNK_SIZE == 1 << 15
+def _first_occurrences(idx):
+    """The serial CAS schedule: first position per distinct destination."""
+    dests, positions = np.unique(idx, return_index=True)
+    return positions, dests
 
 
 # ------------------------------------------------- data-parallel op parity
@@ -92,7 +62,6 @@ def test_default_chunk_size_is_production_scale():
 @pytest.mark.parametrize("size", SIZES)
 def test_elementwise_ops_match_reference(size, workers):
     rng = np.random.default_rng(size * 131 + workers)
-    ws = _ws(workers)
     a = rng.integers(0, 50, size=size, dtype=np.int64)
     b = rng.integers(0, 50, size=size, dtype=np.int64)
     arr = rng.integers(0, 1 << 40, size=max(size, 1), dtype=np.int64)
@@ -100,35 +69,39 @@ def test_elementwise_ops_match_reference(size, workers):
     mask = rng.random(size) < 0.5
     keys = rng.integers(0, 1 << 50, size=size, dtype=np.int64)
 
-    np.testing.assert_array_equal(ws.take(arr, idx, "t"), arr[idx])
-    np.testing.assert_array_equal(ws.compress(mask, a, "c"), a[mask])
-    np.testing.assert_array_equal(ws.equal(a, b, "e"), a == b)
-    np.testing.assert_array_equal(ws.equal(a, np.int64(7), "es"), a == 7)
-    np.testing.assert_array_equal(ws.not_equal(a, b, "n"), a != b)
-    np.testing.assert_array_equal(ws.logical_not(mask, "l"), ~mask)
-    np.testing.assert_array_equal(ws.bitand(a, np.int64(31), "b"), a & 31)
-    np.testing.assert_array_equal(ws.sub(a, b, "s"), a - b)
-    np.testing.assert_array_equal(ws.as_float(a, "f"), a.astype(np.float64))
-    np.testing.assert_array_equal(
-        ws.hash_slots(keys, np.uint64(0x9E37), np.uint64(1023), "h"),
+    def ops():
+        ws = Workspace(256)  # one arena per thread
+        return [
+            ws.take(arr, idx, "t").copy(),
+            ws.compress(mask, a, "c").copy(),
+            ws.equal(a, b, "e").copy(),
+            ws.equal(a, np.int64(7), "es").copy(),
+            ws.not_equal(a, b, "n").copy(),
+            ws.logical_not(mask, "l").copy(),
+            ws.bitand(a, np.int64(31), "b").copy(),
+            ws.sub(a, b, "s").copy(),
+            ws.as_float(a, "f").copy(),
+            ws.hash_slots(keys, np.uint64(0x9E37), np.uint64(1023), "h"),
+        ]
+
+    want = [
+        arr[idx],
+        a[mask],
+        a == b,
+        a == 7,
+        a != b,
+        ~mask,
+        a & 31,
+        a - b,
+        a.astype(np.float64),
         NULL_WORKSPACE.hash_slots(keys, np.uint64(0x9E37), np.uint64(1023), "h"),
-    )
+    ]
+    for got in run_on_threads(ops, workers):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_context_gather_matches_serial(workers):
-    rng = np.random.default_rng(workers)
-    arr = rng.integers(0, 1 << 40, size=300, dtype=np.int64)
-    idx = rng.integers(0, 300, size=5 * CHUNK + 17, dtype=np.int64)
-    backend = resolve_backend("parallel")
-    with current_context().child(backend=backend, workers=workers).activate():
-        got = context_gather(arr, idx)
-    np.testing.assert_array_equal(got, arr[idx])
-    # Outside a chunked context the gather is the plain serial take.
-    np.testing.assert_array_equal(context_gather(arr, idx), arr[idx])
-
-
-# ------------------------------------------------------- sharded scatters
+# ------------------------------------------------------- arena scatters
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -136,40 +109,60 @@ def test_context_gather_matches_serial(workers):
 def test_winner_scatter_matches_serial_schedule(size, workers):
     rng = np.random.default_rng(size * 7 + workers)
     idx = rng.integers(0, max(size // 2, 1), size=size, dtype=np.int64)
-    want_pos, want_dst = Workspace(256).winner_scatter(idx)
-    got_pos, got_dst = _ws(workers).winner_scatter(idx)
-    np.testing.assert_array_equal(got_dst, want_dst)
-    np.testing.assert_array_equal(got_pos, want_pos)
+    want_pos, want_dst = _first_occurrences(idx)
+    for got_pos, got_dst in run_on_threads(
+        lambda: Workspace(256).winner_scatter(idx), workers
+    ):
+        np.testing.assert_array_equal(got_dst, want_dst)
+        np.testing.assert_array_equal(got_pos, want_pos)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_winner_scatter_invariants_survive_reuse(workers):
-    """Shard state must reset after each combine, or round 2 lies."""
-    ws = _ws(workers)
+    """The scratch mask must reset after each scatter, or round 2 lies."""
     rng = np.random.default_rng(9)
-    for round_no in range(4):
-        size = 3 * CHUNK + 11 + round_no
-        idx = rng.integers(0, 150, size=size, dtype=np.int64)
-        want = Workspace(256).winner_scatter(idx)
-        got = ws.winner_scatter(idx)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+    rounds = [
+        rng.integers(0, 150, size=3 * CHUNK + 11 + r, dtype=np.int64)
+        for r in range(4)
+    ]
+
+    def reuse():
+        ws = Workspace(256)
+        return [ws.winner_scatter(idx) for idx in rounds]
+
+    for per_round in run_on_threads(reuse, workers):
+        for idx, (got_pos, got_dst) in zip(rounds, per_round):
+            want_pos, want_dst = _first_occurrences(idx)
+            np.testing.assert_array_equal(got_pos, want_pos)
+            np.testing.assert_array_equal(got_dst, want_dst)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("size", SIZES)
 def test_minimum_scatter_matches_minimum_at(size, workers):
     rng = np.random.default_rng(size * 13 + workers)
-    ws = _ws(workers)
     n = 120
-    for _ in range(3):  # reuse across rounds: identity-fill must restore
+    batches = []
+    for _ in range(3):  # reuse across rounds
         idx = rng.integers(0, n, size=size, dtype=np.int64)
         values = rng.integers(0, 1 << 30, size=size, dtype=np.int64)
-        want = rng.integers(0, 1 << 30, size=n, dtype=np.int64)
-        got = want.copy()
-        np.minimum.at(want, idx, values)
-        ws.minimum_scatter(got, idx, values)
-        np.testing.assert_array_equal(got, want)
+        base = rng.integers(0, 1 << 30, size=n, dtype=np.int64)
+        batches.append((idx, values, base))
+
+    def scatter():
+        ws = Workspace(256)
+        out = []
+        for idx, values, base in batches:
+            got = base.copy()
+            ws.minimum_scatter(got, idx, values)
+            out.append(got)
+        return out
+
+    for per_round in run_on_threads(scatter, workers):
+        for (idx, values, base), got in zip(batches, per_round):
+            want = base.copy()
+            np.minimum.at(want, idx, values)
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -181,26 +174,21 @@ def test_write_min_routes_through_workspace(workers):
     base = rng.integers(0, 1 << 20, size=90, dtype=np.int64)
     want = base.copy()
     np.minimum.at(want, idx, values)
-    got = base.copy()
-    write_min(got, idx, values, workspace=_ws(workers))
-    np.testing.assert_array_equal(got, want)
 
+    def run():
+        got = base.copy()
+        write_min(got, idx, values, workspace=Workspace(256))
+        return got
 
-def test_make_workspace_routes_chunked_backend():
-    ws = make_workspace(BACKENDS["parallel"], 100, workers=3)
-    assert isinstance(ws, ParallelWorkspace)
-    assert ws.workers == 3
-    assert not isinstance(make_workspace(BACKENDS["fast"], 100, workers=3),
-                          ParallelWorkspace)
+    for got in run_on_threads(run, workers):
+        np.testing.assert_array_equal(got, want)
 
 
 # --------------------------------------------------- end-to-end edge cases
 
 
-def _labels(graph, backend, workers, **kwargs):
-    ctx = current_context().child(
-        backend=resolve_backend(backend), workers=workers
-    )
+def _labels(graph, backend, **kwargs):
+    ctx = current_context().child(backend=resolve_backend(backend))
     with ctx.activate():
         profile = profile_run("decomp-arb-CC", graph, seed=1, **kwargs)
     return profile.result.labels
@@ -212,34 +200,39 @@ def _labels(graph, backend, workers, **kwargs):
     [
         lambda: empty_graph(0),           # empty frontier from round zero
         lambda: empty_graph(1),           # single vertex
-        lambda: line_graph(2),            # frontier far below one chunk
-        lambda: line_graph(5 * CHUNK + 17),  # n not divisible by the grid
+        lambda: line_graph(2),            # frontier of one edge
+        lambda: line_graph(5 * CHUNK + 17),  # long, ragged-size path
         lambda: random_gnm(3 * CHUNK + 7, 900, seed=6),
     ],
     ids=["empty", "single-vertex", "sub-chunk", "ragged-line", "gnm"],
 )
 def test_edge_case_graphs_match_fast(graph_factory, workers):
     graph = graph_factory()
-    want = _labels(graph, "fast", 1)
-    got = _labels(graph, "parallel", workers)
-    np.testing.assert_array_equal(got, want)
+    want = _labels(graph, "fast")
+    for got in run_on_threads(lambda: _labels(graph, "fast"), workers):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("workers", (2, 4))
 def test_sanitized_parallel_run_is_race_free(workers):
     graph = random_gnm(3 * CHUNK + 7, 900, seed=6)
-    ctx = current_context().child(
-        backend=resolve_backend("parallel"), workers=workers
-    )
-    with ctx.activate():
-        with sanitizing() as sanitizer:
-            profile_run("decomp-min-CC", graph, seed=2, beta=0.2)
-    assert "0 race(s)" in sanitizer.summary()
-    assert sanitizer.cas_checked > 0
-    # The chunked scatters actually fired (not the serial fallbacks):
-    # every sharded combine was declared to the sanitizer.
-    assert sanitizer.combines_recorded > 0
-    assert "sharded combine(s)" in sanitizer.summary()
+
+    def sanitized():
+        ctx = current_context().child(backend=resolve_backend("fast"))
+        with ctx.activate():
+            with sanitizing() as sanitizer:
+                profile_run("decomp-min-CC", graph, seed=2, beta=0.2)
+        return sanitizer
+
+    (serial,) = run_on_threads(sanitized, 1)
+    sanitizers = run_on_threads(sanitized, workers)
+    assert len({id(s) for s in sanitizers}) == workers
+    for sanitizer in sanitizers:
+        assert "0 race(s)" in sanitizer.summary()
+        assert sanitizer.cas_checked > 0
+        # Each thread's seams reached only its own sanitizer: the
+        # accounting equals a lone run's, nothing leaked across threads.
+        assert sanitizer.summary() == serial.summary()
 
 
 # -------------------------------------------------- session concurrency
@@ -248,7 +241,7 @@ def test_sanitized_parallel_run_is_race_free(workers):
 def test_concurrent_session_runs_compute_each_key_once():
     """The narrowed memo lock: concurrent runs never double-compute."""
     graph = random_gnm(200, 400, seed=8)
-    session = Session(graph, graph_name="gnm", backend="parallel", workers=2)
+    session = Session(graph, graph_name="gnm", backend="fast")
     seeds = [1, 2, 3, 4]
     results = {}
     errors = []
@@ -278,11 +271,6 @@ def test_concurrent_session_runs_compute_each_key_once():
 
 
 # --------------------------------------------------------------- CLI seam
-
-
-def test_cli_workers_flag_validates(capsys):
-    assert cli_main(["--workers", "0", "list"]) == 2
-    assert "--workers must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_backend_errors_enumerate_all_backends(capsys):

@@ -5,9 +5,9 @@ import pytest
 from repro.pram.cost import (
     KINDS,
     CostTracker,
-    current_tracker,
     tracking,
 )
+from repro.runtime.context import current_context
 
 
 class TestCostTracker:
@@ -119,27 +119,27 @@ class TestCostTracker:
 class TestActiveTrackerStack:
     def test_no_active_tracker_discards(self):
         # Recording against the null tracker must not blow up nor leak.
-        current_tracker().add("scan", work=100.0)
-        assert current_tracker().total_work() == 0.0
+        current_context().tracker.add("scan", work=100.0)
+        assert current_context().tracker.total_work() == 0.0
 
     def test_null_tracker_still_validates_kinds(self):
         with pytest.raises(ValueError):
-            current_tracker().add("bogus", work=1.0)
+            current_context().tracker.add("bogus", work=1.0)
 
     def test_tracking_activates_and_restores(self):
-        before = current_tracker()
+        before = current_context().tracker
         with tracking() as t:
-            assert current_tracker() is t
-            current_tracker().add("scan", work=2.0)
+            assert current_context().tracker is t
+            current_context().tracker.add("scan", work=2.0)
         assert t.total_work() == 2.0
-        assert current_tracker() is before
+        assert current_context().tracker is before
 
     def test_tracking_nests(self):
         with tracking() as outer:
-            outer_seen = current_tracker()
+            outer_seen = current_context().tracker
             with tracking() as inner:
-                current_tracker().add("scan", work=5.0)
-            assert current_tracker() is outer_seen
+                current_context().tracker.add("scan", work=5.0)
+            assert current_context().tracker is outer_seen
         assert inner.total_work() == 5.0
         assert outer.total_work() == 0.0
 
@@ -147,11 +147,11 @@ class TestActiveTrackerStack:
         t = CostTracker()
         with tracking(t) as active:
             assert active is t
-            current_tracker().add("scan", work=1.0)
+            current_context().tracker.add("scan", work=1.0)
         assert t.total_work() == 1.0
 
     def test_tracking_restores_on_exception(self):
         with pytest.raises(ValueError):
             with tracking():
                 raise ValueError("x")
-        assert current_tracker().total_work() == 0.0
+        assert current_context().tracker.total_work() == 0.0

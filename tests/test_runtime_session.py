@@ -11,16 +11,14 @@ The refactor's acceptance bar lives here:
 * **memoization** — a repeated plain run is a dictionary hit returning
   the *same* profile object; replacing the graph changes the CSR
   fingerprint and misses; rebuilding a byte-identical graph hits again.
-* **deprecation shims** — each legacy accessor warns exactly once per
-  process, and :meth:`ExecutionContext.activate` restores the previous
-  context even when the body raises.
+* **context discipline** — :meth:`ExecutionContext.activate` restores
+  the previous context even when the body raises.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -29,18 +27,14 @@ import pytest
 from repro.analysis.verify import verify_labeling
 from repro.errors import ParameterError
 from repro.experiments.registry import build_graph
+from repro.obs import Metrics
 from repro.pram.cost import CostTracker
 from repro.runtime.context import (
     ExecutionContext,
-    _reset_deprecation_warnings,
     current_context,
     root_context,
 )
-from repro.runtime.session import (
-    ConnectivityService,
-    Session,
-    execute_profiled,
-)
+from repro.runtime.session import Session, execute_profiled
 
 #: Four distinct (graph, seed) cells for the thread-pool test — enough
 #: that the pool genuinely interleaves runs on different inputs.
@@ -112,6 +106,27 @@ class TestConcurrentSessions:
         with ThreadPoolExecutor(max_workers=2) as pool:
             totals = list(pool.map(worker, [7.0, 19.0]))
         assert totals == [7.0, 19.0]
+
+    def test_overlapping_activations_never_share_the_pool(self):
+        """An activation claims the pooled arena like a run does."""
+        sess = Session("random", scale="tiny", seed=2)
+        with sess.activate() as outer:
+            with sess.activate() as inner:
+                assert outer.workspace is not None
+                assert inner.workspace is None  # builds a fresh arena
+            metrics = Metrics()
+
+            def run() -> None:
+                with current_context().child(metrics=metrics).activate():
+                    sess.run()
+
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(run).result()
+            # The concurrent run proceeded on a fresh arena too.
+            assert metrics.counter("session.pool.fresh") == 1
+            assert metrics.counter("session.pool.claimed") == 0
+        with sess.activate() as again:
+            assert again.workspace is outer.workspace  # released on exit
 
 
 class TestSessionMemo:
@@ -195,32 +210,6 @@ class TestExecuteProfiled:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ParameterError):
             execute_profiled("no-such-CC", build_graph("random", "tiny"))
-
-
-class TestConnectivityService:
-    def test_sessions_are_cached_per_graph(self):
-        svc = ConnectivityService(scale="tiny")
-        assert len(svc) == 0
-        sess = svc.session("random")
-        assert svc.session("random") is sess
-        assert len(svc) == 1 and list(svc) == ["random"]
-        svc.close("random")
-        assert len(svc) == 0
-
-    def test_queries_delegate_and_memoize(self):
-        svc = ConnectivityService(scale="tiny")
-        labels = svc.components("random")
-        assert svc.connected("random", 0, 0) is True
-        sizes = svc.component_sizes("random")
-        assert sum(sizes.values()) == labels.size
-        assert svc.session("random").stats["misses"] == 1
-
-    def test_open_registers_external_graph(self):
-        svc = ConnectivityService(scale="tiny")
-        graph = build_graph("line", "tiny")
-        sess = svc.open("mine", graph)
-        assert svc.session("mine") is sess
-        assert svc.components("mine").size == graph.num_vertices
 
 
 class TestInflightCoalescing:
@@ -327,41 +316,9 @@ class TestContextDiscipline:
         assert b.seed == 9
         assert a.rng is not b.rng
 
-
-class TestDeprecatedAccessors:
-    def test_each_accessor_warns_exactly_once_per_process(self):
-        from repro.engine.backend import set_default_backend
-        from repro.pram.cost import current_tracker
-        from repro.pram.sanitizer import active_sanitizer
-        from repro.resilience.faults import active_fault_plan
-
-        _reset_deprecation_warnings()
-        shims = [
-            ("current_tracker", current_tracker),
-            ("active_sanitizer", active_sanitizer),
-            ("active_fault_plan", active_fault_plan),
-        ]
-        for name, shim in shims:
-            with warnings.catch_warnings(record=True) as rec:
-                warnings.simplefilter("always")
-                shim()
-                shim()
-            deps = [w for w in rec if issubclass(w.category, DeprecationWarning)]
-            assert len(deps) == 1, name
-            assert name in str(deps[0].message)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            previous = set_default_backend("reference")
-            set_default_backend(previous)
-        deps = [w for w in rec if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "set_default_backend" in str(deps[0].message)
-
-    def test_shims_still_read_the_context(self):
-        from repro.pram.cost import current_tracker
-
-        mine = CostTracker()
-        with current_context().child(tracker=mine).activate():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert current_tracker() is mine
+    def test_workers_is_fixed_at_one(self):
+        # Every backend runs on the calling thread; records that report
+        # the worker count (benchmark metadata) always read 1.
+        assert current_context().workers == 1
+        with pytest.raises(AttributeError):
+            current_context().workers = 2  # type: ignore[misc]

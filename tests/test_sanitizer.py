@@ -25,8 +25,9 @@ from repro.engine.backend import use_backend
 from repro.errors import SanitizerError
 from repro.experiments.harness import profile_run
 from repro.graphs import disjoint_union_edges, line_graph
-from repro.pram.sanitizer import PramSanitizer, active_sanitizer, sanitizing
+from repro.pram.sanitizer import PramSanitizer, sanitizing
 from repro.resilience import parse_fault_plan
+from repro.runtime.context import current_context
 
 from tests.conftest import _zoo
 from tests.golden.generate_decomp_parity import capture_bfs, capture_one
@@ -172,10 +173,10 @@ class TestPrimitiveChecks:
         assert sanitizer.races == []
 
     def test_context_manager_installs_and_removes(self):
-        assert active_sanitizer() is None
+        assert current_context().sanitizer is None
         with sanitizing() as sanitizer:
-            assert active_sanitizer() is sanitizer
-        assert active_sanitizer() is None
+            assert current_context().sanitizer is sanitizer
+        assert current_context().sanitizer is None
 
     def test_summary_mentions_counts(self):
         with sanitizing() as sanitizer:
