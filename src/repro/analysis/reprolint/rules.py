@@ -266,8 +266,12 @@ def check_rl002(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
+#: The CSRGraph methods that expand a frontier's edges.
+_EXPAND_METHODS = frozenset({"expand", "expand_targets"})
+
+
 def _is_expand_call(node: ast.Call) -> bool:
-    return isinstance(node.func, ast.Attribute) and node.func.attr == "expand"
+    return isinstance(node.func, ast.Attribute) and node.func.attr in _EXPAND_METHODS
 
 
 def _is_charge_call(node: ast.Call) -> bool:

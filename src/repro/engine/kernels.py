@@ -66,56 +66,77 @@ _PAIR_INF = np.int64((1 << 62) - 1)
 _PAIR_PAYLOAD_MASK = np.int64((1 << PAIR_SHIFT) - 1)
 
 
+def _edge_sources(
+    ws: "NullWorkspace",
+    frontier: np.ndarray,
+    counts: np.ndarray,
+    pos: np.ndarray,
+    key: str,
+) -> np.ndarray:
+    """The frontier vertex owning each edge position *pos* of an expansion.
+
+    :meth:`~repro.graphs.csr.CSRGraph.expand_targets` lays each frontier
+    vertex's ``counts[i]`` edges out in turn, so the owner of position
+    ``p`` is the last vertex whose exclusive-cumsum start is ``<= p``.
+    One binary search per position: the kernels call this on the few
+    edges they keep, never on the whole expansion.
+    """
+    owner = np.searchsorted(ws.exclusive_cumsum(counts, key), pos, side="right")
+    owner -= 1
+    return frontier[owner]
+
+
 def arb_round(state: "DecompState") -> np.ndarray:
     """One Decomp-Arb BFS round over the current frontier.
 
     Returns the next frontier (this round's CAS winners).  Mutates
     ``state.C`` and appends surviving inter-edges.
+
+    One pass classifies every edge (Algorithm 3 lines 12-19): gather
+    the target labels, race the unvisited targets, scatter the
+    winners, then refresh the raced targets' labels.  A winner edge now
+    reads its own component, a loser reads the winner's — visible to
+    it after the race — and a visited target kept its label, so the
+    inter-component edges are exactly those whose two labels differ.
+    The source labels come from the frontier (``repeat`` of one label
+    per frontier vertex); the source vertices are recovered for the
+    kept edges only.
     """
     tracker = current_context().tracker
     plan = current_context().fault_plan
     ws = state.workspace
-    graph, C = state.graph, state.C
-    src, dst = graph.expand(state.frontier, workspace=ws)
-    state.edges_inspected += int(src.size)
-    if src.size == 0:
+    graph, C, frontier = state.graph, state.C, state.frontier
+    counts, dst = graph.expand_targets(frontier, workspace=ws)
+    edges = int(dst.size)
+    state.edges_inspected += edges
+    if edges == 0:
         end_round()
         return np.zeros(0, dtype=np.int64)
-    cu = ws.take(C, src, "arb.cu")
+    cu = ws.repeat(ws.take(C, frontier, "arb.cf"), counts, edges, "arb.cu")
     cw = ws.take(C, dst, "arb.cw")
-    tracker.add("gather", work=float(2 * src.size), depth=1.0)
+    tracker.add("gather", work=float(2 * edges), depth=1.0)
 
     # CAS races on unvisited targets: one arbitrary winner each.
-    unvis = ws.equal(cw, UNVISITED, "arb.unvis")
-    unvis_pos = np.flatnonzero(unvis)
-    win_local, winners = first_winner(
-        ws.take(dst, unvis_pos, "arb.race"),
-        workspace=ws,
-        tracker=tracker,
-        plan=plan,
-    )
-    win_pos = unvis_pos[win_local]
-    C[winners] = cu[win_pos]
+    unvis_pos = np.flatnonzero(ws.equal(cw, UNVISITED, "arb.unvis"))
+    race = ws.take(dst, unvis_pos, "arb.race")
+    win_local, winners = first_winner(race, workspace=ws, tracker=tracker, plan=plan)
+    C[winners] = cu[unvis_pos[win_local]]
     tracker.add("scatter", work=float(winners.size), depth=1.0)
     state.visited += int(winners.size)
 
-    # All non-winning edges can be classified immediately: the winner's
-    # component id is visible to the losers of the race (Algorithm 3
-    # lines 16-19), and previously visited targets carry their label.
-    is_winner_edge = ws.falses("arb.winmask", int(src.size))
-    is_winner_edge[win_pos] = True
-    rest = ws.logical_not(is_winner_edge, "arb.rest")
-    dst_rest = ws.compress(rest, dst, "arb.dstrest")
-    cw_now = ws.take(C, dst_rest, "arb.cwnow")
-    cu_rest = ws.compress(rest, cu, "arb.curest")
-    tracker.add("gather", work=float(cu_rest.size), depth=1.0)
-    inter = ws.not_equal(cw_now, cu_rest, "arb.inter")
-    src_rest = ws.compress(rest, src, "arb.srcrest")
+    # Re-read the raced targets' labels; the winner edges are charged
+    # no second read (they classify as intra by construction).
+    cw[unvis_pos] = ws.take(C, race, "arb.cwrace")
+    tracker.add("gather", work=float(edges - winners.size), depth=1.0)
+    keep = np.flatnonzero(ws.not_equal(cw, cu, "arb.inter"))
     state.keep_inter(
-        cu_rest[inter], cw_now[inter], src_rest[inter], dst_rest[inter]
+        cu[keep],
+        cw[keep],
+        _edge_sources(ws, frontier, counts, keep, "arb.starts"),
+        dst[keep],
     )
     # End-of-round packing of kept edges / next frontier.
-    end_round(int(src.size))
+    end_round(edges)
     return winners
 
 
@@ -289,7 +310,9 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     *deferred* holds the frontiers of the dense rounds; their out-edges
     were never inspected write-based, so we stream over them once,
     keeping those whose endpoint labels differ (already relabeled to
-    component ids, as everywhere else).
+    component ids, as everywhere else).  As in :func:`arb_round`, the
+    source labels are repeated from the frontier and the source
+    vertices recovered for the kept edges only.
     """
     tracker = current_context().tracker
     if not deferred:
@@ -299,14 +322,20 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
         return
     C = state.C
     ws = state.workspace
-    src, dst = state.graph.expand(vertices, workspace=ws)
-    state.edges_inspected += int(src.size)
-    cu = ws.take(C, src, "filter.cu")
+    counts, dst = state.graph.expand_targets(vertices, workspace=ws)
+    edges = int(dst.size)
+    state.edges_inspected += edges
+    cu = ws.repeat(ws.take(C, vertices, "filter.cf"), counts, edges, "filter.cu")
     cw = ws.take(C, dst, "filter.cw")
-    tracker.add("scan", work=float(2 * src.size), depth=1.0)
-    inter = ws.not_equal(cu, cw, "filter.inter")
-    state.keep_inter(cu[inter], cw[inter], src[inter], dst[inter])
-    end_round(int(src.size))
+    tracker.add("scan", work=float(2 * edges), depth=1.0)
+    keep = np.flatnonzero(ws.not_equal(cu, cw, "filter.inter"))
+    state.keep_inter(
+        cu[keep],
+        cw[keep],
+        _edge_sources(ws, vertices, counts, keep, "filter.starts"),
+        dst[keep],
+    )
+    end_round(edges)
 
 
 def bottom_up_step(

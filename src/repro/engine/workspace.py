@@ -94,6 +94,8 @@ class NullWorkspace:
         return np.zeros(size, dtype=bool)
 
     def exclusive_cumsum(self, a: np.ndarray, key: str) -> np.ndarray:
+        if a.shape[0] == 0:
+            return np.zeros(0, dtype=np.int64)
         return np.concatenate(([0], np.cumsum(a)[:-1]))
 
     def repeat(

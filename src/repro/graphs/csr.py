@@ -135,26 +135,27 @@ class CSRGraph:
 
     # -- frontier expansion --------------------------------------------------
 
-    def expand(
+    def expand_targets(
         self,
         frontier: np.ndarray,
         charge_cost: bool = True,
         workspace=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather the out-edges of every frontier vertex, vectorized.
+        """Gather the out-edge targets of every frontier vertex, vectorized.
 
-        Returns ``(edge_sources, edge_targets)`` where position ``j``
-        describes one directed edge out of the frontier:
-        ``edge_sources[j]`` is the frontier vertex and
-        ``edge_targets[j]`` its neighbor.  This one gather is the PRAM
-        round body shared by BFS and both decompositions; it costs
-        O(sum of frontier degrees) work and O(log n) depth (the prefix
-        sum computing per-vertex output offsets — the paper's
-        "packing the frontiers").
+        Returns ``(counts, edge_targets)``: ``counts[i]`` is the degree
+        of ``frontier[i]`` and ``edge_targets`` lists the neighbors of
+        each frontier vertex in turn, in adjacency order.  This one
+        gather is the PRAM round body shared by BFS and both
+        decompositions; it costs O(sum of frontier degrees) work and
+        O(log n) depth (the prefix sum computing per-vertex output
+        offsets — the paper's "packing the frontiers").  Kernels that
+        need the source of only a few edges recover it from *counts*
+        instead of materializing :meth:`expand`'s source stream.
 
-        Without a *workspace* the returned arrays are freshly
-        allocated; with one, they are arena views valid until the next
-        round's expansion — callers may mutate either way.
+        Without a *workspace* the targets are freshly allocated; with
+        one, they are an arena view valid until the next round's
+        expansion — callers may mutate either way.
 
         ``charge_cost=False`` suppresses the cost accounting — used by
         the read-based (bottom-up) sweeps, which on a real machine exit
@@ -163,8 +164,7 @@ class CSRGraph:
         """
         frontier = np.asarray(frontier, dtype=np.int64)
         if frontier.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         starts = self.offsets[frontier]
         counts = self.offsets[frontier + 1] - starts
         total = int(counts.sum())
@@ -177,7 +177,6 @@ class CSRGraph:
                 depth=float(max(1, int(np.ceil(np.log2(frontier.size + 1))))),
             )
         if workspace is None:
-            edge_sources = np.repeat(frontier, counts)
             # Vectorized ragged gather: global positions of each edge.
             pos = np.repeat(
                 starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
@@ -185,9 +184,33 @@ class CSRGraph:
             pos = pos + np.arange(total, dtype=np.int64)
             edge_targets = self.targets[pos]
         else:
-            edge_sources = workspace.repeat(frontier, counts, total, "expand.src")
             pos = workspace.ragged_positions(starts, counts, total, "expand.pos")
             edge_targets = workspace.take(self.targets, pos, "expand.dst")
+        return counts, edge_targets
+
+    def expand(
+        self,
+        frontier: np.ndarray,
+        charge_cost: bool = True,
+        workspace=None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Gather the out-edges of every frontier vertex, vectorized.
+
+        Returns ``(edge_sources, edge_targets)`` where position ``j``
+        describes one directed edge out of the frontier:
+        ``edge_sources[j]`` is the frontier vertex and
+        ``edge_targets[j]`` its neighbor.  :meth:`expand_targets` plus
+        the source stream; it charges and allocates as that method
+        describes.
+        """
+        frontier = np.asarray(frontier, dtype=np.int64)
+        counts, edge_targets = self.expand_targets(frontier, charge_cost, workspace)
+        if workspace is None:
+            edge_sources = np.repeat(frontier, counts)
+        else:
+            edge_sources = workspace.repeat(
+                frontier, counts, edge_targets.shape[0], "expand.src"
+            )
         return edge_sources, edge_targets
 
     # -- misc ------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.primitives.sort import radix_argsort
+from repro.primitives.sort import _charge, _fused_sort, _num_passes, radix_argsort
 from repro.runtime.context import current_context
 
 __all__ = [
@@ -68,6 +68,20 @@ def uniform_fractions(n: int, seed: int, stream: int = 0) -> np.ndarray:
     return (bits >> _U64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
+def _argsort_stable_if_tied(keys: np.ndarray) -> np.ndarray:
+    """The stable sorting permutation of *keys*, sorted unstably when it can.
+
+    Without ties every sorting permutation is the stable one, so the
+    fast (unstable) argsort is checked afterwards for equal adjacent
+    sorted keys and redone stably only if it finds one.
+    """
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    if np.any(ordered[1:] == ordered[:-1]):
+        perm = np.argsort(keys, kind="stable")
+    return perm.astype(np.int64, copy=False)
+
+
 def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
     """A uniformly random permutation of ``range(n)``.
 
@@ -80,6 +94,10 @@ def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
     (e.g. a generator's label permutation and a decomposition's start
     order — a collision there would correlate BFS start order with
     graph structure).
+
+    The fast backend sorts unstably and falls back to the stable sort
+    only on a key tie, so both backends return the same permutation;
+    the charge is :func:`~repro.primitives.sort.radix_argsort`'s.
     """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
@@ -88,7 +106,10 @@ def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
     keys = hash_randoms(n, seed, stream=stream)
     # Radix sort operates on non-negative int64; fold the top bit away.
     keys63 = (keys >> _U64(1)).astype(np.int64)
-    return radix_argsort(keys63)
+    if not _fused_sort():
+        return radix_argsort(keys63)
+    _charge(n, _num_passes(int(keys63.max())))
+    return _argsort_stable_if_tied(keys63)
 
 
 def exponential_shifts(n: int, beta: float, seed: int) -> np.ndarray:

@@ -9,7 +9,11 @@ paths:
   exactly the winners the sort-based ``np.unique`` path picks;
 * the fused stable argsort is the same permutation as the reference
   per-digit loop;
-* arena-backed frontier expansion matches the allocating expansion;
+* arena-backed frontier expansion matches the allocating expansion,
+  and each workspace primitive it is built from matches its
+  reference, empty inputs included;
+* the unstable start-permutation sort returns the reference's
+  permutation and charge;
 * a :class:`~repro.engine.workspace.Workspace` reused across rounds
   and across runs never leaks state between them;
 * the backend registry itself (resolve / scope / default) behaves.
@@ -35,7 +39,9 @@ from repro.engine.workspace import NULL_WORKSPACE, Workspace, make_workspace
 from repro.errors import ParameterError
 from repro.graphs import random_gnm, random_kregular, rmat
 from repro.primitives.atomics import first_winner
+from repro.pram.cost import tracking
 from repro.primitives.hashing import _table_size
+from repro.primitives.rand import random_permutation
 from repro.primitives.sort import radix_argsort
 
 dest_streams = st.lists(
@@ -95,6 +101,70 @@ def test_radix_argsort_backend_parity(xs):
         ref = radix_argsort(keys)
     with use_backend("fast"):
         fast = radix_argsort(keys)
+    assert np.array_equal(ref, fast)
+
+
+# -- random_permutation: unstable fast sort == per-digit loop -------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=2**40),
+    st.sampled_from([1, 13, 99]),
+)
+def test_random_permutation_backend_parity(n, seed, stream):
+    with use_backend("reference"), tracking() as ref_cost:
+        ref = random_permutation(n, seed, stream=stream)
+    with use_backend("fast"), tracking() as fast_cost:
+        fast = random_permutation(n, seed, stream=stream)
+    assert np.array_equal(ref, fast)
+    assert fast.dtype == np.int64
+    assert ref_cost.snapshot() == fast_cost.snapshot()
+
+
+# -- workspace vocabulary: arena == reference, empty inputs included ------
+
+counts_lists = st.lists(st.integers(min_value=0, max_value=5), max_size=40)
+
+
+@given(counts_lists)
+def test_exclusive_cumsum_parity(xs):
+    a = np.array(xs, dtype=np.int64)
+    ref = NULL_WORKSPACE.exclusive_cumsum(a, "k")
+    fast = Workspace(8).exclusive_cumsum(a, "k")
+    assert ref.shape == (a.size,)
+    assert np.array_equal(ref, fast)
+
+
+@given(counts_lists, st.integers(min_value=0, max_value=1000))
+def test_ragged_positions_parity(xs, base):
+    counts = np.array(xs, dtype=np.int64)
+    starts = base + np.cumsum(counts) - counts
+    total = int(counts.sum())
+    ref = NULL_WORKSPACE.ragged_positions(starts, counts, total, "k")
+    fast = Workspace(8).ragged_positions(starts, counts, total, "k")
+    assert ref.shape == (total,)
+    assert np.array_equal(ref, fast)
+
+
+@given(counts_lists)
+def test_repeat_parity(xs):
+    counts = np.array(xs, dtype=np.int64)
+    values = np.arange(counts.size, dtype=np.int64) * 3
+    total = int(counts.sum())
+    ref = NULL_WORKSPACE.repeat(values, counts, total, "k")
+    fast = Workspace(8).repeat(values, counts, total, "k")
+    assert ref.shape == (total,)
+    assert np.array_equal(ref, fast)
+
+
+@given(st.lists(st.booleans(), max_size=60))
+def test_compress_parity(bits):
+    mask = np.array(bits, dtype=bool)
+    arr = np.arange(mask.size, dtype=np.int64) * 7
+    ref = NULL_WORKSPACE.compress(mask, arr, "k")
+    fast = Workspace(8).compress(mask, arr, "k")
     assert np.array_equal(ref, fast)
 
 

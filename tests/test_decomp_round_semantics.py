@@ -17,8 +17,10 @@ import pytest
 from repro.decomp.base import DecompState
 from repro.decomp.decomp_arb import arb_round
 from repro.decomp.decomp_min import _PAIR_INF, min_round
+from repro.engine.backend import use_backend
 from repro.graphs.builder import from_edges
 from repro.pram.cost import tracking
+from repro.resilience.faults import parse_fault_plan
 
 
 def race_graph():
@@ -136,6 +138,54 @@ class TestArbRoundSemantics:
             return int(state.C[1])
 
         assert run([0, 0, 99]) == run([99, 0, 0])
+
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize(
+        "flip, winner, kept",
+        [
+            # First contender wins w=1: the edge 2->1 loses to label 0.
+            (False, 0, [(2, 0, 2, 1), (2, 4, 2, 4)]),
+            # cas_flip hands w=1 to the last contender: 0->1 loses to 2.
+            (True, 2, [(0, 2, 0, 1), (2, 4, 2, 4)]),
+        ],
+    )
+    def test_one_round_keeps_exactly_the_inter_edges(self, backend, flip, winner, kept):
+        # Frontier {0, 2} in components 0 and 2.  Vertex 0's edges run
+        # to the contested w=1, to 3 (already in component 0) and to
+        # the unvisited 5 (uncontested); vertex 2's to w=1 and to the
+        # visited foreign vertex 4 (component 4).  Edge stream order:
+        # 0->1, 0->3, 0->5, 2->1, 2->4.
+        graph = from_edges(np.array([0, 0, 0, 2, 2]), np.array([1, 3, 5, 1, 4]))
+        with use_backend(backend):
+            state = DecompState(graph, 0.2, 1, "permutation")
+        for v, label in ((0, 0), (2, 2), (3, 0), (4, 4)):
+            state.C[v] = label
+        state.visited = 4
+        state.frontier = np.array([0, 2], dtype=np.int64)
+        plan = parse_fault_plan("cas_flip:p=1.0", seed=0)
+        with tracking():
+            if flip:
+                with plan.activate():
+                    next_frontier = arb_round(state)
+                assert plan.fired
+            else:
+                next_frontier = arb_round(state)
+        assert next_frontier.tolist() == [1, 5]
+        assert state.C[1] == winner and state.C[5] == 0
+        dec = state.finish()
+        got = list(
+            zip(
+                dec.inter_src.tolist(),
+                dec.inter_dst.tolist(),
+                dec.orig_src.tolist(),
+                dec.orig_dst.tolist(),
+            )
+        )
+        assert got == kept
+        # Neither claiming edge (winner -> 1, 0 -> 5) survives.
+        claims = {(winner, 1), (0, 5)}
+        assert not claims & {(u, w) for _, _, u, w in got}
 
 
 class TestRoundEdgeConservation:

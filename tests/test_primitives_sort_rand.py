@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.pram.cost import tracking
 from repro.primitives.rand import (
+    _argsort_stable_if_tied,
     exponential_shifts,
     hash_randoms,
     random_permutation,
@@ -131,6 +132,27 @@ class TestRandomPermutation:
         expected = 400 / n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 30.0  # df=7, p ~ 1e-4 cutoff
+
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [5, 3, 5, 1, 3, 5],
+            [7] * 40,
+            list(range(30, 0, -1)) + [15, 15, 15],
+            [2, 1],
+            # Long enough that NumPy's default argsort leaves insertion
+            # sort and reorders equal keys.
+            np.random.default_rng(0).integers(0, 50, size=500).tolist(),
+        ],
+    )
+    def test_tie_check_returns_the_stable_order(self, keys):
+        # Equal keys must come back in index order, as the stable
+        # per-digit sort of the reference backend orders them.
+        k = np.array(keys, dtype=np.int64)
+        perm = _argsort_stable_if_tied(k)
+        assert perm.dtype == np.int64
+        assert perm.tolist() == np.argsort(k, kind="stable").tolist()
 
 
 class TestExponentialShifts:

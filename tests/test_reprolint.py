@@ -138,6 +138,18 @@ class TestRL003ChargeOnReturnPaths:
         assert len(violations) == 1
         assert violations[0].line == 4
 
+    def test_uncharged_return_after_expand_targets_flagged(self):
+        violations = check(
+            "RL003",
+            "def kernel(state, tracker):\n"
+            "    counts, dst = state.graph.expand_targets(state.frontier)\n"
+            "    if dst.size == 0:\n"
+            "        return None\n"
+            "    tracker.add('gather', work=1.0, depth=1.0)\n"
+            "    return dst\n",
+        )
+        assert [v.line for v in violations] == [4]
+
     def test_pre_expand_guard_ok(self):
         assert not check(
             "RL003",
@@ -286,7 +298,7 @@ class TestSeededRegression:
         # RL002 only — an unsanctioned shared write there must surface
         # even under the real checked-in config.
         evil = "    state.C[dst] = state.C[src]\n"
-        anchor = "    end_round(int(src.size))\n\n\ndef bottom_up_step"
+        anchor = "    end_round(edges)\n\n\ndef bottom_up_step"
         staged = self._stage(
             tmp_path,
             lambda src: src.replace(
@@ -305,12 +317,13 @@ class TestSeededRegression:
         assert "RL001" in hits[0].format()
 
     def test_seeded_allocating_call_flagged(self, tmp_path):
+        # Planted in arb_round, the first kernel ending on this line.
         evil = "    scratch = np.zeros(state.n, dtype=np.int64)\n"
         staged = self._stage(
             tmp_path,
             lambda src: src.replace(
-                "    end_round(int(src.size))\n",
-                evil + "    end_round(int(src.size))\n",
+                "    end_round(edges)\n",
+                evil + "    end_round(edges)\n",
                 1,
             ),
         )
