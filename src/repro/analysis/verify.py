@@ -1,29 +1,36 @@
 """Labeling verification: is a claimed connectivity labeling correct?
 
-Ground truth comes from this package's own sequential BFS sweep (no
-external dependency in the library; the test suite additionally
-cross-checks against networkx).  Two layers:
+Ground truth comes from a plain-NumPy hook-and-shortcut component
+routine (the Shiloach-Vishkin family: O(m log n) work, O(log n)
+rounds), which is simple and exact rather than work-efficient.  The
+oracle stays independent of the code it checks: it imports nothing
+from the primitives, engine or connectivity layers, charges no cost
+tracker, and never sees a workspace, fault plan or sanitizer.  The
+test suite cross-checks it against a sequential BFS sweep, networkx and
+scipy.  Graphs are read with symmetric-graph semantics: a graph
+declared symmetric contributes each edge once, in its ``src < dst``
+orientation.
 
 * :func:`labelings_equivalent` — do two labelings induce the same
   partition of the vertices?  (Labels are arbitrary names.)
 * :func:`verify_labeling` — full check against the graph: every edge
   must join same-labeled vertices (the labeling *refines* into
   components) and same-labeled vertices must be connected (no
-  over-merging), established by comparing against the BFS ground
-  truth.  Raises :class:`~repro.errors.VerificationError` with a
-  counterexample on failure.
+  over-merging), established against the ground truth.  Raises
+  :class:`~repro.errors.VerificationError` with a counterexample on
+  failure.
+* :func:`verify_decomposition` — the structural invariants of a
+  (beta, d)-decomposition.
 
-Also exposes :func:`ground_truth_labels`, the reference sequential
-implementation (iterative BFS, O(n + m)).
+Also exposes :func:`ground_truth_labels`, the reference labeling.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.connectivity.base import canonicalize_labels
 from repro.errors import VerificationError
 from repro.graphs.csr import CSRGraph
 
@@ -35,25 +42,70 @@ __all__ = [
 ]
 
 
+def _edge_stream(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Every directed edge as ``(src, dst)``; ``dst`` is ``targets`` itself."""
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    return src, graph.targets
+
+
+def _one_orientation(
+    graph: CSRGraph, src: np.ndarray, dst: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Keep one orientation (``src < dst``) of each edge of a symmetric graph."""
+    if not graph.symmetric:
+        return src, dst
+    keep = src < dst
+    return src[keep], dst[keep]
+
+
+def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each vertex's component root over the undirected edges ``(src, dst)``.
+
+    Hook and shortcut.  Each round replaces every edge by the roots of
+    its endpoints and drops the edges whose endpoints share a root (they
+    never come back: roots only merge).  It hooks the larger root of
+    each remaining edge under the smallest root it is joined to
+    (``minimum.at``), then pointer-jumps until every vertex points at a
+    root.  ``parent[v] <= v`` always holds, so the pointers never form a
+    cycle; every round with a live edge removes at least one root, so
+    the loop terminates.  At exit no edge joins two roots, so each root
+    is its component's minimum vertex.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    u, v = src, dst
+    while True:
+        live = u != v
+        if not live.all():
+            u, v = u[live], v[live]
+        if not u.size:
+            return parent
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        u, v = parent[u], parent[v]
+
+
 def ground_truth_labels(graph: CSRGraph) -> np.ndarray:
-    """Reference labeling via sequential BFS (component ids in visit order)."""
+    """Reference labeling: component ids in order of each component's first vertex.
+
+    On a symmetric graph this is exactly the labeling a sequential BFS
+    sweep over the vertices in id order produces.
+    """
     n = graph.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
-    offsets, targets = graph.offsets, graph.targets
-    next_label = 0
-    for s in range(n):
-        if labels[s] != -1:
-            continue
-        labels[s] = next_label
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in targets[offsets[u] : offsets[u + 1]]:
-                if labels[w] == -1:
-                    labels[w] = next_label
-                    stack.append(int(w))
-        next_label += 1
-    return labels
+    root = _component_roots(n, *_one_orientation(graph, *_edge_stream(graph)))
+    rank = np.cumsum(root == np.arange(n), dtype=np.int64) - 1
+    return rank[root]
+
+
+def _canonical(labels: np.ndarray) -> np.ndarray:
+    """Rename labels to first-occurrence order: the partition's normal form."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.reshape(-1)]
 
 
 def labelings_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
@@ -62,7 +114,7 @@ def labelings_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
     b = np.asarray(b)
     if a.shape != b.shape:
         return False
-    return bool(np.array_equal(canonicalize_labels(a), canonicalize_labels(b)))
+    return bool(np.array_equal(_canonical(a), _canonical(b)))
 
 
 def verify_labeling(
@@ -72,11 +124,12 @@ def verify_labeling(
 
     Checks, in order:
 
-    1. shape and definedness (one finite label per vertex);
+    1. shape (one label per vertex);
     2. edge consistency: no edge may cross labels (otherwise the
        labeling splits a component);
-    3. partition equality with the ground truth (otherwise it merges
-       two components).
+    3. partition equality with the ground truth — *reference* when
+       given, else the hook-and-shortcut components of the same edge
+       stream (otherwise it merges two components).
     """
     labels = np.asarray(labels)
     n = graph.num_vertices
@@ -85,22 +138,32 @@ def verify_labeling(
             f"labels shape {labels.shape} != ({n},) for this graph",
             reason="shape",
         )
-    src, dst = graph.edge_array()
+    # On a symmetric graph the first crossing directed edge in CSR
+    # order always has src < dst, so one orientation finds the same one.
+    src, dst = _one_orientation(graph, *_edge_stream(graph))
     crossing = labels[src] != labels[dst]
     if crossing.any():
-        i = int(np.flatnonzero(crossing)[0])
+        i = int(np.argmax(crossing))
         raise VerificationError(
             f"edge ({int(src[i])}, {int(dst[i])}) crosses labels "
             f"{int(labels[src[i]])} != {int(labels[dst[i]])}",
             reason="crossing-edge",
         )
-    truth = reference if reference is not None else ground_truth_labels(graph)
-    if not labelings_equivalent(labels, truth):
+    del crossing
+    if reference is None:
+        roots = np.flatnonzero(_component_roots(n, src, dst) == np.arange(n))
+        # No edge crosses labels, so each component carries one label:
+        # the partitions differ iff two components share a label.
+        same = np.unique(labels[roots]).size == roots.size
+        want = roots.size
+    else:
+        same = labelings_equivalent(labels, reference)
+        want = np.unique(reference).size
+    if not same:
         got = int(np.unique(labels).size)
-        want = int(np.unique(truth).size)
         raise VerificationError(
             f"labeling partitions vertices into {got} classes; "
-            f"the graph has {want} components",
+            f"the graph has {int(want)} components",
             reason="partition-mismatch",
         )
 
@@ -113,8 +176,10 @@ def verify_decomposition(
     Every vertex must be labeled with a vertex id inside its own
     partition (the BFS center), and — when *check_connected* — each
     partition must induce a connected subgraph (it was grown by one
-    BFS).  Returns the number of inter-partition directed edges so
-    callers can test the beta bound statistically.
+    BFS): the hook-and-shortcut components of the intra-partition edges
+    must put every vertex with its center.  Returns the number of
+    inter-partition directed edges so callers can test the beta bound
+    statistically.
     """
     labels = np.asarray(labels)
     n = graph.num_vertices
@@ -135,26 +200,17 @@ def verify_decomposition(
             f"center {int(bad)} is not in its own partition",
             reason="center-outside-partition",
         )
+    src, dst = _edge_stream(graph)
+    intra = labels[src] == labels[dst]
+    inter = int(intra.size - np.count_nonzero(intra))
     if check_connected:
-        # One BFS inside each partition, restricted to same-label edges.
-        seen = np.zeros(n, dtype=bool)
-        offsets, targets = graph.offsets, graph.targets
-        for c in centers:
-            seen[c] = True
-            stack = [int(c)]
-            while stack:
-                u = stack.pop()
-                for w in targets[offsets[u] : offsets[u + 1]]:
-                    w = int(w)
-                    if not seen[w] and labels[w] == labels[u]:
-                        seen[w] = True
-                        stack.append(w)
-        if not seen.all():
-            bad = int(np.flatnonzero(~seen)[0])
+        root = _component_roots(n, *_one_orientation(graph, src[intra], dst[intra]))
+        stray = root != root[labels]
+        if stray.any():
+            bad = int(np.argmax(stray))
             raise VerificationError(
                 f"vertex {bad} cannot reach its center {int(labels[bad])} "
                 "inside its own partition",
                 reason="disconnected-partition",
             )
-    src, dst = graph.edge_array()
-    return int(np.count_nonzero(labels[src] != labels[dst]))
+    return inter

@@ -1,0 +1,341 @@
+"""The verification oracle: hook-and-shortcut ground truth and its checks.
+
+``ground_truth_labels`` must return exactly the array of a sequential
+BFS sweep (component ids in first-vertex order), which this file keeps
+as a test-local reference, and agree with scipy at benchmark-like
+scale.  Every rejection of ``verify_labeling`` / ``verify_decomposition``
+must still fire with its ``reason``, and verification must charge no
+cost tracker.
+"""
+
+from typing import Optional
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.verify import (
+    ground_truth_labels,
+    labelings_equivalent,
+    verify_decomposition,
+    verify_labeling,
+)
+from repro.connectivity import canonicalize_labels
+from repro.decomp import decomp_arb
+from repro.errors import VerificationError
+from repro.graphs import (
+    CSRGraph,
+    clique,
+    disjoint_union_edges,
+    empty_graph,
+    line_graph,
+    orkut_like,
+    random_gnm,
+    rmat,
+    star_graph,
+)
+from repro.graphs.builder import from_edges
+from repro.pram import tracking
+from repro.runtime import execute_profiled
+
+COMMON = dict(
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
+
+
+# -- test-local references ----------------------------------------------------
+
+
+def bfs_sweep(graph: CSRGraph) -> np.ndarray:
+    """Sequential BFS sweep: component ids in order of first vertex."""
+    n = graph.num_vertices
+    labels = np.full(n, -1, dtype=np.int64)
+    offsets, targets = graph.offsets, graph.targets
+    next_label = 0
+    for s in range(n):
+        if labels[s] != -1:
+            continue
+        labels[s] = next_label
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in targets[offsets[u] : offsets[u + 1]]:
+                if labels[w] == -1:
+                    labels[w] = next_label
+                    stack.append(int(w))
+        next_label += 1
+    return labels
+
+
+def first_unreached(graph: CSRGraph, labels: np.ndarray) -> Optional[int]:
+    """First vertex a per-center BFS inside its own partition cannot reach."""
+    seen = np.zeros(graph.num_vertices, dtype=bool)
+    for c in np.unique(labels):
+        seen[c] = True
+        stack = [int(c)]
+        while stack:
+            u = stack.pop()
+            for w in graph.neighbors(u):
+                w = int(w)
+                if not seen[w] and labels[w] == labels[u]:
+                    seen[w] = True
+                    stack.append(w)
+    unreached = np.flatnonzero(~seen)
+    return int(unreached[0]) if unreached.size else None
+
+
+def first_crossing(graph: CSRGraph, labels: np.ndarray) -> tuple:
+    """First directed edge, in CSR order, whose endpoints differ in label."""
+    for u in range(graph.num_vertices):
+        for w in graph.neighbors(u):
+            if labels[u] != labels[w]:
+                return u, int(w)
+    raise AssertionError("no crossing edge")
+
+
+def bit_reversed_path(k: int) -> CSRGraph:
+    """A path through 0..2^k-1 in bit-reversed order (hook loop's worst)."""
+    idx = np.arange(1 << k, dtype=np.int64)
+    rev = np.zeros_like(idx)
+    for b in range(k):
+        rev |= ((idx >> b) & 1) << (k - 1 - b)
+    return from_edges(rev[:-1], rev[1:], num_vertices=1 << k)
+
+
+# -- graph strategy -------------------------------------------------------------
+
+
+@st.composite
+def random_edges(draw, max_vertices=40, max_edges=100):
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    if n == 0:
+        return empty_graph(0)
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_edges,
+        )
+    )
+    src = np.array([a for a, _ in edges], dtype=np.int64)
+    dst = np.array([b for _, b in edges], dtype=np.int64)
+    keep_duplicates = draw(st.booleans())
+    return from_edges(src, dst, num_vertices=n, remove_duplicates=not keep_duplicates)
+
+
+def shaped_graphs():
+    return st.one_of(
+        st.integers(0, 8).map(empty_graph),
+        st.integers(1, 30).map(star_graph),
+        st.integers(1, 12).map(clique),
+        st.integers(1, 40).map(line_graph),
+        st.tuples(st.integers(1, 40), st.integers(0, 9)).map(
+            lambda a: line_graph(a[0], seed=a[1])
+        ),
+        random_edges(),
+    )
+
+
+@st.composite
+def symmetric_graphs(draw):
+    parts = draw(st.lists(shaped_graphs(), min_size=1, max_size=4))
+    graph = parts[0] if len(parts) == 1 else disjoint_union_edges(parts)
+    if draw(st.booleans()) and graph.num_vertices > 1:
+        # Rename vertices so components interleave in id order.
+        perm = np.asarray(
+            draw(st.permutations(range(graph.num_vertices))), dtype=np.int64
+        )
+        src = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+        dst = graph.targets
+        graph = from_edges(perm[src], perm[dst], num_vertices=graph.num_vertices)
+    return graph
+
+
+# -- the ground truth is the BFS sweep ------------------------------------------
+
+
+class TestGroundTruthEqualsBFS:
+    @settings(**COMMON)
+    @given(graph=symmetric_graphs())
+    def test_property_matches_bfs_sweep(self, graph):
+        got = ground_truth_labels(graph)
+        want = bfs_sweep(graph)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            empty_graph(0),
+            empty_graph(7),
+            star_graph(20),
+            clique(9),
+            disjoint_union_edges([clique(4), empty_graph(3), line_graph(6, seed=2)]),
+            from_edges([3, 3, 1, 1], [0, 0, 2, 2], 5, remove_duplicates=False),
+        ],
+        ids=["empty", "isolated", "star", "clique", "union", "duplicates"],
+    )
+    def test_named_shapes(self, graph):
+        assert np.array_equal(ground_truth_labels(graph), bfs_sweep(graph))
+
+
+class TestGroundTruthAtScale:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: rmat(14, int(3.7 * 2**14), seed=5),
+            lambda: line_graph(50_000, seed=4),
+            lambda: orkut_like(2000),
+            lambda: bit_reversed_path(16),
+            lambda: random_gnm(40_000, 30_000, seed=6),
+        ],
+        ids=["rmat14", "line50k", "orkut2000", "bitrev-path16", "gnm-sparse"],
+    )
+    def test_matches_scipy(self, build):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        graph = build()
+        n = graph.num_vertices
+        adj = sparse.csr_matrix(
+            (np.ones(graph.num_directed), graph.targets, graph.offsets), shape=(n, n)
+        )
+        count, theirs = csgraph.connected_components(adj, directed=False)
+        ours = ground_truth_labels(graph)
+        assert int(ours.max()) + 1 == count
+        assert np.array_equal(ours, canonicalize_labels(theirs))
+
+
+# -- rejections still fire --------------------------------------------------------
+
+
+def _relabel(labels: np.ndarray, seed: int) -> np.ndarray:
+    """The same partition under arbitrary (non-canonical) names."""
+    names = np.random.default_rng(seed).permutation(labels.size + 5) * 3 + 11
+    return names[labels]
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+class TestLabelingRejections:
+    @settings(**COMMON)
+    @given(graph=symmetric_graphs(), data=st.data())
+    def test_merging_two_components(self, with_reference, graph, data):
+        truth = ground_truth_labels(graph)
+        assume(truth.size and truth.max() >= 1)
+        a, b = data.draw(
+            st.lists(
+                st.integers(0, int(truth.max())), min_size=2, max_size=2, unique=True
+            )
+        )
+        labels = _relabel(truth, data.draw(st.integers(0, 99)))
+        verify_labeling(graph, labels, reference=truth if with_reference else None)
+        labels[truth == b] = labels[np.flatnonzero(truth == a)[0]]
+        with pytest.raises(VerificationError) as exc:
+            verify_labeling(graph, labels, reference=truth if with_reference else None)
+        assert exc.value.reason == "partition-mismatch"
+        assert str(exc.value) == (
+            f"labeling partitions vertices into {truth.max()} classes; "
+            f"the graph has {truth.max() + 1} components"
+        )
+
+    @settings(**COMMON)
+    @given(graph=symmetric_graphs(), data=st.data())
+    def test_splitting_a_component_across_an_edge(self, with_reference, graph, data):
+        assume(graph.num_directed)
+        truth = ground_truth_labels(graph)
+        src = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+        e = data.draw(st.integers(0, graph.num_directed - 1))
+        u, v = int(src[e]), int(graph.targets[e])
+        members = np.flatnonzero(truth == truth[u])
+        moved = data.draw(st.sets(st.sampled_from(members.tolist())))
+        moved = (moved | {u}) - {v}
+        labels = _relabel(truth, data.draw(st.integers(0, 99)))
+        labels[sorted(moved)] = labels.max() + 1
+        with pytest.raises(VerificationError) as exc:
+            verify_labeling(graph, labels, reference=truth if with_reference else None)
+        assert exc.value.reason == "crossing-edge"
+        x, y = first_crossing(graph, labels)
+        want = f"edge ({x}, {y}) crosses labels {labels[x]} != {labels[y]}"
+        assert str(exc.value) == want
+
+
+class TestDecompositionRejections:
+    @settings(**COMMON)
+    @given(
+        graph=symmetric_graphs(),
+        beta=st.sampled_from([0.1, 0.3, 0.6]),
+        seed=st.integers(0, 50),
+        data=st.data(),
+    )
+    def test_moving_a_vertex_into_a_non_adjacent_partition(
+        self, graph, beta, seed, data
+    ):
+        dec = decomp_arb(graph, beta=beta, seed=seed)
+        labels = dec.labels.copy()
+        assert verify_decomposition(graph, labels) == dec.num_inter_directed
+        # A vertex can move unless it centers a partition with other members.
+        n = labels.size
+        sizes = np.bincount(labels, minlength=n)
+        movable = [
+            (x, int(c))
+            for x in range(n)
+            if labels[x] != x or sizes[x] == 1
+            for c in np.flatnonzero(sizes)
+            if c != labels[x] and not np.any(labels[graph.neighbors(x)] == c)
+        ]
+        assume(movable)
+        x, c = data.draw(st.sampled_from(movable))
+        labels[x] = c
+        want = first_unreached(graph, labels)
+        assert want is not None
+        with pytest.raises(VerificationError) as exc:
+            verify_decomposition(graph, labels, check_connected=True)
+        assert exc.value.reason == "disconnected-partition"
+        assert str(exc.value) == (
+            f"vertex {want} cannot reach its center {labels[want]} "
+            "inside its own partition"
+        )
+        # Without the connectivity check the same labels pass.
+        verify_decomposition(graph, labels, check_connected=False)
+
+    def test_structural_reasons(self):
+        g = line_graph(4)
+        cases = [
+            (np.array([0, 0]), "shape"),
+            (np.array([0, 0, 9, 9]), "label-range"),
+            (np.array([3, 3, 0, 0]), "center-outside-partition"),
+        ]
+        for labels, reason in cases:
+            with pytest.raises(VerificationError) as exc:
+                verify_decomposition(g, labels)
+            assert exc.value.reason == reason
+
+
+# -- verification charges no tracker ----------------------------------------------
+
+
+def _snapshot(tracker):
+    return (
+        tracker.total_work(),
+        tracker.total_depth(),
+        tracker.sync_count,
+        tracker.phase_kind_work(),
+        tracker.phase_kind_depth(),
+    )
+
+
+def test_verification_leaves_the_enclosing_tracker_unchanged():
+    graph = line_graph(50, seed=1)
+    dec = decomp_arb(graph, beta=0.2, seed=1)
+    with tracking() as outer:
+        with outer.phase("caller"):
+            outer.add("scan", work=7.0, depth=1.0)
+        before = _snapshot(outer)
+        truth = ground_truth_labels(graph)
+        verify_labeling(graph, truth)
+        verify_labeling(graph, truth, reference=truth)
+        assert labelings_equivalent(truth, truth)
+        verify_decomposition(graph, dec.labels, check_connected=True)
+        execute_profiled("decomp-arb-CC", graph, verify=True)
+        assert _snapshot(outer) == before
