@@ -16,9 +16,8 @@ The syntactic family (per-function AST patterns):
 * **RL010** — the tracing layer (``repro.obs``) never mutates what it
   observes.
 
-The interprocedural rule (call graph + CFG + dataflow; see
-:mod:`~repro.analysis.reprolint.cfg`,
-:mod:`~repro.analysis.reprolint.callgraph`,
+The flow rule (per-function CFG + dataflow; see
+:mod:`~repro.analysis.reprolint.cfg` and
 :mod:`~repro.analysis.reprolint.dataflow`):
 
 * **RL008** — claim/release resource lifecycles hold on every CFG
@@ -29,8 +28,6 @@ the global ``--sanitize`` flag — lives in :mod:`repro.pram.sanitizer`
 (re-exported here for discoverability).
 """
 
-from repro.analysis.reprolint.cache import LINT_VERSION, LintCache
-from repro.analysis.reprolint.callgraph import ClassInfo, FunctionInfo, Program
 from repro.analysis.reprolint.cfg import CFG, CFGNode, build_cfg
 from repro.analysis.reprolint.config import (
     KNOWN_RULES,
@@ -78,12 +75,7 @@ __all__ = [
     "CFG",
     "CFGNode",
     "build_cfg",
-    "ClassInfo",
-    "FunctionInfo",
-    "Program",
     "run_forward",
-    "LINT_VERSION",
-    "LintCache",
     "to_sarif",
     "validate_sarif",
     "PramSanitizer",

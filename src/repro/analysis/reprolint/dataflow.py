@@ -1,4 +1,4 @@
-"""Forward dataflow engine for the interprocedural lint rule.
+"""Forward dataflow engine for the flow lint rule (RL008).
 
 :func:`run_forward` is a generic worklist solver over a per-function
 :class:`~repro.analysis.reprolint.cfg.CFG` for must-style lifecycle

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.reprolint import rules_flow  # noqa: F401  (registers RL008)
-from repro.analysis.reprolint.cache import CACHE_BASENAME, LintCache
 from repro.analysis.reprolint.config import AllowEntry, LintConfig, load_config
 from repro.analysis.reprolint.rules import RULE_CHECKERS, Violation
 
@@ -51,7 +50,7 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
         "src/repro/connectivity/",
     ),
     "RL004": ("src/repro/",),
-    # The flow rule (interprocedural; see rules_flow.py).
+    # The flow rule (per-function CFG typestate; see rules_flow.py).
     "RL008": (
         "src/repro/runtime/",
         "src/repro/engine/",
@@ -62,14 +61,13 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
     "RL010": ("src/repro/obs/",),
 }
 
-#: Carve-outs from RL004's blanket scope: the wall-clock harness and
-#: the experiment/benchmark layers measure real elapsed time by design,
+#: Carve-outs from RL004's blanket scope: the experiment layer
+#: measures real elapsed time by design,
 #: the fuzz loop enforces its ``--time-budget`` stopping condition, the
 #: session layer's ``execute_profiled`` reports real run time in its
 #: profiles (it *is* the run harness), and the tracer timestamps spans
 #: with real time by definition (RL010 polices its purity instead).
 RL004_EXEMPT: Tuple[str, ...] = (
-    "src/repro/analysis/wallclock.py",
     "src/repro/experiments/",
     "src/repro/fuzz/harness.py",
     "src/repro/obs/",
@@ -193,15 +191,12 @@ def lint_paths(
     config: Optional[LintConfig] = None,
     *,
     enforce_stale: bool = True,
-    cache: Optional[LintCache] = None,
 ) -> LintReport:
     """Lint *paths* (files or trees) under *config*'s allowlist.
 
     ``enforce_stale=False`` skips the stale-allowlist check — used when
     linting an explicit subset of files, where most entries legitimately
-    never get the chance to fire.  *cache* (content-hash keyed) stores
-    *raw* per-file findings, so the allowlist — and therefore stale-entry
-    detection — is re-applied exactly on warm runs.
+    never get the chance to fire.
     """
     if config is None:
         config = LintConfig()
@@ -213,21 +208,7 @@ def lint_paths(
         if not rules:
             continue
         report.files_checked += 1
-        cached = None
-        sha = None
-        if cache is not None:
-            try:
-                sha = LintCache.digest(path.read_bytes())
-            except OSError:
-                sha = None
-            if sha is not None:
-                cached = cache.lookup(path_key, sha, rules)
-        if cached is not None:
-            raw, parse_error = cached
-        else:
-            raw, parse_error = _lint_file_raw(path, path_key, rules)
-            if cache is not None and sha is not None:
-                cache.store(path_key, sha, rules, raw, parse_error)
+        raw, parse_error = _lint_file_raw(path, path_key, rules)
         if parse_error is not None:
             report.parse_errors.append(parse_error)
             continue
@@ -239,24 +220,18 @@ def lint_paths(
     report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
     if enforce_stale:
         report.stale_entries = config.stale_entries()
-    if cache is not None:
-        cache.save()
     return report
 
 
 def run_lint(
     paths: Optional[Sequence[str]] = None,
     config_path: Optional[str] = None,
-    *,
-    use_cache: bool = True,
 ) -> LintReport:
     """CLI-facing wrapper: resolve defaults, load config, lint.
 
     With no *paths* the package source tree is linted and stale
     allowlist entries are an error; with explicit paths the stale check
-    is skipped.  The incremental cache lives next to the config file
-    (``.reprolint-cache.json``) and is skipped entirely when no config
-    exists or ``use_cache`` is False.
+    is skipped.
     """
     explicit = bool(paths)
     targets = (
@@ -267,9 +242,4 @@ def run_lint(
     else:
         found = discover_config()
         config = load_config(found) if found is not None else LintConfig()
-    cache = None
-    if use_cache and config.source is not None:
-        cache = LintCache.load(config.source.parent / CACHE_BASENAME)
-    return lint_paths(
-        targets, config, enforce_stale=not explicit, cache=cache
-    )
+    return lint_paths(targets, config, enforce_stale=not explicit)

@@ -25,7 +25,8 @@ RL003  A kernel that expands edges must charge the cost tracker on
 RL004  No ``np.random`` module-global state and no wall-clock reads in
        simulation code: randomness flows through seeded generators
        (``primitives.rand`` / ``default_rng(seed)``), real time only
-       through the wall-clock harness (``analysis/wallclock.py``).
+       through the measuring layers (``experiments/``, ``obs/``,
+       ``runtime/session.py``) and the ``bench/`` harness.
 RL010  Observational purity of the tracing layer (``repro.obs``): code
        there may never mutate caller-owned state — no subscript or
        augmented stores into parameters, no attribute stores on them,
@@ -481,8 +482,8 @@ def check_rl004(tree: ast.Module, path: str) -> List[Violation]:
                     qualname=qualname,
                     message=(
                         f"wall-clock read time.{func.attr} in simulation "
-                        "code; real time belongs to the wall-clock "
-                        "harness (analysis/wallclock.py)"
+                        "code; real time belongs to the measuring layers "
+                        "(experiments/, obs/, runtime/session.py) and bench/"
                     ),
                 )
             )
@@ -507,7 +508,7 @@ def check_rl004(tree: ast.Module, path: str) -> List[Violation]:
                     message=(
                         f"datetime.{func.attr}() wall-clock read in "
                         "simulation code; real time belongs to the "
-                        "wall-clock harness"
+                        "measuring layers and bench/"
                     ),
                 )
             )

@@ -1,9 +1,8 @@
-"""The interprocedural flow rule (RL008) and the rule docs.
+"""The flow rule (RL008) and the rule docs.
 
-RL008 runs on the framework trio — :mod:`.cfg` (per-function
-control-flow graphs), :mod:`.callgraph` (module call graph with
-registry resolution), :mod:`.dataflow` (forward typestate solver) —
-instead of per-function AST pattern matching:
+RL008 runs on :mod:`.cfg` (per-function control-flow graphs) and
+:mod:`.dataflow` (forward typestate solver) instead of per-function
+AST pattern matching:
 
 RL008  Resource lifecycle typestate.  Claim/release pairs (Session
        pool, contextvar tokens) must release on *every* CFG path,
@@ -11,9 +10,8 @@ RL008  Resource lifecycle typestate.  Claim/release pairs (Session
        its result must be bound.
 
 Scoping lives in :mod:`.linter`; the checker keeps the classic
-``(module_ast, path_key) -> list[Violation]`` signature, building a
-single-module :class:`~repro.analysis.reprolint.callgraph.Program`
-per file.
+``(module_ast, path_key) -> list[Violation]`` signature and checks
+each function of the module on its own.
 """
 
 from __future__ import annotations
@@ -21,10 +19,9 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .callgraph import Program
 from .cfg import build_cfg
 from .dataflow import run_forward
-from .rules import RULE_CHECKERS, Violation
+from .rules import RULE_CHECKERS, Violation, iter_functions
 
 __all__ = ["FLOW_RULE_CHECKERS", "RULE_DOCS"]
 
@@ -152,11 +149,9 @@ def _collect_tracked(fn: ast.AST) -> Dict[str, str]:
 
 def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
     """Claim/release lifecycles proven safe on every CFG path."""
-    program = Program({path: tree})
     violations: List[Violation] = []
 
-    for info in program.functions_in(path):
-        fn = info.node
+    for qualname, fn in iter_functions(tree):
         # Discarded acquire results first: ownership must be bound.
         for stmt in _own_nodes(fn):
             if (
@@ -171,7 +166,7 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
                         path=path,
                         line=stmt.lineno,
                         col=stmt.col_offset,
-                        qualname=info.qualname,
+                        qualname=qualname,
                         message=(
                             f"{stmt.value.func.attr}() result discarded; "
                             "the claim must be bound so it can be released "
@@ -201,7 +196,7 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
                     path=path,
                     line=extra.lineno,
                     col=extra.col_offset,
-                    qualname=info.qualname,
+                    qualname=qualname,
                     message=(
                         "second acquire_workspace() in one function "
                         "(claim-once contract): only the first claim gets "
@@ -264,7 +259,7 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
                     path=path,
                     line=line,
                     col=0,
-                    qualname=info.qualname,
+                    qualname=qualname,
                     message=(
                         f"{_KIND_DESC[tracked[var]]} {var!r} claimed again "
                         "while already claimed (claim-once contract)"
@@ -291,7 +286,7 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
                             path=path,
                             line=node.line or fn.lineno,
                             col=0,
-                            qualname=info.qualname,
+                            qualname=qualname,
                             message=(
                                 f"{_KIND_DESC[tracked[var]]} {var!r} still "
                                 f"claimed on {kind} path; release it in a "
@@ -322,8 +317,8 @@ RULE_DOCS: Dict[str, str] = {
         "fresh np.zeros/np.concatenate (without out=) re-introduces the\n"
         "per-round allocation the backend seam removed. Zero-length\n"
         "sentinels (np.zeros(0)) are exempt.\n\n"
-        "Runtime counterpart: Workspace.bytes_held plateaus asserted by\n"
-        "the arena tests."
+        "Runtime counterpart: the arena reuse tests in\n"
+        "tests/test_backend_parity.py (reused buffers, fresh results)."
     ),
     "RL003": (
         "Edge-expanding kernels must charge the cost tracker on every\n"
@@ -337,8 +332,8 @@ RULE_DOCS: Dict[str, str] = {
         "No np.random module-global state and no wall-clock reads in\n"
         "simulation code.\n\n"
         "Randomness flows through seeded generators (primitives.rand /\n"
-        "default_rng(seed)); real time belongs to the wall-clock harness\n"
-        "(analysis/wallclock.py).\n\n"
+        "default_rng(seed)); real time belongs to the measuring layers\n"
+        "(experiments/, obs/, runtime/session.py) and the bench/ harness.\n\n"
         "Runtime counterpart: byte-identical golden parity replays."
     ),
     "RL008": (

@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(BACKENDS),
         default=DEFAULT_BACKEND_NAME,
         help="execution backend: same results and simulated costs with "
-        f"any of {{{', '.join(sorted(BACKENDS))}}}; the optimized backends "
-        "only change wall-clock speed "
+        f"any of {{{', '.join(sorted(BACKENDS))}}}; the optimized fast "
+        "backend only changes wall-clock speed "
         f"(default: {DEFAULT_BACKEND_NAME}; see docs/performance.md)",
     )
     parser.add_argument(
@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="arm the runtime PRAM race sanitizer: every engine run is "
         "checked for same-round conflicting non-atomic writes and CAS "
-        "schedule violations (optimized backends: "
-        f"{', '.join(sorted(n for n in BACKENDS if n != 'reference'))}; "
+        "schedule violations (fast backend only; "
         "see docs/static_analysis.md)",
     )
     parser.add_argument(
@@ -237,12 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the report to PATH instead of stdout (text summary "
         "still prints to stdout for sarif)",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental cache (.reprolint-cache.json next "
-        "to the config) and re-analyze every file",
     )
     lint.add_argument(
         "--explain",
@@ -631,11 +624,7 @@ def _cmd_lint(args) -> int:
             )
         print(f"{rule}: {doc}")
         return 0
-    report = run_lint(
-        paths=args.paths or None,
-        config_path=args.config,
-        use_cache=not args.no_cache,
-    )
+    report = run_lint(paths=args.paths or None, config_path=args.config)
     if args.format_ == "sarif":
         import json
 
@@ -766,10 +755,8 @@ def _silence_broken_pipe() -> int:
 def _dispatch(args) -> int:
     """Run one parsed command inside the command-wide execution context."""
     if args.sanitize and args.backend == "reference":
-        sanitizable = sorted(n for n in BACKENDS if n != "reference")
         raise ParameterError(
-            "--sanitize validates the optimized backends "
-            f"({', '.join(sanitizable)}) against the reference "
+            "--sanitize validates the fast backend against the reference "
             "schedule; it cannot be combined with --backend "
             "reference (use the library API "
             "repro.pram.sanitizing() to sanitize the reference "

@@ -195,7 +195,7 @@ def contract(
         component_to_sub[dst],
         k_prime,
         symmetric=True,
-        validate=not current_context().backend.trusted_contraction,
+        validate=not current_context().backend.optimized,
     )
     return Contraction(
         graph=sub_graph,

@@ -25,6 +25,11 @@ simulated cost model charges are explicit ``tracker.add`` calls
 computed from sizes, so the fast variants are free to change the
 NumPy execution underneath them.
 
+Both are one :class:`ExecutionBackend` differing in a single flag,
+``optimized``; below the backend, the class of the run's workspace
+(:func:`~repro.engine.workspace.make_workspace`) is the only other
+carrier of the choice.
+
 Selection: ``fast`` is the default.  The bound backend rides in the
 :class:`~repro.runtime.context.ExecutionContext`
 (``current_context().backend``); :func:`use_backend` scopes a switch
@@ -57,40 +62,25 @@ class ExecutionBackend:
 
     Attributes
     ----------
-    use_workspace:
-        Thread a per-run :class:`~repro.engine.workspace.Workspace`
-        arena through the kernels so steady-state rounds perform zero
-        large allocations (``out=`` writes into reused arena slices).
-        The arena also carries the rest of the round strategy: the O(n)
-        reverse-order scatter for the arbitrary-CRCW race (instead of
-        the sort-based ``np.unique`` pass — both pick the first
-        occurrence per destination) and reused bitmaps on the dense
-        (pull) rounds.
-    fused_sort:
-        Produce the stable radix permutation with one fused stable
-        argsort instead of per-16-bit-digit passes.  Stable sorting
-        permutations are unique, so the output is identical; the
-        charged pass structure is unchanged.
-    trusted_contraction:
-        Build contraction sub-graphs via the trusted constructor path
-        (skip re-validating invariants the contraction itself just
-        established); public builders still validate.
+    optimized:
+        The whole fast/reference decision.  When set, runs get a
+        :class:`~repro.engine.workspace.Workspace` arena (whose class
+        then carries the choice into the kernels), the radix
+        permutation is one fused stable argsort, and contraction skips
+        re-validating the sub-graphs it just built.  Outputs and
+        charges are identical either way.
     """
 
     name: str
     description: str
-    use_workspace: bool
-    fused_sort: bool
-    trusted_contraction: bool
+    optimized: bool
 
 
 REFERENCE = ExecutionBackend(
     name="reference",
     description="byte-for-byte the historical kernels (fresh allocations, "
     "sort-based CAS resolution, per-digit radix passes, validating builders)",
-    use_workspace=False,
-    fused_sort=False,
-    trusted_contraction=False,
+    optimized=False,
 )
 
 FAST = ExecutionBackend(
@@ -98,13 +88,11 @@ FAST = ExecutionBackend(
     description="zero-allocation round kernels: workspace arenas, scatter "
     "CAS resolution, fused stable sort, bitmap dense rounds, trusted "
     "contraction constructors — identical outputs and charges",
-    use_workspace=True,
-    fused_sort=True,
-    trusted_contraction=True,
+    optimized=True,
 )
 
-#: Name -> backend; the CLI's ``--backend`` choices and the wall-clock
-#: bench enumerate this.
+#: Name -> backend; the CLI's ``--backend`` choices and the fuzz oracle
+#: enumerate this.
 BACKENDS: Dict[str, ExecutionBackend] = {
     REFERENCE.name: REFERENCE,
     FAST.name: FAST,

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, Type
 import numpy as np
 
 from repro.engine.kernels import _PAIR_INF, arb_round, min_round
+from repro.engine.workspace import Workspace
 from repro.errors import ParameterError
 from repro.primitives.atomics import encode_pair
 from repro.runtime.context import current_context
@@ -105,7 +106,7 @@ class MinTiebreak(TiebreakPolicy):
         with tracker.phase("init"):
             self.pair = np.full(state.n, _PAIR_INF, dtype=np.int64)
             tracker.add("alloc", work=float(state.n), depth=1.0)
-        if getattr(state.workspace, "trusted", False):
+        if isinstance(state.workspace, Workspace):
             # Prove the whole (delta', center) domain encodable once, so
             # the per-round encode_pair range scans can be skipped (the
             # per-round keys are gathers out of exactly this domain).

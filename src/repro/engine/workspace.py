@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Dict, Tuple, Union
 
 import numpy as np
 
+from repro.primitives.atomics import unique_winners
 from repro.primitives.rand import splitmix64
 
 if TYPE_CHECKING:
@@ -60,11 +61,6 @@ class NullWorkspace:
     byte-for-byte, so running the kernels through a ``NullWorkspace``
     *is* running the pre-backend code.
     """
-
-    #: Kernels may not skip redundant range validation.
-    trusted = False
-    #: ``first_winner`` resolves through the sort-based path.
-    scatter_winner = False
 
     def take(self, arr: np.ndarray, idx: np.ndarray, key: str) -> np.ndarray:
         return arr[idx]
@@ -132,6 +128,16 @@ class NullWorkspace:
         """
         np.minimum.at(dest, idx, values)
 
+    def winner_scatter(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """First occurrence per distinct value of *idx*, by sorting.
+
+        The execution seam of :func:`repro.primitives.atomics.first_winner`
+        (which owns the charging, the fault hook and the sanitizer
+        seam): ``np.unique(idx, return_index=True)`` as
+        ``(positions, dests)``.
+        """
+        return unique_winners(idx)
+
 
 #: The shared stateless reference workspace.
 NULL_WORKSPACE = NullWorkspace()
@@ -146,9 +152,6 @@ class Workspace(NullWorkspace):
         The run's vertex universe — a sizing hint only; buffers are
         allocated lazily at the sizes the rounds actually need.
     """
-
-    trusted = True
-    scatter_winner = True
 
     def __init__(self, num_vertices: int) -> None:
         self.num_vertices = int(num_vertices)
@@ -177,11 +180,6 @@ class Workspace(NullWorkspace):
         if self._iota_buf.shape[0] < size:
             self._iota_buf = np.arange(_grown(size), dtype=np.int64)
         return self._iota_buf[:size]
-
-    @property
-    def bytes_held(self) -> int:
-        """Total arena footprint (diagnostics / the wall-clock bench)."""
-        return sum(b.nbytes for b in self._buffers.values()) + self._iota_buf.nbytes
 
     # -- the kernel vocabulary ---------------------------------------------
 
@@ -300,6 +298,6 @@ def make_workspace(
     backend: "ExecutionBackend", num_vertices: int
 ) -> Union[Workspace, NullWorkspace]:
     """The workspace a run should thread through its kernels."""
-    if backend.use_workspace:
+    if backend.optimized:
         return Workspace(num_vertices)
     return NULL_WORKSPACE

@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # layering: primitives must not import engine at runtime
 __all__ = [
     "write_min",
     "first_winner",
+    "unique_winners",
     "encode_pair",
     "decode_pair",
     "PAIR_SHIFT",
@@ -128,6 +129,17 @@ def write_min(
         np.minimum.at(dest, idx, values)
 
 
+def unique_winners(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Uncharged sort-based race resolution: ``(positions, dests)``.
+
+    ``dests`` are the distinct values of *idx* in ascending order and
+    ``positions`` the index of each one's first occurrence — the
+    reference schedule every other resolution must reproduce.
+    """
+    dests, positions = np.unique(idx, return_index=True)
+    return positions.astype(np.int64, copy=False), dests
+
+
 def first_winner(
     idx: np.ndarray,
     *,
@@ -145,13 +157,15 @@ def first_winner(
 
     Charged as one atomic op per attempt plus O(1) depth.
 
-    A :class:`~repro.engine.workspace.Workspace` with
-    ``scatter_winner`` routes the resolution through its O(n)
-    reverse-order scatter; otherwise the sort-based ``np.unique`` pass
-    runs.  Both pick the first occurrence per destination, so the
-    winner schedule is identical (``tests/test_backend_parity.py``
-    pins this element for element).  *tracker* / *plan* let round
-    kernels pass their cached context lookups down the hot path.
+    *workspace* is the execution seam, as for :func:`write_min`: its
+    ``winner_scatter`` resolves the race — the O(n) reverse-order
+    scatter of a :class:`~repro.engine.workspace.Workspace`, or the
+    sort-based :func:`unique_winners` of the reference workspace (also
+    run when none is passed).  Both pick the first occurrence per
+    destination, so the winner schedule is identical
+    (``tests/test_backend_parity.py`` pins this element for element).
+    *tracker* / *plan* let round kernels pass their cached context
+    lookups down the hot path.
 
     An armed :class:`~repro.resilience.faults.FaultPlan` may flip
     winners to *other legal contenders* (a different arbitrary
@@ -163,11 +177,10 @@ def first_winner(
     tracker.add("atomic", work=float(idx.shape[0]), depth=1.0)
     if idx.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), idx
-    if workspace is not None and workspace.scatter_winner:
+    if workspace is not None:
         positions, dests = workspace.winner_scatter(idx)
     else:
-        dests, positions = np.unique(idx, return_index=True)
-        positions = positions.astype(np.int64, copy=False)
+        positions, dests = unique_winners(idx)
     if plan is _LOOKUP_PLAN:
         plan = current_context().fault_plan
     sanitizer = current_context().sanitizer

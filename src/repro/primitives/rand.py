@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.primitives.sort import _charge, _fused_sort, _num_passes, radix_argsort
+from repro.primitives.sort import _charge, _num_passes, radix_argsort
 from repro.runtime.context import current_context
 
 __all__ = [
@@ -106,7 +106,7 @@ def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
     keys = hash_randoms(n, seed, stream=stream)
     # Radix sort operates on non-negative int64; fold the top bit away.
     keys63 = (keys >> _U64(1)).astype(np.int64)
-    if not _fused_sort():
+    if not current_context().backend.optimized:
         return radix_argsort(keys63)
     _charge(n, _num_passes(int(keys63.max())))
     return _argsort_stable_if_tied(keys63)

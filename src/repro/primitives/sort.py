@@ -45,10 +45,6 @@ def _charge(n: int, passes: int) -> None:
     tracker.add("sort", work=float(n * passes), depth=depth_per_pass * passes)
 
 
-def _fused_sort() -> bool:
-    return current_context().backend.fused_sort
-
-
 def radix_argsort(keys: np.ndarray, max_key: Optional[int] = None) -> np.ndarray:
     """Stable sorting permutation for non-negative integer *keys*.
 
@@ -76,7 +72,7 @@ def radix_argsort(keys: np.ndarray, max_key: Optional[int] = None) -> np.ndarray
     passes = _num_passes(max_key)
     _charge(n, passes)
 
-    if _fused_sort():
+    if current_context().backend.optimized:
         # One fused stable sort in place of the per-digit passes: the
         # stable sorting permutation of a key sequence is unique, so
         # this is bit-identical to the pass loop below — the charge

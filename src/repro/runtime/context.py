@@ -176,7 +176,7 @@ class ExecutionContext:
         or double ``acquire_workspace`` call is a lint violation.
         """
         ws = self.workspace
-        if ws is not None and self.backend.use_workspace:
+        if ws is not None and self.backend.optimized:
             self.workspace = None
             return ws
         from repro.engine.workspace import make_workspace

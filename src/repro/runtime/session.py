@@ -185,7 +185,7 @@ class Session:
 
         Caller must hold ``self._lock``.
         """
-        if not self.backend.use_workspace:
+        if not self.backend.optimized:
             return None
         n = self.graph.num_vertices
         if self._pool is None or getattr(self._pool, "num_vertices", 0) < n:

@@ -193,38 +193,3 @@ class TestEdgeDecayAndHistogram:
         for ratio in edge_decay_ratios(res):
             assert ratio < 2 * 0.8
 
-
-class TestBestOfWarmup:
-    """best_of must discard warmup calls before timing (regression).
-
-    At ``repeats=1`` (the CI ``--quick`` mode) min-of-k filters
-    nothing: without a discarded warmup the cold first call IS the
-    reported number, and one-time setup costs masquerade as kernel
-    time.
-    """
-
-    def test_warmup_calls_are_not_timed(self):
-        from repro.analysis.wallclock import best_of
-
-        calls = []
-        best_of(lambda: calls.append(None), repeats=2, warmup=3)
-        assert len(calls) == 3 + 2  # warmup ran, and ran first
-
-    def test_default_warmup_is_at_least_one(self):
-        from repro.analysis.wallclock import DEFAULT_WARMUP, best_of
-
-        assert DEFAULT_WARMUP >= 1
-        calls = []
-        best_of(lambda: calls.append(None), repeats=1)
-        assert len(calls) == DEFAULT_WARMUP + 1
-
-    def test_returns_minimum_of_timed_repeats(self):
-        from repro.analysis.wallclock import best_of
-
-        # A fake workload whose duration we control via sleep-free
-        # busy-wait on a monotonic counter is flaky; instead pin the
-        # semantics structurally: zero repeats clamps to one timed call.
-        calls = []
-        result = best_of(lambda: calls.append(None), repeats=0, warmup=0)
-        assert len(calls) == 1
-        assert result >= 0.0

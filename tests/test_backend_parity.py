@@ -21,6 +21,8 @@ paths:
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from repro.engine.backend import (
     BACKENDS,
     FAST,
     REFERENCE,
+    ExecutionBackend,
     current_backend,
     resolve_backend,
     use_backend,
@@ -261,12 +264,13 @@ def test_table_size_invariants(n):
 
 def test_backend_registry_and_resolution():
     assert set(BACKENDS) == {"reference", "fast"}
-    assert FAST.use_workspace and FAST.fused_sort and FAST.trusted_contraction
-    assert not (
-        REFERENCE.use_workspace
-        or REFERENCE.fused_sort
-        or REFERENCE.trusted_contraction
-    )
+    assert FAST.optimized and not REFERENCE.optimized
+    # One strategy flag: everything else on a backend is its identity.
+    assert [f.name for f in fields(ExecutionBackend)] == [
+        "name",
+        "description",
+        "optimized",
+    ]
     assert resolve_backend("fast") is FAST
     assert resolve_backend(REFERENCE) is REFERENCE
     assert resolve_backend(None) is current_backend()
@@ -287,6 +291,10 @@ def test_use_backend_scopes_and_nests():
 def test_make_workspace_follows_backend_flags():
     assert isinstance(make_workspace(FAST, 10), Workspace)
     assert make_workspace(REFERENCE, 10) is NULL_WORKSPACE
-    assert not NULL_WORKSPACE.trusted and not NULL_WORKSPACE.scatter_winner
-    ws = make_workspace(FAST, 10)
-    assert ws.trusted and ws.scatter_winner
+    # The workspace's class carries the decision into the kernels: both
+    # resolve a CAS race to the same first-occurrence winners.
+    idx = np.array([3, 1, 3, 0, 1, 7], dtype=np.int64)
+    fast_pos, fast_dests = make_workspace(FAST, 10).winner_scatter(idx)
+    ref_pos, ref_dests = NULL_WORKSPACE.winner_scatter(idx)
+    assert fast_pos.tolist() == ref_pos.tolist() == [3, 1, 0, 5]
+    assert fast_dests.tolist() == ref_dests.tolist() == [0, 1, 3, 7]

@@ -326,11 +326,6 @@ class TestLintFormats:
         assert region["startLine"] == 2
         assert "partialFingerprints" in hit
 
-    def test_no_cache_flag_accepted(self, capsys):
-        code, out = run_cli(capsys, "lint", "--no-cache")
-        assert code == 0
-        assert "0 violation(s)" in out
-
 
 class TestJsonOutput:
     """``--format json`` must emit a document ``json.loads`` accepts.

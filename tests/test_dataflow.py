@@ -1,4 +1,4 @@
-"""Units for the interprocedural lint framework (cfg/callgraph/dataflow).
+"""Units for the flow-rule lint framework (cfg/dataflow).
 
 These pin the framework semantics RL008 relies on:
 
@@ -6,9 +6,6 @@ These pin the framework semantics RL008 relies on:
   try/finally routing (a ``return`` inside ``try`` flows through the
   ``finally``), exceptional edges into handlers and out of the
   function, unreachable-tail pruning;
-* call-graph resolution — including the backend-registry pattern
-  (a call through an unknown receiver resolves to *every* analyzed
-  implementation, the way the workspace seam dispatches);
 * the generic forward solver — exceptional edges propagate
   ``join(in, out)``, so a raise mid-statement is modelled soundly.
 """
@@ -18,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Dict
 
-from repro.analysis.reprolint import Program, build_cfg, run_forward
+from repro.analysis.reprolint import build_cfg, run_forward
 
 
 def fn(source: str) -> ast.FunctionDef:
@@ -146,75 +143,6 @@ class TestCFGConstruction:
             fn("def f():\n    return 1\n    dead()\n")
         )
         assert 3 not in cfg_lines(cfg)
-
-
-class TestCallGraphResolution:
-    SOURCE = (
-        "class Null:\n"
-        "    def alloc(self, n):\n"
-        "        return fresh(n)\n"
-        "class Fast(Null):\n"
-        "    def alloc(self, n):\n"
-        "        return self.arena(n)\n"
-        "    def arena(self, n):\n"
-        "        return n\n"
-        "class Chunked(Fast):\n"
-        "    pass\n"
-        "def fresh(n):\n"
-        "    return n\n"
-        "def kernel(ws, n):\n"
-        "    return ws.alloc(n)\n"
-    )
-
-    def make(self) -> Program:
-        return Program({"src/repro/engine/x.py": ast.parse(self.SOURCE)})
-
-    def test_registry_dispatch_resolves_all_implementations(self):
-        program = self.make()
-        kernel = program.functions[("src/repro/engine/x.py", "kernel")]
-        call = next(
-            n for n in ast.walk(kernel.node) if isinstance(n, ast.Call)
-        )
-        callees = {f.qualname for f in program.resolve_call(call, kernel)}
-        # Chunked inherits Fast.alloc — the registry view contributes
-        # each class's dispatched implementation, deduplicated.
-        assert callees == {"Null.alloc", "Fast.alloc"}
-
-    def test_self_call_uses_base_chain(self):
-        program = self.make()
-        alloc = program.functions[("src/repro/engine/x.py", "Fast.alloc")]
-        call = next(
-            n for n in ast.walk(alloc.node) if isinstance(n, ast.Call)
-        )
-        callees = [f.qualname for f in program.resolve_call(call, alloc)]
-        assert callees == ["Fast.arena"]
-
-    def test_module_function_by_name(self):
-        program = self.make()
-        null = program.functions[("src/repro/engine/x.py", "Null.alloc")]
-        call = next(
-            n for n in ast.walk(null.node) if isinstance(n, ast.Call)
-        )
-        callees = [f.qualname for f in program.resolve_call(call, null)]
-        assert callees == ["fresh"]
-
-    def test_local_receiver_class_binds_the_constructor(self):
-        src = self.SOURCE + (
-            "def driver(n):\n"
-            "    ws = Fast()\n"
-            "    return ws.alloc(n)\n"
-        )
-        program = Program({"src/repro/engine/x.py": ast.parse(src)})
-        driver = program.functions[("src/repro/engine/x.py", "driver")]
-        call = next(
-            n
-            for n in ast.walk(driver.node)
-            if isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "alloc"
-        )
-        callees = [f.qualname for f in program.resolve_call(call, driver)]
-        assert callees == ["Fast.alloc"]
 
 
 class TestForwardSolver:

@@ -204,7 +204,6 @@ class TestRL004GlobalState:
         )
 
     def test_exempt_layers_out_of_scope(self):
-        assert "RL004" not in rules_for_path("src/repro/analysis/wallclock.py")
         assert "RL004" not in rules_for_path("src/repro/experiments/harness.py")
         assert "RL004" in rules_for_path("src/repro/decomp/base.py")
         # The tracer timestamps with real time by design: RL004 is out,

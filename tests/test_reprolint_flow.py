@@ -1,5 +1,5 @@
-"""The interprocedural rule RL008: units, seeded regressions, the
-incremental cache, and config diagnostics.
+"""The flow rule RL008: units, seeded regressions, fresh
+analysis on every run, and config diagnostics.
 
 Mirrors ``test_reprolint.py`` for the dataflow-powered rule: it flags
 doctored lifecycles — including one planted in a copy of the *real*
@@ -15,13 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.reprolint import (
-    LintCache,
     lint_paths,
     load_config,
     rules_for_path,
     run_lint,
 )
-from repro.analysis.reprolint.rules import RULE_CHECKERS
+from repro.analysis.reprolint.rules import RULE_CHECKERS, Violation
 from repro.errors import LintConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -176,85 +175,31 @@ class TestSeededRegressionSession:
         assert all(v.qualname == "leaky_run" for v in hits)
 
 
-class TestIncrementalCache:
-    def _counting_checkers(self, monkeypatch):
-        calls = {"n": 0}
-        for rule, checker in list(RULE_CHECKERS.items()):
-            def wrapper(tree, path, _c=checker):
-                calls["n"] += 1
-                return _c(tree, path)
-            monkeypatch.setitem(RULE_CHECKERS, rule, wrapper)
-        return calls
+class TestFindingsAreNeverReplayed:
+    def test_second_run_sees_a_changed_checker(self, monkeypatch):
+        # Every run re-analyzes every file, so a rule edited between two
+        # runs on an unchanged tree reports its new findings at once.
+        assert run_lint().ok
+        original = RULE_CHECKERS["RL003"]
 
-    def test_warm_run_invokes_no_checkers(self, tmp_path, monkeypatch):
-        calls = self._counting_checkers(monkeypatch)
-        config = load_config(CONFIG)
-        cache_path = tmp_path / ".reprolint-cache.json"
+        def planted(tree, path):
+            found = original(tree, path)
+            if path == "src/repro/engine/kernels.py":
+                found.append(
+                    Violation(
+                        rule="RL003",
+                        path=path,
+                        line=1,
+                        col=0,
+                        qualname="<planted>",
+                        message="planted finding",
+                    )
+                )
+            return found
 
-        cold_cache = LintCache.load(cache_path)
-        cold = lint_paths(
-            [WORKSPACE], config, enforce_stale=False, cache=cold_cache
-        )
-        cold_calls = calls["n"]
-        assert cold_calls >= 5  # several rules actually analyzed the file
-        assert cold_cache.misses > 0
-
-        calls["n"] = 0
-        warm_cache = LintCache.load(cache_path)
-        warm = lint_paths(
-            [WORKSPACE], config, enforce_stale=False, cache=warm_cache
-        )
-        # >= 5x faster by construction: the warm run re-ran *zero*
-        # checkers, replaying raw findings from the content-hash cache.
-        assert calls["n"] == 0
-        assert warm_cache.hits > 0
-        assert [v.format() for v in warm.violations] == [
-            v.format() for v in cold.violations
-        ]
-        assert warm.suppressed == cold.suppressed
-
-    def test_edited_file_misses_the_cache(self, tmp_path, monkeypatch):
-        calls = self._counting_checkers(monkeypatch)
-        config = load_config(CONFIG)
-        cache_path = tmp_path / ".reprolint-cache.json"
-        target = tmp_path / "src" / "repro" / "engine" / "workspace.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(WORKSPACE.read_text(encoding="utf-8"))
-
-        cache = LintCache.load(cache_path)
-        lint_paths([target], config, enforce_stale=False, cache=cache)
-        assert calls["n"] > 0
-
-        target.write_text(
-            WORKSPACE.read_text(encoding="utf-8") + "\n# touched\n"
-        )
-        calls["n"] = 0
-        cache2 = LintCache.load(cache_path)
-        lint_paths([target], config, enforce_stale=False, cache=cache2)
-        assert calls["n"] > 0  # content hash changed -> re-analyzed
-
-    def test_allowlist_edits_do_not_go_stale_on_warm_runs(self, tmp_path):
-        # Suppression is applied *after* cache replay, so narrowing the
-        # config surfaces previously-suppressed findings on a warm run.
-        cache_path = tmp_path / ".reprolint-cache.json"
-        config = load_config(CONFIG)
-        cache = LintCache.load(cache_path)
-        clean = lint_paths(
-            [WORKSPACE], config, enforce_stale=False, cache=cache
-        )
-        assert clean.violations == []
-
-        from repro.analysis.reprolint import LintConfig
-
-        warm = lint_paths(
-            [WORKSPACE],
-            LintConfig(),
-            enforce_stale=False,
-            cache=LintCache.load(cache_path),
-        )
-        # The arena growth paths' RL002 findings reappear without
-        # their entries.
-        assert any(v.rule == "RL002" for v in warm.violations)
+        monkeypatch.setitem(RULE_CHECKERS, "RL003", planted)
+        second = run_lint()
+        assert [v.qualname for v in second.violations] == ["<planted>"]
 
 
 class TestConfigDiagnostics:
