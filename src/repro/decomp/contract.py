@@ -30,6 +30,7 @@ from repro.graphs.builder import from_directed_edges
 from repro.graphs.csr import CSRGraph
 from repro.primitives.hashing import HashTable
 from repro.primitives.scan import exclusive_scan
+from repro.primitives.sort import lsd_argsort
 from repro.runtime.context import current_context
 
 __all__ = ["Contraction", "contract"]
@@ -166,8 +167,15 @@ def contract(
     else:
         keys = np.zeros(0, dtype=np.int64)
 
-    # Sorted representative index for O(log) pair lookups.
-    order = np.argsort(keys, kind="stable")
+    # Sorted representative index for O(log) pair lookups.  Equal keys
+    # survive only with remove_duplicates=False, where stability keeps
+    # the first-recorded edge the representative.  The fast backend
+    # runs the sort as 16-bit radix passes; the permutation is the same.
+    optimized = current_context().backend.optimized
+    if optimized:
+        order = lsd_argsort(keys, max_key=k * k - 1)
+    else:
+        order = np.argsort(keys, kind="stable")
     edge_pairs = keys[order]
     rep_src = orig_src[order] if orig_src.size else orig_src
     rep_dst = orig_dst[order] if orig_dst.size else orig_dst
@@ -195,7 +203,7 @@ def contract(
         component_to_sub[dst],
         k_prime,
         symmetric=True,
-        validate=not current_context().backend.optimized,
+        validate=not optimized,
     )
     return Contraction(
         graph=sub_graph,

@@ -65,10 +65,10 @@ class ExecutionBackend:
     optimized:
         The whole fast/reference decision.  When set, runs get a
         :class:`~repro.engine.workspace.Workspace` arena (whose class
-        then carries the choice into the kernels), the radix
-        permutation is one fused stable argsort, and contraction skips
-        re-validating the sub-graphs it just built.  Outputs and
-        charges are identical either way.
+        then carries the choice into the kernels), the radix sorts
+        run their 16-bit digit passes on NumPy's uint16 radix kernel,
+        and contraction skips re-validating the sub-graphs it just
+        built.  Outputs and charges are identical either way.
     """
 
     name: str
@@ -86,8 +86,8 @@ REFERENCE = ExecutionBackend(
 FAST = ExecutionBackend(
     name="fast",
     description="zero-allocation round kernels: workspace arenas, scatter "
-    "CAS resolution, fused stable sort, bitmap dense rounds, trusted "
-    "contraction constructors — identical outputs and charges",
+    "CAS resolution, uint16 radix sort passes, bitmap dense rounds, "
+    "trusted contraction constructors — identical outputs and charges",
     optimized=True,
 )
 

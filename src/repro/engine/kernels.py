@@ -117,7 +117,7 @@ def arb_round(state: "DecompState") -> np.ndarray:
     tracker.add("gather", work=float(2 * edges), depth=1.0)
 
     # CAS races on unvisited targets: one arbitrary winner each.
-    unvis_pos = np.flatnonzero(ws.equal(cw, UNVISITED, "arb.unvis"))
+    unvis_pos = ws.equal(cw, UNVISITED, "arb.unvis").nonzero()[0]
     race = ws.take(dst, unvis_pos, "arb.race")
     win_local, winners = first_winner(race, workspace=ws, tracker=tracker, plan=plan)
     C[winners] = cu[unvis_pos[win_local]]
@@ -128,7 +128,7 @@ def arb_round(state: "DecompState") -> np.ndarray:
     # no second read (they classify as intra by construction).
     cw[unvis_pos] = ws.take(C, race, "arb.cwrace")
     tracker.add("gather", work=float(edges - winners.size), depth=1.0)
-    keep = np.flatnonzero(ws.not_equal(cw, cu, "arb.inter"))
+    keep = ws.not_equal(cw, cu, "arb.inter").nonzero()[0]
     state.keep_inter(
         cu[keep],
         cw[keep],
@@ -151,9 +151,16 @@ def min_round(
     frontier.  ``trusted_keys`` skips the per-round pair-encoding range
     scans (the fast backend's tie-break policy proves the whole domain
     once at setup).
+
+    The unvisited targets' source labels and target ids are gathered
+    once and serve both phases.  Phase 1 overwrites the unvisited
+    positions of the target labels with their source labels, so one
+    ``cw != cu`` pass keeps exactly the visited inter-edges, in stream
+    order; phase 2 takes the losers' edges from the unvisited arrays.
     """
-    tracker = current_context().tracker
-    plan = current_context().fault_plan
+    ctx = current_context()
+    tracker = ctx.tracker
+    plan = ctx.fault_plan
     ws = state.workspace
     graph, C = state.graph, state.C
     frac = state.schedule.frac
@@ -161,8 +168,9 @@ def min_round(
     # ---- Phase 1: writeMin marking + classification of visited targets.
     with tracker.phase("bfsPhase1"):
         src, dst = graph.expand(state.frontier, workspace=ws)
-        state.edges_inspected += int(src.size)
-        if src.size == 0:
+        edges = int(src.size)
+        state.edges_inspected += edges
+        if edges == 0:
             end_round()
             return np.zeros(0, dtype=np.int64)
         cu = ws.take(C, src, "min.cu")
@@ -171,31 +179,24 @@ def min_round(
         # (conflict-value, componentID) *pair* — the extra word per
         # vertex visit the paper's pair layout trades for one fewer
         # cache miss than a two-array layout would cost.
-        tracker.add("gather", work=float(3 * src.size), depth=1.0)
+        tracker.add("gather", work=float(3 * edges), depth=1.0)
 
-        unvis = ws.equal(cw, UNVISITED, "min.unvis")
-        unvis_pos = np.flatnonzero(unvis)
+        unvis_pos = ws.equal(cw, UNVISITED, "min.unvis").nonzero()[0]
         # writeMin((delta'_{C[u]}, C[u])) onto every unvisited target.
         cu_unvis = ws.take(cu, unvis_pos, "min.cuunvis")
+        dst_unvis = ws.take(dst, unvis_pos, "min.dstunvis")
         keys = ws.take(frac, cu_unvis, "min.keys")
         keys = encode_pair(keys, cu_unvis, check=not trusted_keys, out=keys)
-        write_min(
-            pair,
-            ws.take(dst, unvis_pos, "min.dstunvis"),
-            keys,
-            tracker=tracker,
-            workspace=ws,
-        )
+        write_min(pair, dst_unvis, keys, tracker=tracker, workspace=ws)
 
         # Edges to visited targets resolve now: inter iff labels differ.
-        vis_pos = np.flatnonzero(ws.logical_not(unvis, "min.vis"))
-        cw_vis = ws.take(cw, vis_pos, "min.cwvis")
-        cu_vis = ws.take(cu, vis_pos, "min.cuvis")
-        inter_vis = ws.not_equal(cw_vis, cu_vis, "min.intervis")
-        keep_pos = vis_pos[inter_vis]
-        state.keep_inter(cu[keep_pos], cw[keep_pos], src[keep_pos], dst[keep_pos])
+        cw[unvis_pos] = cu_unvis
+        keep_pos = ws.not_equal(cw, cu, "min.inter").nonzero()[0]
+        state.keep_inter(
+            cu.take(keep_pos), cw.take(keep_pos), src.take(keep_pos), dst.take(keep_pos)
+        )
         # Phase-1 output compaction (the paper's in-place E overwrite).
-        end_round(int(src.size))
+        end_round(edges)
 
     # ---- Phase 2: losers classify, winners claim (one CAS per target).
     with tracker.phase("bfsPhase2"):
@@ -204,26 +205,24 @@ def min_round(
         # words — plus the already-classified inter edges, skipped via
         # their sign bit at unit cost.
         tracker.add(
-            "gather",
-            work=float(2 * unvis_pos.size + int(inter_vis.sum())),
-            depth=1.0,
+            "gather", work=float(2 * unvis_pos.size + keep_pos.size), depth=1.0
         )
         if unvis_pos.size == 0:
             end_round()
             return np.zeros(0, dtype=np.int64)
-        targets = ws.take(dst, unvis_pos, "min.targets")
-        merged = ws.take(pair, targets, "min.merged")
-        winner_center = ws.bitand(merged, _PAIR_PAYLOAD_MASK, "min.wcenter")
-        mine = ws.take(cu, unvis_pos, "min.mine")
-        won = ws.equal(winner_center, mine, "min.won")
+        winner_center = ws.take(pair, dst_unvis, "min.wcenter")
+        winner_center &= _PAIR_PAYLOAD_MASK
+        won = ws.equal(winner_center, cu_unvis, "min.won")
 
         # Winning component's vertices race one CAS to add w once.
-        win_targets = ws.compress(won, targets, "min.wintargets")
+        won_pos = won.nonzero()[0]
         first_pos, new_vertices = first_winner(
-            win_targets, workspace=ws, tracker=tracker, plan=plan
+            ws.take(dst_unvis, won_pos, "min.wintargets"),
+            workspace=ws,
+            tracker=tracker,
+            plan=plan,
         )
-        wc_won = ws.compress(won, winner_center, "min.wcwon")
-        C[new_vertices] = wc_won[first_pos]
+        C[new_vertices] = winner_center.take(won_pos.take(first_pos))
         # Mark claimed cells so later writeMins cannot touch them
         # (the paper sets C1[w] = -1; our pair array is per-DECOMP and
         # claimed vertices are excluded by C[w] != UNVISITED instead).
@@ -232,13 +231,15 @@ def min_round(
 
         # Losers: inter-component iff the winner differs (it does, by
         # definition of losing) — matches Algorithm 2 lines 32-35.
-        lose_pos = ws.compress(
-            ws.logical_not(won, "min.lost"), unvis_pos, "min.losepos"
-        )
+        lost = ws.logical_not(won, "min.lost").nonzero()[0]
+        lose_dst = dst_unvis.take(lost)
         state.keep_inter(
-            cu[lose_pos], C[dst[lose_pos]], src[lose_pos], dst[lose_pos]
+            cu_unvis.take(lost),
+            C.take(lose_dst),
+            src.take(unvis_pos.take(lost)),
+            lose_dst,
         )
-        end_round(int(src.size))
+        end_round(edges)
     return new_vertices
 
 
@@ -267,7 +268,7 @@ def dense_round(state: "DecompState") -> np.ndarray:
     # charge_cost=False: only the early-exit edge count below is charged.
     src, dst = graph.expand(unvisited, charge_cost=False, workspace=ws)
     hit = ws.take(on_frontier, dst, "dense.hit")
-    hit_positions = np.flatnonzero(hit)
+    hit_positions = hit.nonzero()[0]
     if hit_positions.size:
         first_pos, winners = first_winner(
             ws.take(src, hit_positions, "dense.race"),
@@ -328,7 +329,7 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     cu = ws.repeat(ws.take(C, vertices, "filter.cf"), counts, edges, "filter.cu")
     cw = ws.take(C, dst, "filter.cw")
     tracker.add("scan", work=float(2 * edges), depth=1.0)
-    keep = np.flatnonzero(ws.not_equal(cu, cw, "filter.inter"))
+    keep = ws.not_equal(cu, cw, "filter.inter").nonzero()[0]
     state.keep_inter(
         cu[keep],
         cw[keep],
@@ -364,7 +365,7 @@ def bottom_up_step(
     # First frontier-neighbor per source, exploiting expand()'s grouped,
     # adjacency-ordered layout: the first occurrence of each source
     # among the hits is its earliest hit.
-    hit_positions = np.flatnonzero(hit)
+    hit_positions = hit.nonzero()[0]
     if hit_positions.size:
         first_pos, winners = first_winner(
             ws.take(src, hit_positions, "bu.race"),

@@ -50,11 +50,11 @@ def dedup_edge_list(
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     _validate(src, dst, num_vertices)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    if src.size == 0:
-        return src, dst
-    keys = src * np.int64(num_vertices) + dst
+    # Only the encoded keys of the non-loop edges live through the sort
+    # (its radix passes need their own scratch).
+    keys = (src * np.int64(num_vertices) + dst)[src != dst]
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     order = radix_argsort(keys, max_key=int(num_vertices) * num_vertices - 1)
     keys = keys[order]
     first = np.empty(keys.size, dtype=bool)

@@ -7,8 +7,9 @@ paths:
 
 * the O(n) reverse-order winner scatter resolves every CAS race to
   exactly the winners the sort-based ``np.unique`` path picks;
-* the fused stable argsort is the same permutation as the reference
-  per-digit loop;
+* the 16-bit digit passes are the same permutation as the reference
+  per-digit loop, with the same charge, and contraction's
+  representative index matches a stable argsort on either backend;
 * arena-backed frontier expansion matches the allocating expansion,
   and each workspace primitive it is built from matches its
   reference, empty inputs included;
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.connectivity import decomp_cc, hybrid_bfs_cc
+from repro.decomp import contract, decomp_arb
 from repro.engine.backend import (
     BACKENDS,
     FAST,
@@ -51,11 +53,23 @@ dest_streams = st.lists(
     st.integers(min_value=0, max_value=60), min_size=0, max_size=300
 )
 
+#: Few contenders with ids far above their count: the sparse races the
+#: workspace resolves by sorting instead of scanning a max-id mask.
+sparse_streams = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=200_000, max_value=200_004),
+        st.integers(min_value=0, max_value=2**40),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
 
 # -- first_winner: scatter path == sort path ------------------------------
 
 
-@given(dest_streams)
+@given(st.one_of(dest_streams, sparse_streams))
 def test_first_winner_scatter_matches_sort(xs):
     idx = np.array(xs, dtype=np.int64)
     ws = Workspace(64)
@@ -67,6 +81,15 @@ def test_first_winner_scatter_matches_sort(xs):
     for p, d in zip(fast_pos.tolist(), fast_dst.tolist()):
         assert xs[p] == d
         assert xs.index(d) == p
+
+
+def test_sparse_race_skips_the_id_scan():
+    # Two contenders at a high id must not grow a max-id-sized mask.
+    ws = Workspace(8)
+    pos, dst = first_winner(np.array([199_999, 3, 199_999]), workspace=ws)
+    assert pos.tolist() == [1, 0]
+    assert dst.tolist() == [3, 199_999]
+    assert "winner#mask" not in ws._buffers
 
 
 def test_first_winner_all_colliding():
@@ -94,17 +117,53 @@ def test_first_winner_workspace_reuse_no_leak(streams):
         assert np.array_equal(reused[1], fresh[1])
 
 
-# -- radix_argsort: fused path == per-digit loop --------------------------
+# -- radix_argsort: 16-bit digit passes == per-digit loop -----------------
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=300))
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**62),
+            st.integers(min_value=0, max_value=40),
+        ),
+        max_size=1000,
+    )
+)
 def test_radix_argsort_backend_parity(xs):
     keys = np.array(xs, dtype=np.int64)
-    with use_backend("reference"):
+    with use_backend("reference"), tracking() as ref_cost:
         ref = radix_argsort(keys)
-    with use_backend("fast"):
+    with use_backend("fast"), tracking() as fast_cost:
         fast = radix_argsort(keys)
     assert np.array_equal(ref, fast)
+    assert ref_cost.snapshot() == fast_cost.snapshot()
+
+
+# -- contract: radix representative index == stable argsort ---------------
+
+
+@pytest.mark.parametrize("remove_duplicates", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_contract_backend_parity(remove_duplicates, seed):
+    # Decomp-Arb on a dense random graph leaves many parallel
+    # inter-edges between the same two partitions: without the dedup
+    # their keys tie, and only a stable sort keeps the representative.
+    graph = random_gnm(400, 4000, seed=seed)
+    dec = decomp_arb(graph, 0.4, seed=seed)
+    out = {}
+    for name in ("reference", "fast"):
+        with use_backend(name), tracking() as cost:
+            con = contract(dec, graph.num_vertices, remove_duplicates)
+        out[name] = (con, cost.snapshot())
+    (ref, ref_cost), (fast, fast_cost) = out["reference"], out["fast"]
+    if not remove_duplicates:
+        assert np.unique(ref.edge_pairs).size < ref.edge_pairs.size
+    for field in ("edge_pairs", "rep_src", "rep_dst", "vertex_to_component"):
+        assert np.array_equal(getattr(ref, field), getattr(fast, field)), field
+    assert np.array_equal(ref.graph.offsets, fast.graph.offsets)
+    assert np.array_equal(ref.graph.targets, fast.graph.targets)
+    assert ref_cost == fast_cost
 
 
 # -- random_permutation: unstable fast sort == per-digit loop -------------

@@ -78,7 +78,6 @@ def test_elementwise_ops_match_reference(size, workers):
             ws.equal(a, np.int64(7), "es").copy(),
             ws.not_equal(a, b, "n").copy(),
             ws.logical_not(mask, "l").copy(),
-            ws.bitand(a, np.int64(31), "b").copy(),
             ws.sub(a, b, "s").copy(),
             ws.as_float(a, "f").copy(),
             ws.hash_slots(keys, np.uint64(0x9E37), np.uint64(1023), "h"),
@@ -91,7 +90,6 @@ def test_elementwise_ops_match_reference(size, workers):
         a == 7,
         a != b,
         ~mask,
-        a & 31,
         a - b,
         a.astype(np.float64),
         NULL_WORKSPACE.hash_slots(keys, np.uint64(0x9E37), np.uint64(1023), "h"),

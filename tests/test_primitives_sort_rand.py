@@ -1,10 +1,15 @@
 """Unit tests for the radix sort and randomness primitives."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.pram.cost import tracking
+from repro.primitives import sort as sort_module
 from repro.primitives.rand import (
     _argsort_stable_if_tied,
     exponential_shifts,
@@ -13,7 +18,12 @@ from repro.primitives.rand import (
     splitmix64,
     uniform_fractions,
 )
-from repro.primitives.sort import radix_argsort, radix_sort, sort_pairs_by_key
+from repro.primitives.sort import (
+    lsd_argsort,
+    radix_argsort,
+    radix_sort,
+    sort_pairs_by_key,
+)
 
 
 class TestRadixSort:
@@ -73,6 +83,89 @@ class TestRadixSort:
     def test_sort_pairs_length_mismatch(self):
         with pytest.raises(ValueError):
             sort_pairs_by_key(np.arange(3), np.arange(2))
+
+
+@st.composite
+def keys_and_bound(draw):
+    """Keys spanning 1-4 digits, with duplicates and keys at the bound."""
+    passes = draw(st.integers(min_value=1, max_value=4))
+    lowest = 1 << (16 * (passes - 1)) if passes > 1 else 0
+    highest = min((1 << (16 * passes)) - 1, np.iinfo(np.int64).max)
+    max_key = draw(st.integers(min_value=lowest, max_value=highest))
+    pool = draw(
+        st.lists(st.integers(min_value=0, max_value=max_key), min_size=1, max_size=8)
+    )
+    keys = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(pool),
+                st.just(max_key),
+                st.integers(min_value=0, max_value=max_key),
+            ),
+            max_size=400,
+        )
+    )
+    return np.array(keys, dtype=np.int64), max_key
+
+
+class TestLsdArgsort:
+    """The fast backend's digit passes == NumPy's stable argsort."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys_and_bound())
+    def test_matches_stable_argsort(self, case):
+        keys, max_key = case
+        perm = lsd_argsort(keys, max_key)
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, np.argsort(keys, kind="stable"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys_and_bound())
+    def test_shifted_digits_match_the_view(self, case):
+        # The fallback for hosts where the uint16 view is not the digit.
+        keys, max_key = case
+        with mock.patch.object(sort_module, "_LITTLE_ENDIAN", False):
+            perm = lsd_argsort(keys, max_key)
+        assert np.array_equal(perm, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_sizes(self, n):
+        keys = np.full(n, 5, dtype=np.int64)
+        assert lsd_argsort(keys, 5).tolist() == list(range(n))
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 1 << 40, size=2000, dtype=np.int64)
+        base[::7] = base[3]
+        strided = base[::3]
+        assert not strided.flags.c_contiguous
+        perm = lsd_argsort(strided, 1 << 40)
+        assert np.array_equal(perm, np.argsort(strided, kind="stable"))
+
+    def test_other_integer_dtypes(self):
+        keys = np.array([9, 3, 9, 0, 3], dtype=np.int32)
+        assert lsd_argsort(keys, 9).tolist() == [3, 1, 4, 0, 2]
+        top = np.array([2**63 + 5, 3, 2**63, 3], dtype=np.uint64)
+        assert lsd_argsort(top, 2**64 - 1).tolist() == [1, 3, 2, 0]
+        with mock.patch.object(sort_module, "_LITTLE_ENDIAN", False):
+            assert lsd_argsort(top, 2**64 - 1).tolist() == [1, 3, 2, 0]
+
+    def test_sorted_input_is_the_identity(self):
+        keys = np.repeat(np.arange(50, dtype=np.int64) << 20, 3)
+        assert np.array_equal(lsd_argsort(keys, int(keys.max())), np.arange(150))
+
+    def test_keys_at_max_key_sort_last(self):
+        max_key = (1 << 48) - 1
+        keys = np.array([max_key, 0, max_key, 1 << 47, 0], dtype=np.int64)
+        assert lsd_argsort(keys, max_key).tolist() == [1, 4, 3, 0, 2]
+
+    def test_radix_argsort_charge_is_the_declared_width(self):
+        # The passes run to the largest key's digit; the charge follows
+        # the declared max_key, as the reference pass loop does.
+        keys = np.array([3, 1, 2], dtype=np.int64)
+        with tracking() as t:
+            radix_argsort(keys, max_key=(1 << 40) - 1)
+        assert t.total_work() == 3.0 * 3
 
 
 class TestHashPRNG:
