@@ -30,7 +30,7 @@ from repro.graphs.builder import from_directed_edges
 from repro.graphs.csr import CSRGraph
 from repro.primitives.hashing import HashTable
 from repro.primitives.scan import exclusive_scan
-from repro.primitives.sort import lsd_argsort
+from repro.primitives.sort import packed_argsort
 from repro.runtime.context import current_context
 
 __all__ = ["Contraction", "contract"]
@@ -170,10 +170,11 @@ def contract(
     # Sorted representative index for O(log) pair lookups.  Equal keys
     # survive only with remove_duplicates=False, where stability keeps
     # the first-recorded edge the representative.  The fast backend
-    # runs the sort as 16-bit radix passes; the permutation is the same.
+    # runs the sort as one packed-word value sort; the permutation is
+    # the same.
     optimized = current_context().backend.optimized
     if optimized:
-        order = lsd_argsort(keys, max_key=k * k - 1)
+        order = packed_argsort(keys, max_key=k * k - 1)
     else:
         order = np.argsort(keys, kind="stable")
     edge_pairs = keys[order]

@@ -28,14 +28,14 @@ part of its shift value").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.primitives.rand import (
+    _hash_stream,
     exponential_shifts,
-    hash_randoms,
     random_permutation,
 )
 from repro.primitives.sort import radix_argsort
@@ -62,7 +62,9 @@ class ShiftSchedule:
         (candidates already visited by an earlier BFS do not start).
     frac:
         Per-vertex tie-break integers in ``[0, 2^FRAC_BITS)`` — the
-        delta' values; smaller wins a Decomp-Min writeMin race.
+        delta' values; smaller wins a Decomp-Min writeMin race.  The
+        draw is charged at construction but computed on first read:
+        Decomp-Arb never reads it.  Assigning it replaces the draw.
     """
 
     n: int
@@ -70,7 +72,7 @@ class ShiftSchedule:
     seed: int
     mode: ScheduleMode = "permutation"
     order: np.ndarray = field(init=False)
-    frac: np.ndarray = field(init=False)
+    _frac: Optional[np.ndarray] = field(init=False, default=None, repr=False)
     _cum_by_round: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -82,9 +84,8 @@ class ShiftSchedule:
             raise ParameterError(f"unknown schedule mode {self.mode!r}")
         tracker = current_context().tracker
         n = self.n
-        self.frac = (
-            hash_randoms(n, self.seed, stream=11) >> np.uint64(64 - FRAC_BITS)
-        ).astype(np.int64)
+        # The charge of the hash_randoms draw behind ``frac``.
+        tracker.add("scan", work=float(n), depth=1.0)
         if n == 0:
             self.order = np.zeros(0, dtype=np.int64)
             self._cum_by_round = np.zeros(1, dtype=np.int64)
@@ -131,8 +132,20 @@ class ShiftSchedule:
             # The true fractional part refines the hash-based tie-break
             # in exact mode (Decomp-Min's priority rule).
             frac_float = start - np.floor(start)
-            self.frac = (frac_float * (1 << FRAC_BITS)).astype(np.int64)
+            self._frac = (frac_float * (1 << FRAC_BITS)).astype(np.int64)
             tracker.add("scan", work=float(n), depth=1.0)
+
+    @property
+    def frac(self) -> np.ndarray:
+        if self._frac is None:
+            bits = _hash_stream(self.n, self.seed, stream=11)
+            bits >>= np.uint64(64 - FRAC_BITS)
+            self._frac = bits.view(np.int64)
+        return self._frac
+
+    @frac.setter
+    def frac(self, value: np.ndarray) -> None:
+        self._frac = value
 
     # -- queries -------------------------------------------------------------
 

@@ -13,10 +13,11 @@ step batch:
   charges, computed without the wall-clock waste: per-run
   :class:`~repro.engine.workspace.Workspace` arenas replace the
   steady-state allocations, the CAS race resolves with an O(n)
-  reverse-order scatter, the stable radix permutation is produced in
-  one fused pass, dense rounds reuse arena bitmaps, and contraction
-  builds its sub-graphs through the trusted (validation-free)
-  constructor path.
+  reverse-order scatter (or, for a sparse race, one packed-word
+  sort), every stable sorting permutation comes from one value sort
+  of packed (key, index) words, dense rounds reuse arena bitmaps, and
+  contraction builds its sub-graphs through the trusted
+  (validation-free) constructor path.
 
 The parity contract — enforced by ``tests/test_engine_parity.py``
 replaying the golden fixture under *both* backends — is that switching
@@ -65,10 +66,10 @@ class ExecutionBackend:
     optimized:
         The whole fast/reference decision.  When set, runs get a
         :class:`~repro.engine.workspace.Workspace` arena (whose class
-        then carries the choice into the kernels), the radix sorts
-        run their 16-bit digit passes on NumPy's uint16 radix kernel,
-        and contraction skips re-validating the sub-graphs it just
-        built.  Outputs and charges are identical either way.
+        then carries the choice into the kernels), the sorts run as
+        one value sort of packed (key, index) words, and contraction
+        skips re-validating the sub-graphs it just built.  Outputs and
+        charges are identical either way.
     """
 
     name: str
@@ -86,7 +87,7 @@ REFERENCE = ExecutionBackend(
 FAST = ExecutionBackend(
     name="fast",
     description="zero-allocation round kernels: workspace arenas, scatter "
-    "CAS resolution, uint16 radix sort passes, bitmap dense rounds, "
+    "CAS resolution, packed-word value sorts, bitmap dense rounds, "
     "trusted contraction constructors — identical outputs and charges",
     optimized=True,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.primitives.sort import _charge, _num_passes, radix_argsort
+from repro.primitives.sort import _charge, _num_passes, packed_argsort, radix_argsort
 from repro.runtime.context import current_context
 
 __all__ = [
@@ -33,6 +33,32 @@ __all__ = [
 ]
 
 _U64 = np.uint64
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer over uint64 *z*, in place, one scratch array."""
+    t = np.empty_like(z)
+    np.right_shift(z, _U64(30), out=t)
+    z ^= t
+    z *= _U64(_MIX1)
+    np.right_shift(z, _U64(27), out=t)
+    z ^= t
+    z *= _U64(_MIX2)
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
+
+
+def _splitmix64_int(x: int) -> int:
+    """splitmix64 of one Python int, in masked Python arithmetic."""
+    z = (x + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -40,12 +66,20 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
 
     A counter-based generator: ``splitmix64(seed + i)`` yields an
     i.i.d.-quality stream indexed by ``i``, so all draws can happen in
-    one data-parallel step.
+    one data-parallel step.  Returns a fresh array; *x* is not modified.
     """
-    z = np.asarray(x, dtype=_U64) + _U64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+    return _mix_in_place(np.asarray(x, dtype=_U64) + _U64(_GAMMA))
+
+
+def _hash_stream(n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """The uncharged draw behind :func:`hash_randoms`: callers charge it."""
+    base = (seed ^ (stream * 0xD6E8FEB86659FD93)) & _MASK64
+    # splitmix64(i + offset) with the generator's own increment folded
+    # into the offset; the scalar part stays in Python ints, so no
+    # NumPy scalar ever overflows.
+    z = np.arange(n, dtype=_U64)
+    z += _U64((_splitmix64_int(base) + _GAMMA) & _MASK64)
+    return _mix_in_place(z)
 
 
 def hash_randoms(n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -53,33 +87,17 @@ def hash_randoms(n: int, seed: int, stream: int = 0) -> np.ndarray:
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     current_context().tracker.add("scan", work=float(n), depth=1.0)
-    base = _U64(
-        (seed & 0xFFFFFFFFFFFFFFFF)
-        ^ ((stream * 0xD6E8FEB86659FD93) & 0xFFFFFFFFFFFFFFFF)
-    )
-    idx = np.arange(n, dtype=_U64)
-    return splitmix64(idx + splitmix64(np.array([base], dtype=_U64))[0])
+    return _hash_stream(n, seed, stream)
 
 
 def uniform_fractions(n: int, seed: int, stream: int = 0) -> np.ndarray:
     """n i.i.d. uniforms in [0, 1) derived from :func:`hash_randoms`."""
     bits = hash_randoms(n, seed, stream)
     # Use the top 53 bits for a dense double in [0, 1).
-    return (bits >> _U64(11)).astype(np.float64) * (1.0 / (1 << 53))
-
-
-def _argsort_stable_if_tied(keys: np.ndarray) -> np.ndarray:
-    """The stable sorting permutation of *keys*, sorted unstably when it can.
-
-    Without ties every sorting permutation is the stable one, so the
-    fast (unstable) argsort is checked afterwards for equal adjacent
-    sorted keys and redone stably only if it finds one.
-    """
-    perm = np.argsort(keys)
-    ordered = keys[perm]
-    if np.any(ordered[1:] == ordered[:-1]):
-        perm = np.argsort(keys, kind="stable")
-    return perm.astype(np.int64, copy=False)
+    bits >>= _U64(11)
+    u = bits.astype(np.float64)
+    u *= 1.0 / (1 << 53)
+    return u
 
 
 def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
@@ -95,9 +113,9 @@ def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
     order — a collision there would correlate BFS start order with
     graph structure).
 
-    The fast backend sorts unstably and falls back to the stable sort
-    only on a key tie, so both backends return the same permutation;
-    the charge is :func:`~repro.primitives.sort.radix_argsort`'s.
+    The fast backend runs :func:`~repro.primitives.sort.packed_argsort`
+    over the keys, so both backends return the same permutation; the
+    charge is :func:`~repro.primitives.sort.radix_argsort`'s.
     """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
@@ -105,11 +123,12 @@ def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     keys = hash_randoms(n, seed, stream=stream)
     # Radix sort operates on non-negative int64; fold the top bit away.
-    keys63 = (keys >> _U64(1)).astype(np.int64)
+    keys >>= _U64(1)
+    keys63 = keys.view(np.int64)
     if not current_context().backend.optimized:
         return radix_argsort(keys63)
     _charge(n, _num_passes(int(keys63.max())))
-    return _argsort_stable_if_tied(keys63)
+    return packed_argsort(keys63, _MASK64 >> 1)
 
 
 def exponential_shifts(n: int, beta: float, seed: int) -> np.ndarray:
@@ -121,5 +140,9 @@ def exponential_shifts(n: int, beta: float, seed: int) -> np.ndarray:
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0,1), got {beta}")
     u = uniform_fractions(n, seed, stream=2)
-    # Guard log(0); 1-u is in (0, 1].
-    return -np.log1p(-u) / beta
+    # -log1p(-u) / beta, in place; 1-u is in (0, 1], so log(0) never occurs.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    u /= beta
+    return u

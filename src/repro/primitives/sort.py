@@ -5,29 +5,27 @@ with "the linear-work and O(m^eps) depth (0 < eps < 1) integer sort
 algorithm from the Problem Based Benchmark Suite".  This module
 implements that primitive as a least-significant-digit radix sort over
 16-bit digits: ``ceil(b/16)`` passes, each a stable sort on one digit,
-for keys of ``b`` bits.
+for keys of ``b`` bits.  The reference backend runs those passes, one
+per-digit loop whose 64-bit-wide digits NumPy sorts stably.
 
-NumPy's stable ``argsort`` is a radix (counting) sort only for dtypes
-of 16 bits or fewer; wider keys are timsorted, O(n log n).  The fast
-backend's :func:`lsd_argsort` therefore reads each 16-bit digit of the
-int64 keys as a ``uint16`` array (a strided view on little-endian
-hosts), gathers only those digits through the permutation built so
-far, and runs NumPy's uint16 radix kernel on them — real counting-sort
-passes.  The reference backend keeps the historical per-digit loop,
-whose digits stay 64 bits wide and are therefore timsorted; both
-return the same permutation, since a stable sorting permutation is
-unique.
+The fast backend computes the same permutation with
+:func:`packed_argsort`: each key and its index are packed into one
+int64 word, ``((key >> s) << b) | index``, and the words are sorted by
+value, in place.  NumPy's int64 argsort is not vectorized, while its
+int64 value sort is (SIMD kernels on x86 since NumPy 2), so one value
+sort over the packed words beats both an argsort and any digit loop.
+Correctness does not rest on that: a stable sorting permutation is
+unique, and the packed sort returns it on any host.
 
 Cost accounting: a sort of n keys spanning ``b`` bits performs
 ``ceil(b/16)`` passes of O(n) work each; depth is charged as
 O(n^eps) with eps = 0.3 per pass, matching the PBBS bound the paper
 cites.  The charge is computed from sizes, so it does not depend on
-which backend executes the passes.
+which backend executes the sort.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,7 +33,7 @@ import numpy as np
 from repro.runtime.context import current_context
 
 __all__ = [
-    "lsd_argsort",
+    "packed_argsort",
     "radix_argsort",
     "radix_sort",
     "sort_pairs_by_key",
@@ -47,12 +45,6 @@ RADIX_BITS = 16
 
 #: Exponent used when charging the O(n^eps) per-pass depth.
 _DEPTH_EPS = 0.3
-
-#: Digit ``p`` of a 64-bit key is element ``p`` of its four-``uint16``
-#: view on little-endian hosts; elsewhere the digits are shifted out.
-_LITTLE_ENDIAN = sys.byteorder == "little"
-_DIGITS_PER_KEY = 64 // RADIX_BITS
-_DIGIT_MASK = (1 << RADIX_BITS) - 1
 
 
 def _num_passes(max_key: int) -> int:
@@ -68,41 +60,49 @@ def _charge(n: int, passes: int) -> None:
     tracker.add("sort", work=float(n * passes), depth=depth_per_pass * passes)
 
 
-def _digit(keys: np.ndarray, p: int) -> np.ndarray:
-    """16-bit digit *p* of contiguous 64-bit *keys* as a ``uint16`` array."""
-    if _LITTLE_ENDIAN:
-        return keys.view(np.uint16)[p::_DIGITS_PER_KEY]
-    return ((keys >> (p * RADIX_BITS)) & _DIGIT_MASK).astype(np.uint16)
-
-
-def lsd_argsort(keys: np.ndarray, max_key: int) -> np.ndarray:
+def packed_argsort(keys: np.ndarray, max_key: int) -> np.ndarray:
     """Stable sorting permutation of non-negative *keys* ``<= max_key``.
 
-    The uncharged execution of the radix passes: callers charge the
-    sort themselves.  One stable ``uint16`` argsort (NumPy's radix
-    kernel) per 16-bit digit, least significant first; each later
-    digit is gathered through the permutation so far, which is kept in
-    int32 while it fits.  Only the 16-bit digits are ever gathered,
-    never the full keys.  Keys that are already in order are their
-    own stable sort, so one comparison pass returns the identity for
-    them (graph builds sort source ids that a dedup has just sorted).
-    Keys above *max_key* give an unspecified permutation.
+    The uncharged execution of a sort: callers charge it themselves.
+    With ``b`` the bit length of ``n - 1``, each key is packed with its
+    index into the int64 word ``((key >> s) << b) | index``, where
+    ``s = max(0, bitlen(max_key) + b - 63)`` drops just enough low key
+    bits for the word to fit.  One in-place value sort of the words
+    then orders them by (key prefix, index).  With ``s == 0`` that is
+    the stable order and the low ``b`` bits are the permutation.  With
+    ``s > 0``, keys that share a prefix may still be out of order; the
+    runs of equal prefixes are found by comparing adjacent words, and
+    only their members are re-sorted by (key, index).  Keys already in
+    order are their own stable sort, so one comparison pass returns
+    the identity for them (graph builds sort source ids that a dedup
+    has just sorted).  Keys above *max_key* give an unspecified
+    permutation.
     """
-    keys = np.ascontiguousarray(keys)
-    if keys.dtype != np.int64 and keys.dtype != np.uint64:
-        keys = keys.astype(np.int64)
+    keys = np.asarray(keys)
+    if keys.dtype != np.uint64:
+        keys = keys.astype(np.int64, copy=False)
     n = keys.shape[0]
     if n < 2 or not (keys[1:] < keys[:-1]).any():
         return np.arange(n, dtype=np.int64)
-    perm = np.argsort(_digit(keys, 0), kind="stable")
-    passes = _num_passes(max_key)
-    if passes > 1:
-        if n < 2**31:
-            perm = perm.astype(np.int32)
-        for p in range(1, passes):
-            pass_perm = np.argsort(_digit(keys, p).take(perm), kind="stable")
-            perm = perm.take(pass_perm)
-    return perm.astype(np.int64, copy=False)
+    b = (n - 1).bit_length()
+    s = max(0, int(max_key).bit_length() + b - 63)
+    words = (keys >> s if s else keys.astype(np.int64)).view(np.int64)
+    words <<= b
+    words |= np.arange(n, dtype=np.int64)
+    words.sort()
+    low = (1 << b) - 1
+    if s:
+        # Adjacent words share a prefix iff they agree above bit b.
+        tied = ((words[1:] ^ words[:-1]) <= low).nonzero()[0]
+        if tied.size:
+            # Members of different runs differ in prefix, so one
+            # stable sort by key over all members keeps each run in
+            # place and orders it by (key, index).
+            pos = np.union1d(tied, tied + 1)
+            members = words[pos] & low
+            words[pos] = members[np.argsort(keys[members], kind="stable")]
+    words &= low
+    return words
 
 
 def radix_argsort(keys: np.ndarray, max_key: Optional[int] = None) -> np.ndarray:
@@ -134,11 +134,9 @@ def radix_argsort(keys: np.ndarray, max_key: Optional[int] = None) -> np.ndarray
     _charge(n, passes)
 
     if current_context().backend.optimized:
-        # The charge above reflects the declared key width; the passes
-        # run only up to the largest key's top digit (higher digits
-        # are all zero, and a stable pass over equal digits is the
-        # identity), and return the loop's permutation below.
-        return lsd_argsort(keys, hi)
+        # The charge above reflects the declared key width; packing
+        # against the largest key keeps the most key bits in the word.
+        return packed_argsort(keys, hi)
 
     perm = np.arange(n, dtype=np.int64)
     shifted = keys.astype(np.uint64, copy=False)
@@ -148,8 +146,7 @@ def radix_argsort(keys: np.ndarray, max_key: Optional[int] = None) -> np.ndarray
         if p > 0:
             digit = digit[perm]
         # One stable pass on a 16-bit digit.  The digit is held in a
-        # uint64 array, which NumPy timsorts; lsd_argsort is the same
-        # pass on NumPy's uint16 radix kernel.
+        # uint64 array, which NumPy timsorts.
         pass_perm = np.argsort(digit, kind="stable")
         perm = perm[pass_perm] if p > 0 else pass_perm.astype(np.int64)
     return perm

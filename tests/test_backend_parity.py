@@ -5,16 +5,18 @@ backends against recorded traces; this module attacks the same
 contract from below with property-based tests on the individual fast
 paths:
 
-* the O(n) reverse-order winner scatter resolves every CAS race to
-  exactly the winners the sort-based ``np.unique`` path picks;
-* the 16-bit digit passes are the same permutation as the reference
+* the workspace's race resolution (the O(n) reverse-order winner
+  scatter for dense races, the packed-word sort for sparse ones)
+  picks exactly the winners the sort-based ``np.unique`` path picks,
+  for the same charge;
+* the packed-word value sort is the same permutation as the reference
   per-digit loop, with the same charge, and contraction's
   representative index matches a stable argsort on either backend;
 * arena-backed frontier expansion matches the allocating expansion,
   and each workspace primitive it is built from matches its
   reference, empty inputs included;
-* the unstable start-permutation sort returns the reference's
-  permutation and charge;
+* the start permutation's packed sort returns the reference's
+  permutation and charge, prefix collisions and key ties included;
 * a :class:`~repro.engine.workspace.Workspace` reused across rounds
   and across runs never leaks state between them;
 * the backend registry itself (resolve / scope / default) behaves.
@@ -22,7 +24,9 @@ paths:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ from repro.errors import ParameterError
 from repro.graphs import random_gnm, random_kregular, rmat
 from repro.primitives.atomics import first_winner
 from repro.pram.cost import tracking
+from repro.primitives import rand as rand_module
 from repro.primitives.hashing import _table_size
 from repro.primitives.rand import random_permutation
 from repro.primitives.sort import radix_argsort
@@ -66,21 +71,85 @@ sparse_streams = st.lists(
 )
 
 
+#: A handful of contenders, the common race in small rounds.
+tiny_streams = st.lists(
+    st.integers(min_value=0, max_value=2**40), min_size=1, max_size=8
+)
+
 # -- first_winner: scatter path == sort path ------------------------------
 
 
-@given(st.one_of(dest_streams, sparse_streams))
+@settings(max_examples=200)
+@given(st.one_of(dest_streams, sparse_streams, tiny_streams))
 def test_first_winner_scatter_matches_sort(xs):
     idx = np.array(xs, dtype=np.int64)
     ws = Workspace(64)
-    ref_pos, ref_dst = first_winner(idx, workspace=None)
-    fast_pos, fast_dst = first_winner(idx, workspace=ws)
+    with tracking() as ref_cost:
+        ref_pos, ref_dst = first_winner(idx, workspace=None)
+    with tracking() as fast_cost:
+        fast_pos, fast_dst = first_winner(idx, workspace=ws)
     assert np.array_equal(ref_pos, fast_pos)
     assert np.array_equal(ref_dst, fast_dst)
+    assert fast_pos.dtype == np.int64
+    assert ref_cost.snapshot() == fast_cost.snapshot()
     # the winner schedule really is "first occurrence per destination"
     for p, d in zip(fast_pos.tolist(), fast_dst.tolist()):
         assert xs[p] == d
         assert xs.index(d) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12_000),
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_first_winner_matches_sort_across_the_crossover(m, spread, seed):
+    # Ids up to one to three times the contender count, over ranges on
+    # both sides of the always-scatter size: races on both sides of the
+    # dense/sparse crossover (half the largest id).
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, m * spread, size=m, endpoint=True)
+    idx[rng.integers(0, m)] = m * spread
+    with tracking() as ref_cost:
+        ref_pos, ref_dst = first_winner(idx, workspace=None)
+    with tracking() as fast_cost:
+        fast_pos, fast_dst = first_winner(idx, workspace=Workspace(64))
+    assert np.array_equal(ref_pos, fast_pos)
+    assert np.array_equal(ref_dst, fast_dst)
+    assert ref_cost.snapshot() == fast_cost.snapshot()
+
+
+@pytest.mark.parametrize(
+    "m,top,dense",
+    [(5000, 9999, True), (5000, 10_000, False), (2, 8191, True), (2, 8192, False)],
+)
+def test_race_crossover_picks_the_path(m, top, dense):
+    # Above the always-scatter range of 8192 ids, m contenders scatter
+    # while they number at least half of the id range, and sort below.
+    idx = np.arange(m, dtype=np.int64) * top // (m - 1)
+    idx[2::4] = idx[1]
+    ws = Workspace(8)
+    pos, dst = ws.winner_scatter(idx)
+    ref_pos, ref_dst = NULL_WORKSPACE.winner_scatter(idx)
+    assert pos.tolist() == ref_pos.tolist()
+    assert dst.tolist() == ref_dst.tolist()
+    assert ("winner#mask" in ws._buffers) is dense
+
+
+def test_single_contender_returns_a_fresh_copy():
+    idx = np.array([123_456], dtype=np.int64)
+    ws = Workspace(8)
+    pos, dst = ws.winner_scatter(idx)
+    assert pos.tolist() == [0] and dst.tolist() == [123_456]
+    assert dst is not idx and not ws._buffers
+
+
+def test_ids_too_wide_to_pack_still_resolve():
+    idx = np.array([2**62, 5, 2**62, 2**62 - 1], dtype=np.int64)
+    pos, dst = Workspace(8).winner_scatter(idx)
+    assert pos.tolist() == [1, 3, 0]
+    assert dst.tolist() == [5, 2**62 - 1, 2**62]
 
 
 def test_sparse_race_skips_the_id_scan():
@@ -166,20 +235,50 @@ def test_contract_backend_parity(remove_duplicates, seed):
     assert ref_cost == fast_cost
 
 
-# -- random_permutation: unstable fast sort == per-digit loop -------------
+# -- random_permutation: packed sort == per-digit loop --------------------
+
+
+def _colliding_randoms(low_bits, pool):
+    """``hash_randoms`` with its top bits drawn from a pool of *pool*.
+
+    Keys then share long prefixes, so the packed sort's runs of equal
+    prefixes (and, with few low bits, exact key ties) actually occur.
+    """
+    real = rand_module.hash_randoms
+
+    def draw(n, seed, stream=0):
+        bits = real(n, seed, stream)
+        tops = real(pool, seed + 1, stream)
+        low = np.uint64((1 << low_bits) - 1)
+        return (tops[bits % np.uint64(pool)] & ~low) | (bits & low)
+
+    return draw
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=5000),
     st.integers(min_value=0, max_value=2**40),
     st.sampled_from([1, 13, 99]),
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(min_value=0, max_value=16),
+            st.integers(min_value=1, max_value=8),
+        ),
+    ),
 )
-def test_random_permutation_backend_parity(n, seed, stream):
-    with use_backend("reference"), tracking() as ref_cost:
-        ref = random_permutation(n, seed, stream=stream)
-    with use_backend("fast"), tracking() as fast_cost:
-        fast = random_permutation(n, seed, stream=stream)
+def test_random_permutation_backend_parity(n, seed, stream, collide):
+    patch = (
+        mock.patch.object(rand_module, "hash_randoms", _colliding_randoms(*collide))
+        if collide
+        else nullcontext()
+    )
+    with patch:
+        with use_backend("reference"), tracking() as ref_cost:
+            ref = random_permutation(n, seed, stream=stream)
+        with use_backend("fast"), tracking() as fast_cost:
+            fast = random_permutation(n, seed, stream=stream)
     assert np.array_equal(ref, fast)
     assert fast.dtype == np.int64
     assert ref_cost.snapshot() == fast_cost.snapshot()

@@ -1,10 +1,17 @@
 """Unit and statistical tests for the shift schedule."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.decomp import decomp_arb, decomp_min
+from repro.decomp import shifts as shifts_module
 from repro.decomp.shifts import FRAC_BITS, ShiftSchedule
 from repro.errors import ParameterError
+from repro.graphs import random_gnm
+from repro.pram.cost import tracking
+from repro.primitives.rand import hash_randoms
 
 
 class TestScheduleBasics:
@@ -74,6 +81,52 @@ class TestScheduleBasics:
         a = ShiftSchedule(n=100, beta=0.2, seed=7)
         b = ShiftSchedule(n=100, beta=0.2, seed=8)
         assert not np.array_equal(a.order, b.order)
+
+
+class TestLazyFrac:
+    """``frac`` is charged at construction and drawn on first read."""
+
+    @pytest.mark.parametrize("n", [0, 1, 700])
+    def test_snapshot_does_not_depend_on_reading_frac(self, n):
+        with tracking() as unread:
+            ShiftSchedule(n=n, beta=0.2, seed=3)
+        with tracking() as read:
+            s = ShiftSchedule(n=n, beta=0.2, seed=3)
+        with tracking() as after:
+            s.frac
+        assert unread.snapshot() == read.snapshot()
+        assert after.total_work() == 0.0
+        # Four O(n) scans: the frac draw, the start permutation's keys,
+        # the exponential draws behind the chunk sizes, and their scan.
+        assert unread.work_by_kind().get("scan", 0.0) == 4.0 * n
+
+    def test_frac_is_the_stream_11_draw(self):
+        s = ShiftSchedule(n=500, beta=0.2, seed=9)
+        expected = (hash_randoms(500, 9, stream=11) >> np.uint64(34)).astype(np.int64)
+        assert s.frac.dtype == np.int64
+        assert np.array_equal(s.frac, expected)
+        assert s.frac is s.frac
+
+    def _count_frac_draws(self, run):
+        draws = mock.Mock(wraps=shifts_module._hash_stream)
+        with mock.patch.object(shifts_module, "_hash_stream", draws):
+            run(random_gnm(300, 900, seed=4), 0.3, seed=4)
+        return draws.call_count
+
+    def test_decomp_arb_never_draws_frac(self):
+        assert self._count_frac_draws(decomp_arb) == 0
+
+    def test_decomp_min_draws_frac(self):
+        assert self._count_frac_draws(decomp_min) == 1
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_assignment_is_honoured(self, read_first):
+        s = ShiftSchedule(n=3, beta=0.2, seed=1)
+        if read_first:
+            s.frac
+        rigged = np.array([5, 0, 9], dtype=np.int64)
+        s.frac = rigged
+        assert s.frac is rigged
 
 
 class TestScheduleStatistics:

@@ -1,7 +1,5 @@
 """Unit tests for the radix sort and randomness primitives."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.pram.cost import tracking
-from repro.primitives import sort as sort_module
 from repro.primitives.rand import (
-    _argsort_stable_if_tied,
     exponential_shifts,
     hash_randoms,
     random_permutation,
@@ -19,7 +15,7 @@ from repro.primitives.rand import (
     uniform_fractions,
 )
 from repro.primitives.sort import (
-    lsd_argsort,
+    packed_argsort,
     radix_argsort,
     radix_sort,
     sort_pairs_by_key,
@@ -108,30 +104,58 @@ def keys_and_bound(draw):
     return np.array(keys, dtype=np.int64), max_key
 
 
+#: The widest key range: the start permutation's 63-bit keys.
+WIDEST = 2**63 - 1
+
+
+@st.composite
+def colliding_keys(draw):
+    """63-bit keys that share long prefixes, with exact ties among them."""
+    bases = draw(
+        st.lists(st.integers(min_value=0, max_value=WIDEST), min_size=1, max_size=4)
+    )
+    low_bits = draw(st.integers(min_value=0, max_value=12))
+    keys = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(bases),
+                st.integers(min_value=0, max_value=(1 << low_bits) - 1),
+            ),
+            max_size=600,
+        )
+    )
+    return np.array([(b >> low_bits << low_bits) | x for b, x in keys], dtype=np.int64)
+
+
 class TestLsdArgsort:
-    """The fast backend's digit passes == NumPy's stable argsort."""
+    """``packed_argsort`` == NumPy's stable argsort.
+
+    The class keeps the name of the 16-bit digit-pass sort that
+    ``packed_argsort`` replaced; every case it pinned still applies.
+    """
 
     @settings(max_examples=150, deadline=None)
     @given(keys_and_bound())
     def test_matches_stable_argsort(self, case):
         keys, max_key = case
-        perm = lsd_argsort(keys, max_key)
+        perm = packed_argsort(keys, max_key)
         assert perm.dtype == np.int64
         assert np.array_equal(perm, np.argsort(keys, kind="stable"))
 
     @settings(max_examples=60, deadline=None)
     @given(keys_and_bound())
     def test_shifted_digits_match_the_view(self, case):
-        # The fallback for hosts where the uint16 view is not the digit.
-        keys, max_key = case
-        with mock.patch.object(sort_module, "_LITTLE_ENDIAN", False):
-            perm = lsd_argsort(keys, max_key)
+        # Declaring the widest max_key drops low key bits from every
+        # packed word (s > 0): the runs of equal prefixes are re-sorted
+        # by key, which must restore the stable order.
+        keys, _ = case
+        perm = packed_argsort(keys, WIDEST)
         assert np.array_equal(perm, np.argsort(keys, kind="stable"))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_trivial_sizes(self, n):
         keys = np.full(n, 5, dtype=np.int64)
-        assert lsd_argsort(keys, 5).tolist() == list(range(n))
+        assert packed_argsort(keys, 5).tolist() == list(range(n))
 
     def test_non_contiguous_input(self):
         rng = np.random.default_rng(3)
@@ -139,33 +163,69 @@ class TestLsdArgsort:
         base[::7] = base[3]
         strided = base[::3]
         assert not strided.flags.c_contiguous
-        perm = lsd_argsort(strided, 1 << 40)
+        perm = packed_argsort(strided, 1 << 40)
         assert np.array_equal(perm, np.argsort(strided, kind="stable"))
 
     def test_other_integer_dtypes(self):
         keys = np.array([9, 3, 9, 0, 3], dtype=np.int32)
-        assert lsd_argsort(keys, 9).tolist() == [3, 1, 4, 0, 2]
+        assert packed_argsort(keys, 9).tolist() == [3, 1, 4, 0, 2]
         top = np.array([2**63 + 5, 3, 2**63, 3], dtype=np.uint64)
-        assert lsd_argsort(top, 2**64 - 1).tolist() == [1, 3, 2, 0]
-        with mock.patch.object(sort_module, "_LITTLE_ENDIAN", False):
-            assert lsd_argsort(top, 2**64 - 1).tolist() == [1, 3, 2, 0]
+        assert packed_argsort(top, 2**64 - 1).tolist() == [1, 3, 2, 0]
 
     def test_sorted_input_is_the_identity(self):
         keys = np.repeat(np.arange(50, dtype=np.int64) << 20, 3)
-        assert np.array_equal(lsd_argsort(keys, int(keys.max())), np.arange(150))
+        assert np.array_equal(packed_argsort(keys, int(keys.max())), np.arange(150))
 
     def test_keys_at_max_key_sort_last(self):
         max_key = (1 << 48) - 1
         keys = np.array([max_key, 0, max_key, 1 << 47, 0], dtype=np.int64)
-        assert lsd_argsort(keys, max_key).tolist() == [1, 4, 3, 0, 2]
+        assert packed_argsort(keys, max_key).tolist() == [1, 4, 3, 0, 2]
 
     def test_radix_argsort_charge_is_the_declared_width(self):
-        # The passes run to the largest key's digit; the charge follows
+        # The sort packs against the largest key; the charge follows
         # the declared max_key, as the reference pass loop does.
         keys = np.array([3, 1, 2], dtype=np.int64)
         with tracking() as t:
             radix_argsort(keys, max_key=(1 << 40) - 1)
         assert t.total_work() == 3.0 * 3
+
+    def test_keys_differing_below_the_prefix(self):
+        # 1000 keys pack 10 index bits, so the low 10 key bits are
+        # dropped: keys that differ only there tie on the prefix and
+        # come back out of order unless the runs are re-sorted.
+        rng = np.random.default_rng(11)
+        high = rng.integers(0, 1 << 53, size=1000, dtype=np.int64) % 40
+        keys = (high << 10) | rng.integers(0, 1 << 10, size=1000, dtype=np.int64)
+        keys |= np.int64(1 << 62)
+        assert np.unique(keys >> 10).size < np.unique(keys).size
+        assert np.array_equal(
+            packed_argsort(keys, WIDEST), np.argsort(keys, kind="stable")
+        )
+
+    def test_exact_ties_keep_index_order(self):
+        keys = np.array([WIDEST, 5, WIDEST, 5, WIDEST - 1, 5], dtype=np.int64)
+        assert packed_argsort(keys, WIDEST).tolist() == [1, 3, 5, 4, 0, 2]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 255, 256, 257, 1024, 1025])
+    @pytest.mark.parametrize("extra_bits", [-1, 0, 1])
+    def test_index_bit_boundaries(self, n, extra_bits):
+        # bitlen(max_key) + bitlen(n - 1) at 62, 63 and 64: the words
+        # keep every key bit, exactly fill 63 bits, or drop one bit.
+        b = (n - 1).bit_length()
+        max_key = (1 << (63 - b + extra_bits)) - 1
+        rng = np.random.default_rng(n)
+        keys = rng.integers(max_key - 3, max_key, size=n, endpoint=True)
+        keys[::3] = max_key
+        assert np.array_equal(
+            packed_argsort(keys, max_key), np.argsort(keys, kind="stable")
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(colliding_keys(), st.booleans())
+    def test_colliding_prefixes_match_stable_argsort(self, keys, tight):
+        max_key = int(keys.max()) if tight and keys.size else WIDEST
+        perm = packed_argsort(keys, max_key)
+        assert np.array_equal(perm, np.argsort(keys, kind="stable"))
 
 
 class TestHashPRNG:
@@ -187,6 +247,31 @@ class TestHashPRNG:
         assert not np.array_equal(
             hash_randoms(50, 7, stream=0), hash_randoms(50, 7, stream=1)
         )
+
+    @pytest.mark.parametrize(
+        "seed,stream,expected",
+        [
+            (0, 0, [0xA706DD2F4D197E6F, 0x2A98F501AF37E97F]),
+            (7, 1, [0xA924EA4A1483507A, 0x46316584933D0031]),
+            (2**63 + 5, 13, [0x25B113C2D2B041A8, 0xEFD04E843216376D]),
+            (2**64 - 1, 11, [0x5C11C939B83C83BF, 0xAE4887FED618144E]),
+            (-1, 2, [0x48A95E3C807A286C, 0x80FECF4E51B3A3AD]),
+            (-12345, 99, [0x5FFE43C09C54101D, 0xF6B5B7AE2CD865F1]),
+        ],
+    )
+    def test_hash_randoms_pinned_values(self, seed, stream, expected):
+        # Every schedule, permutation and generator draws from these
+        # streams; a changed value changes every seeded artifact.
+        out = hash_randoms(2, seed, stream)
+        assert out.dtype == np.uint64
+        assert out.tolist() == expected
+
+    def test_splitmix_leaves_its_input_alone(self):
+        x = np.arange(2**64 - 8, 2**64, dtype=np.uint64)
+        before = x.copy()
+        out = splitmix64(x)
+        assert np.array_equal(x, before)
+        assert out is not x
 
     def test_hash_randoms_rejects_negative_n(self):
         with pytest.raises(ParameterError):
@@ -241,9 +326,10 @@ class TestRandomPermutation:
     )
     def test_tie_check_returns_the_stable_order(self, keys):
         # Equal keys must come back in index order, as the stable
-        # per-digit sort of the reference backend orders them.
+        # per-digit sort of the reference backend orders them.  The
+        # start permutation packs its keys against the widest range.
         k = np.array(keys, dtype=np.int64)
-        perm = _argsort_stable_if_tied(k)
+        perm = packed_argsort(k, WIDEST)
         assert perm.dtype == np.int64
         assert perm.tolist() == np.argsort(k, kind="stable").tolist()
 
