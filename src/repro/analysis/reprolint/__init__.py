@@ -1,14 +1,12 @@
 """reprolint: the PRAM-invariant static analyzer (``repro lint``).
 
-Six rules machine-check the disciplines the reproduction's
+Five rules machine-check the disciplines the reproduction's
 guarantees rest on (see docs/static_analysis.md for the catalog).
 The syntactic family (per-function AST patterns):
 
 * **RL001** — shared-array writes in ``engine/``, ``decomp/``,
   ``connectivity/`` route through ``primitives.atomics`` or appear in
   the justified kernel registry (``reprolint.toml``);
-* **RL002** — no allocating NumPy calls in the fast-backend kernels
-  (PR 3's zero-allocation discipline);
 * **RL003** — edge-expanding kernels charge the cost tracker on every
   post-expand return path;
 * **RL004** — no ``np.random`` global state or wall-clock reads in
@@ -20,8 +18,8 @@ The flow rule (per-function CFG + dataflow; see
 :mod:`~repro.analysis.reprolint.cfg` and
 :mod:`~repro.analysis.reprolint.dataflow`):
 
-* **RL008** — claim/release resource lifecycles hold on every CFG
-  path, including exceptional ones.
+* **RL008** — every contextvar token ``set`` is ``reset`` on every
+  CFG path, including exceptional ones.
 
 The static half's runtime complement — the PRAM race sanitizer behind
 the global ``--sanitize`` flag — lives in :mod:`repro.pram.sanitizer`

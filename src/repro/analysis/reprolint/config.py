@@ -30,7 +30,7 @@ from repro.errors import LintConfigError
 __all__ = ["AllowEntry", "LintConfig", "load_config"]
 
 #: The rule ids the analyzer implements (see docs/static_analysis.md).
-KNOWN_RULES = ("RL001", "RL002", "RL003", "RL004", "RL008", "RL010")
+KNOWN_RULES = ("RL001", "RL003", "RL004", "RL008", "RL010")
 
 #: The keys an ``[[allow]]`` table may carry.
 _ENTRY_KEYS = frozenset({"rule", "site", "reason"})

@@ -40,10 +40,6 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
         "src/repro/decomp/",
         "src/repro/connectivity/",
     ),
-    "RL002": (
-        "src/repro/engine/kernels.py",
-        "src/repro/engine/workspace.py",
-    ),
     "RL003": (
         "src/repro/engine/",
         "src/repro/decomp/",
@@ -54,7 +50,6 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
     "RL008": (
         "src/repro/runtime/",
         "src/repro/engine/",
-        "src/repro/primitives/hashing.py",
         "src/repro/decomp/",
         "src/repro/connectivity/",
     ),

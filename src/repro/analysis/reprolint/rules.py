@@ -1,4 +1,4 @@
-"""The repo-specific AST rules (RL001-RL004, RL010).
+"""The repo-specific AST rules (RL001, RL003, RL004, RL010).
 
 Each rule is a function ``(module_ast, path_key) -> list[Violation]``.
 Scoping — which files each rule applies to — lives in
@@ -12,12 +12,6 @@ RL001  Shared-array writes must route through ``primitives.atomics``.
        either — is the exact bug class the simulated CRCW machine
        exists to prevent.  Legal claim scatters live in the kernel
        registry (the ``reprolint.toml`` allowlist).
-RL002  No allocating NumPy calls in the fast-backend kernels.  PR 3's
-       zero-allocation discipline: steady-state rounds draw from the
-       Workspace arena; a fresh ``np.zeros``/``np.concatenate``/...
-       (without ``out=``) re-introduces the per-round allocation the
-       backend seam removed.  Zero-length literals (``np.zeros(0)``
-       empty-return sentinels) are exempt.
 RL003  A kernel that expands edges must charge the cost tracker on
        every return path *after* the expansion — otherwise the (work,
        depth) profiles undercount exactly when a kernel exits early
@@ -92,8 +86,8 @@ def _root_name(expr: ast.expr) -> Optional[ast.expr]:
 def _chain_has_private(expr: ast.expr) -> bool:
     """Does any attribute on the access chain start with an underscore?
 
-    Underscore-prefixed containers (``self._buffers[key]``) are host-side
-    Python bookkeeping — dicts, caches, arena registries — not simulated
+    Underscore-prefixed containers (``self._memo[key]``) are host-side
+    Python bookkeeping — dicts, caches, memo tables — not simulated
     PRAM memory, so RL001 does not treat stores into them as shared
     writes.
     """
@@ -108,7 +102,7 @@ class _SharedNames:
     """Intra-function shared/local classification of names.
 
     Parameters and ``self``-rooted state are *shared*; names bound from
-    call results (workspace views, fresh arrays) are *local*; names
+    call results (fresh arrays, gathers) are *local*; names
     bound from shared names (``C = state.C``) inherit sharedness.
     Unknown names (module globals, loop variables) are conservatively
     treated as not shared — RL001 favors precision over recall, and the
@@ -209,62 +203,6 @@ def _subscript_targets(target: ast.expr) -> Iterator[ast.Subscript]:
     elif isinstance(target, (ast.Tuple, ast.List)):
         for elt in target.elts:
             yield from _subscript_targets(elt)
-
-
-#: NumPy callables whose plain form allocates a fresh array.  The fused
-#: one-pass search primitives (``flatnonzero``, ``searchsorted``) are
-#: deliberately absent: their compact outputs are the documented
-#: exception to the arena discipline (see workspace.py's module note).
-_RL002_ALLOCATORS = frozenset(
-    {
-        "empty", "zeros", "ones", "full",
-        "empty_like", "zeros_like", "ones_like", "full_like",
-        "arange", "array", "copy", "tile", "repeat",
-        "concatenate", "stack", "vstack", "hstack",
-        "sort", "argsort", "unique", "cumsum", "where",
-    }
-)
-
-
-def check_rl002(tree: ast.Module, path: str) -> List[Violation]:
-    """Allocating ``np.*`` calls inside the fast-kernel scope."""
-    violations: List[Violation] = []
-    for qualname, fn in iter_functions(tree):
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("np", "numpy")
-                and func.attr in _RL002_ALLOCATORS
-            ):
-                continue
-            if any(kw.arg == "out" for kw in node.keywords):
-                continue
-            if (
-                node.args
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value == 0
-            ):
-                # Zero-length sentinel returns (np.zeros(0, ...)) do not
-                # grow with the input; exempt.
-                continue
-            violations.append(
-                Violation(
-                    rule="RL002",
-                    path=path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    qualname=qualname,
-                    message=(
-                        f"allocating np.{func.attr} in fast-kernel scope; "
-                        "use the Workspace arena or pass out="
-                    ),
-                )
-            )
-    return violations
 
 
 #: The CSRGraph methods that expand a frontier's edges.
@@ -636,7 +574,6 @@ def check_rl010(tree: ast.Module, path: str) -> List[Violation]:
 #: rule id -> checker, in report order.
 RULE_CHECKERS = {
     "RL001": check_rl001,
-    "RL002": check_rl002,
     "RL003": check_rl003,
     "RL004": check_rl004,
     "RL010": check_rl010,

@@ -4,10 +4,9 @@ RL008 runs on :mod:`.cfg` (per-function control-flow graphs) and
 :mod:`.dataflow` (forward typestate solver) instead of per-function
 AST pattern matching:
 
-RL008  Resource lifecycle typestate.  Claim/release pairs (Session
-       pool, contextvar tokens) must release on *every* CFG path,
-       normal and exceptional; ``acquire_workspace`` is claim-once and
-       its result must be bound.
+RL008  Contextvar-token lifecycle typestate.  Every token a
+       ``ContextVar.set`` returns must be ``reset`` on *every* CFG
+       path, normal and exceptional.
 
 Scoping lives in :mod:`.linter`; the checker keeps the classic
 ``(module_ast, path_key) -> list[Violation]`` signature and checks
@@ -38,7 +37,7 @@ def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
 
 
 # ---------------------------------------------------------------------------
-# RL008 — resource lifecycle typestate
+# RL008 — contextvar-token lifecycle typestate
 # ---------------------------------------------------------------------------
 
 _ST_UNCLAIMED = "unclaimed"
@@ -46,42 +45,23 @@ _ST_CLAIMED = "claimed"
 _ST_RELEASED = "released"
 _ST_MAYBE = "maybe"
 
-#: (kind, var, event) where event is "claim" | "release" | "rebind".
-_Event = Tuple[str, str, str]
-
-_EXIT_CHECKED_KINDS = ("pool", "token")
-_KIND_DESC = {
-    "pool": "Session pool claim",
-    "token": "contextvar token",
-    "workspace": "workspace claim",
-}
+#: (var, event) where event is "claim" | "release" | "rebind".
+_Event = Tuple[str, str]
 
 
-def _claim_of(value: ast.expr) -> Optional[Tuple[str, Optional[ast.Call]]]:
-    """Kind of claim a bound RHS value performs, if any."""
-    for node in ast.walk(value):
-        if isinstance(node, (ast.Lambda,)):
-            continue
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "_claim_pool":
-                return "pool", node
-            if node.func.attr == "acquire_workspace":
-                return "workspace", node
-    if (
+def _is_token_set(value: ast.expr) -> bool:
+    """Is *value* a ``<contextvar>.set(x)`` call (which returns a token)?"""
+    return (
         isinstance(value, ast.Call)
         and isinstance(value.func, ast.Attribute)
         and value.func.attr == "set"
         and len(value.args) == 1
         and not value.keywords
-    ):
-        return "token", value
-    return None
+    )
 
 
-def _stmt_events(
-    stmt: Optional[ast.AST], tracked: Dict[str, str]
-) -> List[_Event]:
-    """Lifecycle events one CFG node's own statement performs."""
+def _stmt_events(stmt: Optional[ast.AST], tracked: Set[str]) -> List[_Event]:
+    """Token events one CFG node's own statement performs."""
     if stmt is None or isinstance(stmt, (ast.Try, ast.ExceptHandler)):
         return []
     scan: List[ast.AST]
@@ -100,110 +80,57 @@ def _stmt_events(
     events: List[_Event] = []
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        claim = _claim_of(stmt.value)
+        claims = _is_token_set(stmt.value)
         for target in targets:
             try:
                 var = ast.unparse(target)
             except Exception:  # pragma: no cover - malformed target
                 continue
-            if claim is not None:
-                events.append((claim[0], var, "claim"))
+            if claims:
+                events.append((var, "claim"))
             elif var in tracked:
-                events.append((tracked[var], var, "rebind"))
+                events.append((var, "rebind"))
     for node in scan:
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        if node.func.attr == "_release_pool" and node.args:
-            try:
-                events.append(("pool", ast.unparse(node.args[0]), "release"))
-            except Exception:  # pragma: no cover
-                pass
-        elif node.func.attr == "reset" and len(node.args) == 1:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reset"
+            and len(node.args) == 1
+        ):
             try:
                 var = ast.unparse(node.args[0])
             except Exception:  # pragma: no cover
                 continue
-            if tracked.get(var) == "token":
-                events.append(("token", var, "release"))
+            if var in tracked:
+                events.append((var, "release"))
     return events
 
 
-def _collect_tracked(fn: ast.AST) -> Dict[str, str]:
-    """var -> kind for every claim the function performs."""
-    tracked: Dict[str, str] = {}
+def _collect_tracked(fn: ast.AST) -> Set[str]:
+    """Every name the function binds to a contextvar token."""
+    tracked: Set[str] = set()
     for node in _own_nodes(fn):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-            claim = _claim_of(node.value)
-            if claim is None:
-                continue
+        if (
+            isinstance(node, (ast.Assign, ast.AnnAssign))
+            and node.value is not None
+            and _is_token_set(node.value)
+        ):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
             for target in targets:
                 try:
-                    tracked[ast.unparse(target)] = claim[0]
+                    tracked.add(ast.unparse(target))
                 except Exception:  # pragma: no cover
                     pass
     return tracked
 
 
 def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
-    """Claim/release lifecycles proven safe on every CFG path."""
+    """Contextvar tokens proven reset on every CFG path."""
     violations: List[Violation] = []
 
     for qualname, fn in iter_functions(tree):
-        # Discarded acquire results first: ownership must be bound.
-        for stmt in _own_nodes(fn):
-            if (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Call)
-                and isinstance(stmt.value.func, ast.Attribute)
-                and stmt.value.func.attr in ("acquire_workspace", "_claim_pool")
-            ):
-                violations.append(
-                    Violation(
-                        rule="RL008",
-                        path=path,
-                        line=stmt.lineno,
-                        col=stmt.col_offset,
-                        qualname=qualname,
-                        message=(
-                            f"{stmt.value.func.attr}() result discarded; "
-                            "the claim must be bound so it can be released "
-                            "(or the workspace ownership tracked)"
-                        ),
-                    )
-                )
-        # Workspace claims are claim-once *per function*, regardless of
-        # which name each claim binds: the first acquire takes the
-        # pooled arena, so a second in the same function silently works
-        # on a fresh arena — almost certainly not what the author meant.
-        ws_claims = sorted(
-            (
-                node
-                for node in _own_nodes(fn)
-                if isinstance(node, (ast.Assign, ast.AnnAssign))
-                and node.value is not None
-                and (claim := _claim_of(node.value)) is not None
-                and claim[0] == "workspace"
-            ),
-            key=lambda node: node.lineno,
-        )
-        for extra in ws_claims[1:]:
-            violations.append(
-                Violation(
-                    rule="RL008",
-                    path=path,
-                    line=extra.lineno,
-                    col=extra.col_offset,
-                    qualname=qualname,
-                    message=(
-                        "second acquire_workspace() in one function "
-                        "(claim-once contract): only the first claim gets "
-                        "the pooled arena; hoist or thread the workspace"
-                    ),
-                )
-            )
         tracked = _collect_tracked(fn)
         if not tracked:
             continue
@@ -230,7 +157,7 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
             if state is None:
                 return None
             out = dict(state)
-            for kind, var, event in events[nid]:
+            for var, event in events[nid]:
                 if event == "claim":
                     if out.get(var) == _ST_CLAIMED:
                         claim_once.add((cfg.nodes[nid].line, var))
@@ -251,8 +178,6 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
             equals=lambda a, b: a == b,
         )
         for line, var in sorted(claim_once):
-            if tracked[var] == "workspace":
-                continue  # covered by the per-function claim-once scan
             violations.append(
                 Violation(
                     rule="RL008",
@@ -261,8 +186,8 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
                     col=0,
                     qualname=qualname,
                     message=(
-                        f"{_KIND_DESC[tracked[var]]} {var!r} claimed again "
-                        "while already claimed (claim-once contract)"
+                        f"contextvar token {var!r} set again while the "
+                        "previous token is still unreset"
                     ),
                 )
             )
@@ -275,10 +200,7 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
             if not isinstance(out_state, dict):
                 continue
             for var, state in out_state.items():
-                if (
-                    state == _ST_CLAIMED
-                    and tracked.get(var) in _EXIT_CHECKED_KINDS
-                ):
+                if state == _ST_CLAIMED:
                     kind = "an exceptional" if via_exc else "a return"
                     violations.append(
                         Violation(
@@ -288,9 +210,9 @@ def check_rl008(tree: ast.Module, path: str) -> List[Violation]:
                             col=0,
                             qualname=qualname,
                             message=(
-                                f"{_KIND_DESC[tracked[var]]} {var!r} still "
-                                f"claimed on {kind} path; release it in a "
-                                "finally block covering every exit"
+                                f"contextvar token {var!r} still set on "
+                                f"{kind} path; reset it in a finally block "
+                                "covering every exit"
                             ),
                         )
                     )
@@ -311,15 +233,6 @@ RULE_DOCS: Dict[str, str] = {
         "Runtime counterpart: the PRAM race sanitizer's post-round\n"
         "snapshot diff (repro --sanitize)."
     ),
-    "RL002": (
-        "No allocating NumPy calls in the fast-backend kernels.\n\n"
-        "Steady-state rounds draw buffers from the Workspace arena; a\n"
-        "fresh np.zeros/np.concatenate (without out=) re-introduces the\n"
-        "per-round allocation the backend seam removed. Zero-length\n"
-        "sentinels (np.zeros(0)) are exempt.\n\n"
-        "Runtime counterpart: the arena reuse tests in\n"
-        "tests/test_backend_parity.py (reused buffers, fresh results)."
-    ),
     "RL003": (
         "Edge-expanding kernels must charge the cost tracker on every\n"
         "post-expand return path.\n\n"
@@ -337,18 +250,18 @@ RULE_DOCS: Dict[str, str] = {
         "Runtime counterpart: byte-identical golden parity replays."
     ),
     "RL008": (
-        "Resource lifecycle typestate: Session pool claims\n"
-        "(_claim_pool/_release_pool) and contextvar tokens (set/reset)\n"
-        "must release on every CFG path, normal and exceptional —\n"
-        "i.e. in a finally block covering every exit.\n"
-        "acquire_workspace() is claim-once and its result must be bound.\n\n"
+        "Contextvar-token lifecycle typestate: every token a\n"
+        "ContextVar.set() returns must be reset() on every CFG path,\n"
+        "normal and exceptional — i.e. in a finally block covering\n"
+        "every exit — and may not be set again while still unreset.\n\n"
         "The analysis runs a forward typestate dataflow\n"
         "{unclaimed, claimed, released, maybe} over the per-function\n"
-        "CFG, including exceptional edges; only definitely-claimed exits\n"
-        "are flagged, so conditional claims released conditionally stay\n"
+        "CFG, including exceptional edges; only definitely-set exits\n"
+        "are flagged, so conditional sets reset conditionally stay\n"
         "clean.\n\n"
-        "Runtime counterpart: the concurrency smoke tests (a leaked pool\n"
-        "claim deadlocks the session pool).\n"
+        "Runtime counterpart: tests/test_lint_runtime_crossval.py (a\n"
+        "leaked token leaves current_context() returning the leaked\n"
+        "context after an exception).\n"
         "Allowlist policy: none expected; restructure with try/finally."
     ),
     "RL010": (

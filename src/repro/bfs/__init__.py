@@ -1,16 +1,17 @@
-"""Breadth-first search substrate: frontiers, parallel BFS, hybrid BFS."""
+"""Breadth-first search: parallel BFS and direction-optimizing BFS.
 
-from repro.bfs.frontier import DENSE_THRESHOLD, Frontier
-from repro.bfs.hybrid_bfs import HybridBFSResult, bottom_up_step, hybrid_bfs
+The frontier representation and the read-based sweep they share live
+in the traversal engine (:mod:`repro.engine.frontier`,
+:func:`repro.engine.kernels.bottom_up_step`).
+"""
+
+from repro.bfs.hybrid_bfs import HybridBFSResult, hybrid_bfs
 from repro.bfs.parallel_bfs import UNVISITED, BFSResult, parallel_bfs
 
 __all__ = [
     "BFSResult",
-    "DENSE_THRESHOLD",
-    "Frontier",
     "HybridBFSResult",
     "UNVISITED",
-    "bottom_up_step",
     "hybrid_bfs",
     "parallel_bfs",
 ]

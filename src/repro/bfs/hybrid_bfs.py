@@ -24,8 +24,7 @@ pull kernel needs) under the paper's
 :class:`~repro.engine.direction.AlwaysPush` /
 :class:`~repro.engine.direction.AlwaysPull` when a direction is forced.
 The read-based sweep itself is
-:func:`repro.engine.kernels.bottom_up_step` (re-exported here under
-its historical name).
+:func:`repro.engine.kernels.bottom_up_step`.
 """
 
 from __future__ import annotations
@@ -42,11 +41,10 @@ from repro.engine.direction import (
     FractionHybrid,
 )
 from repro.engine.frontier import DENSE_THRESHOLD
-from repro.engine.kernels import bottom_up_step  # noqa: F401  (historical re-export)
 from repro.engine.state import BFSTreeState
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["hybrid_bfs", "bottom_up_step", "HybridBFSResult"]
+__all__ = ["hybrid_bfs", "HybridBFSResult"]
 
 
 @dataclass

@@ -39,10 +39,6 @@ from repro.runtime.context import current_context
 
 __all__ = ["hybrid_bfs_cc", "bfs_from_source"]
 
-#: Historical alias for the shared sentinel (see
-#: :data:`repro.engine.core.UNVISITED`).
-_UNLABELED = UNVISITED
-
 
 def bfs_from_source(
     graph: CSRGraph,
@@ -50,16 +46,15 @@ def bfs_from_source(
     labels: np.ndarray,
     label: int,
     dense_threshold: float = DENSE_THRESHOLD,
-    workspace=None,
 ) -> int:
     """Label *source*'s component with *label* via hybrid BFS.
 
     Mutates *labels* (entries must be ``-1`` where unvisited); returns
-    the number of vertices labeled, including the source.  *workspace*
-    lets a caller looping over components share one execution arena
-    across all the per-component runs.
+    the number of vertices labeled, including the source.  A *source*
+    outside ``[0, n)`` raises :class:`~repro.errors.ParameterError`
+    and leaves *labels* unchanged.
     """
-    state = ComponentLabelState(graph, source, labels, label, workspace=workspace)
+    state = ComponentLabelState(graph, source, labels, label)
     TraversalEngine(
         state, direction=LigraEdgeHybrid(graph, threshold=dense_threshold)
     ).run()
@@ -76,11 +71,8 @@ def hybrid_bfs_cc(
     """
     tracker = current_context().tracker
     n = graph.num_vertices
-    labels = np.full(n, _UNLABELED, dtype=np.int64)
+    labels = np.full(n, UNVISITED, dtype=np.int64)
     tracker.add("alloc", work=float(n), depth=1.0)
-    # One arena for the whole run: rMat-style graphs have millions of
-    # components, and a per-component workspace would never amortize.
-    workspace = current_context().acquire_workspace(n)
 
     num_components = 0
     component_sizes: List[int] = []
@@ -88,14 +80,13 @@ def hybrid_bfs_cc(
     visited_total = 0
     labels_list_charge = 0
     while visited_total < n:
-        while cursor < n and labels[cursor] != _UNLABELED:
+        while cursor < n and labels[cursor] != UNVISITED:
             cursor += 1
             labels_list_charge += 1
         if cursor >= n:
             break
         size = bfs_from_source(
-            graph, cursor, labels, num_components, dense_threshold,
-            workspace=workspace,
+            graph, cursor, labels, num_components, dense_threshold
         )
         component_sizes.append(size)
         visited_total += size

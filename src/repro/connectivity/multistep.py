@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.frontier import DENSE_THRESHOLD
 from repro.connectivity.base import ConnectivityResult
 from repro.connectivity.hybrid_bfs_cc import bfs_from_source
 from repro.connectivity.label_prop import propagate_labels
+from repro.engine.core import UNVISITED
+from repro.engine.frontier import DENSE_THRESHOLD
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import current_context
 
 __all__ = ["multistep_cc"]
-
-_UNLABELED = np.int64(-1)
 
 
 def multistep_cc(
@@ -36,7 +35,7 @@ def multistep_cc(
     """
     tracker = current_context().tracker
     n = graph.num_vertices
-    labels = np.full(n, _UNLABELED, dtype=np.int64)
+    labels = np.full(n, UNVISITED, dtype=np.int64)
     tracker.add("alloc", work=float(n), depth=1.0)
     if n == 0:
         return ConnectivityResult(
@@ -54,7 +53,7 @@ def multistep_cc(
     )
 
     # Stage 2: min-label propagation over everything the BFS missed.
-    rest = labels == _UNLABELED
+    rest = labels == UNVISITED
     tracker.add("scan", work=float(n), depth=1.0)
     ids = np.arange(n, dtype=np.int64)
     labels[rest] = ids[rest]

@@ -143,11 +143,10 @@ class DecompState(TraversalState):
             )
             self.C = np.full(n, UNVISITED, dtype=np.int64)
             tracker.add("alloc", work=float(n), depth=1.0)
-        # Execution-backend arena: the round kernels route their
-        # scratch arrays through this (a NullWorkspace under the
-        # reference backend).  Never charged — it changes how rounds
-        # run, not what they compute or cost.
-        self.workspace = current_context().acquire_workspace(n)
+        # The backend's gather and race strategy for the round kernels.
+        # Never charged — it changes how rounds run, not what they
+        # compute or cost.
+        self.workspace = current_context().backend.workspace
         self.frontier = np.zeros(0, dtype=np.int64)
         self.consumed = 0
         self.visited = 0

@@ -14,30 +14,19 @@ As an engine configuration this variant is::
 
     tie-break = arb (CAS race), direction = always-push
 
-The round kernel itself lives in :func:`repro.engine.kernels.arb_round`
-(re-exported here under its historical name); see that docstring for
-the vectorized CRCW round semantics.
+The round kernel itself lives in :func:`repro.engine.kernels.arb_round`;
+see that docstring for the vectorized CRCW round semantics.
 """
 
 from __future__ import annotations
 
-from repro.decomp.base import (
-    UNVISITED,  # noqa: F401  (historical re-export)
-    Decomposition,
-    DecompState,
-    validate_beta,
-)
+from repro.decomp.base import Decomposition, DecompState, validate_beta
 from repro.engine.core import TraversalEngine
 from repro.engine.direction import AlwaysPush
-from repro.engine.kernels import arb_round  # noqa: F401  (historical re-export)
 from repro.engine.tiebreak import ArbTiebreak
 from repro.graphs.csr import CSRGraph
 
 __all__ = ["decomp_arb"]
-
-#: Historical alias; the shared validator lives in
-#: :func:`repro.decomp.base.validate_beta`.
-_validate_beta = validate_beta
 
 
 def decomp_arb(

@@ -28,25 +28,15 @@ round's BFS winners, excluding freshly started centers) lives in
 :class:`repro.engine.direction.FractionHybrid`; the read-based sweep
 and the deferred-edge classification live in
 :func:`repro.engine.kernels.dense_round` and
-:func:`repro.engine.kernels.filter_edges` (re-exported here under
-their historical names).
+:func:`repro.engine.kernels.filter_edges`.
 """
 
 from __future__ import annotations
 
-from repro.decomp.base import (
-    UNVISITED,  # noqa: F401  (historical re-export)
-    Decomposition,
-    DecompState,
-    validate_beta,
-)
+from repro.decomp.base import Decomposition, DecompState, validate_beta
 from repro.engine.core import TraversalEngine
 from repro.engine.direction import FractionHybrid
 from repro.engine.frontier import DENSE_THRESHOLD
-from repro.engine.kernels import (  # noqa: F401  (historical re-exports)
-    dense_round,
-    filter_edges,
-)
 from repro.engine.tiebreak import ArbTiebreak
 from repro.graphs.csr import CSRGraph
 

@@ -31,25 +31,15 @@ As an engine configuration this variant is::
 
     tie-break = min (writeMin pairs), direction = always-push
 
-The round kernel lives in :func:`repro.engine.kernels.min_round`
-(re-exported here under its historical name); the writeMin pair array
-is owned by :class:`repro.engine.tiebreak.MinTiebreak`.
+The round kernel lives in :func:`repro.engine.kernels.min_round`; the
+writeMin pair array is owned by :class:`repro.engine.tiebreak.MinTiebreak`.
 """
 
 from __future__ import annotations
 
-from repro.decomp.base import (
-    UNVISITED,  # noqa: F401  (historical re-export)
-    Decomposition,
-    DecompState,
-    validate_beta,
-)
+from repro.decomp.base import Decomposition, DecompState, validate_beta
 from repro.engine.core import TraversalEngine
 from repro.engine.direction import AlwaysPush
-from repro.engine.kernels import (  # noqa: F401  (historical re-exports)
-    _PAIR_INF,
-    min_round,
-)
 from repro.engine.tiebreak import MinTiebreak
 from repro.graphs.csr import CSRGraph
 

@@ -65,10 +65,10 @@ from repro.engine.tiebreak import (
     register_tiebreak_policy,
 )
 from repro.engine.workspace import (
+    FAST_WORKSPACE,
     NULL_WORKSPACE,
     NullWorkspace,
     Workspace,
-    make_workspace,
 )
 
 __all__ = [
@@ -81,7 +81,7 @@ __all__ = [
     "Workspace",
     "NullWorkspace",
     "NULL_WORKSPACE",
-    "make_workspace",
+    "FAST_WORKSPACE",
     "TraversalEngine",
     "TraversalState",
     "end_round",

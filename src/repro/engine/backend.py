@@ -3,20 +3,18 @@
 The engine's round kernels admit two executions of the same PRAM
 step batch:
 
-* ``reference`` — the historical kernels: every temporary is a fresh
-  NumPy allocation, the CAS race resolves through a sort
+* ``reference`` — the historical kernels: gathers are bounds-checked
+  fancy indexing, the CAS race resolves through a sort
   (``np.unique``), the radix sort runs its per-digit passes, and every
   contraction level re-validates the CSR invariants it just
   established.  Slow, but each round is exactly the code the golden
   parity fixture was captured against.
 * ``fast`` — the same winner schedules, labelings and (work, depth)
-  charges, computed without the wall-clock waste: per-run
-  :class:`~repro.engine.workspace.Workspace` arenas replace the
-  steady-state allocations, the CAS race resolves with an O(n)
-  reverse-order scatter (or, for a sparse race, one packed-word
-  sort), every stable sorting permutation comes from one value sort
-  of packed (key, index) words, dense rounds reuse arena bitmaps, and
-  contraction builds its sub-graphs through the trusted
+  charges, computed without the wall-clock waste: gathers skip NumPy's
+  bounds checks, the CAS race resolves with an O(n) reverse-order
+  scatter (or, for a sparse race, one packed-word sort), every stable
+  sorting permutation comes from one value sort of packed (key, index)
+  words, and contraction builds its sub-graphs through the trusted
   (validation-free) constructor path.
 
 The parity contract — enforced by ``tests/test_engine_parity.py``
@@ -27,8 +25,8 @@ computed from sizes, so the fast variants are free to change the
 NumPy execution underneath them.
 
 Both are one :class:`ExecutionBackend` differing in a single flag,
-``optimized``; below the backend, the class of the run's workspace
-(:func:`~repro.engine.workspace.make_workspace`) is the only other
+``optimized``; below the backend, the class of its shared, stateless
+workspace (:attr:`ExecutionBackend.workspace`) is the only other
 carrier of the choice.
 
 Selection: ``fast`` is the default.  The bound backend rides in the
@@ -43,9 +41,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Union
 
 from repro.errors import ParameterError
+
+if TYPE_CHECKING:
+    from repro.engine.workspace import NullWorkspace
 
 __all__ = [
     "ExecutionBackend",
@@ -64,8 +65,8 @@ class ExecutionBackend:
     Attributes
     ----------
     optimized:
-        The whole fast/reference decision.  When set, runs get a
-        :class:`~repro.engine.workspace.Workspace` arena (whose class
+        The whole fast/reference decision.  When set, runs use the
+        fast :class:`~repro.engine.workspace.Workspace` (whose class
         then carries the choice into the kernels), the sorts run as
         one value sort of packed (key, index) words, and contraction
         skips re-validating the sub-graphs it just built.  Outputs and
@@ -76,19 +77,26 @@ class ExecutionBackend:
     description: str
     optimized: bool
 
+    @property
+    def workspace(self) -> "NullWorkspace":
+        """The backend's shared, stateless round-kernel workspace."""
+        from repro.engine.workspace import FAST_WORKSPACE, NULL_WORKSPACE
+
+        return FAST_WORKSPACE if self.optimized else NULL_WORKSPACE
+
 
 REFERENCE = ExecutionBackend(
     name="reference",
-    description="byte-for-byte the historical kernels (fresh allocations, "
+    description="byte-for-byte the historical kernels (checked gathers, "
     "sort-based CAS resolution, per-digit radix passes, validating builders)",
     optimized=False,
 )
 
 FAST = ExecutionBackend(
     name="fast",
-    description="zero-allocation round kernels: workspace arenas, scatter "
-    "CAS resolution, packed-word value sorts, bitmap dense rounds, "
-    "trusted contraction constructors — identical outputs and charges",
+    description="unchecked gathers, scatter CAS resolution, packed-word "
+    "value sorts, trusted contraction constructors — identical outputs "
+    "and charges",
     optimized=True,
 )
 

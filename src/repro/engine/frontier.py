@@ -16,22 +16,16 @@ the paper) of the *remaining unvisited* vertices — the condition §4
 describes as "the fraction of vertices on the frontier is greater than
 20%".  The engine's :mod:`~repro.engine.direction` policies build on
 this shared threshold rule.
-
-(Historically this lived in :mod:`repro.bfs.frontier`, which still
-re-exports it; the engine owns the frontier lifecycle now.)
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.primitives.pack import pack_index
 from repro.runtime.context import current_context
-
-if TYPE_CHECKING:
-    from repro.engine.workspace import NullWorkspace
 
 __all__ = ["Frontier", "DENSE_THRESHOLD"]
 
@@ -59,16 +53,10 @@ class Frontier:
         num_vertices: int,
         vertices: Optional[np.ndarray] = None,
         bitmap: Optional[np.ndarray] = None,
-        workspace: "Optional[NullWorkspace]" = None,
     ) -> None:
         if (vertices is None) == (bitmap is None):
             raise ValueError("provide exactly one of vertices / bitmap")
         self.num_vertices = num_vertices
-        #: Optional :mod:`~repro.engine.workspace` arena; when present,
-        #: the dense conversion reuses its bitmap buffer across rounds
-        #: instead of allocating one per round.  A frontier lives for
-        #: one round, so the buffer is requested at most once per round.
-        self.workspace = workspace
         self._vertices = (
             np.asarray(vertices, dtype=np.int64) if vertices is not None else None
         )
@@ -82,13 +70,8 @@ class Frontier:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_vertices(
-        cls,
-        num_vertices: int,
-        vertices: np.ndarray,
-        workspace: "Optional[NullWorkspace]" = None,
-    ) -> "Frontier":
-        return cls(num_vertices, vertices=vertices, workspace=workspace)
+    def from_vertices(cls, num_vertices: int, vertices: np.ndarray) -> "Frontier":
+        return cls(num_vertices, vertices=vertices)
 
     @classmethod
     def empty(cls, num_vertices: int) -> "Frontier":
@@ -129,10 +112,7 @@ class Frontier:
                 work=float(self._vertices.size),
                 depth=1.0,
             )
-            if self.workspace is not None:
-                bitmap = self.workspace.falses("frontier.bitmap", self.num_vertices)
-            else:
-                bitmap = np.zeros(self.num_vertices, dtype=bool)
+            bitmap = np.zeros(self.num_vertices, dtype=bool)
             bitmap[self._vertices] = True
             self._bitmap = bitmap
         return self._bitmap

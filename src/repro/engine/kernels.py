@@ -4,19 +4,16 @@ These are the bodies of every level-synchronous round in the system,
 written once.  The decomposition kernels (:func:`arb_round`,
 :func:`min_round`, :func:`dense_round`, :func:`filter_edges`) operate
 on a :class:`~repro.decomp.base.DecompState`; :func:`bottom_up_step`
-is the read-based sweep shared by the BFS family.  The variant modules
-re-export them under their historical names, and the engine's policy
+is the read-based sweep shared by the BFS family.  The engine's policy
 objects dispatch to them.
 
-Execution-backend note: every array operation goes through the state's
-:mod:`~repro.engine.workspace` — a :class:`~repro.engine.workspace.
-NullWorkspace` (reference backend) makes each one the historical fresh
-allocation, a real :class:`~repro.engine.workspace.Workspace` (fast
-backend) writes into reused arena slices.  The kernels also resolve
-the ambient cost tracker and fault plan once per round and pass them
-into the primitives, so the innermost loops perform no repeated
-context-var reads.  Anything that outlives the round (winners, kept
-inter-edge chunks) is produced as a fresh array, never an arena view.
+Execution-backend note: the gathers, compressions and CAS races go
+through the state's :mod:`~repro.engine.workspace`, whose class is the
+backend's choice of NumPy execution (checked or unchecked gathers,
+sort- or scatter-based races); the rest is plain NumPy.  The kernels
+also resolve the ambient cost tracker and fault plan once per round
+and pass them into the primitives, so the innermost loops perform no
+repeated context-var reads.
 
 Cost parity note: each kernel charges exactly what its pre-engine
 counterpart charged; the only intentional change is that every
@@ -67,23 +64,17 @@ _PAIR_PAYLOAD_MASK = np.int64((1 << PAIR_SHIFT) - 1)
 
 
 def _edge_sources(
-    ws: "NullWorkspace",
-    frontier: np.ndarray,
-    counts: np.ndarray,
-    pos: np.ndarray,
-    key: str,
+    frontier: np.ndarray, counts: np.ndarray, pos: np.ndarray
 ) -> np.ndarray:
     """The frontier vertex owning each edge position *pos* of an expansion.
 
     :meth:`~repro.graphs.csr.CSRGraph.expand_targets` lays each frontier
     vertex's ``counts[i]`` edges out in turn, so the owner of position
-    ``p`` is the last vertex whose exclusive-cumsum start is ``<= p``.
+    ``p`` is the first vertex whose inclusive-cumsum end is ``> p``.
     One binary search per position: the kernels call this on the few
     edges they keep, never on the whole expansion.
     """
-    owner = np.searchsorted(ws.exclusive_cumsum(counts, key), pos, side="right")
-    owner -= 1
-    return frontier[owner]
+    return frontier[np.searchsorted(np.cumsum(counts), pos, side="right")]
 
 
 def arb_round(state: "DecompState") -> np.ndarray:
@@ -112,13 +103,13 @@ def arb_round(state: "DecompState") -> np.ndarray:
     if edges == 0:
         end_round()
         return np.zeros(0, dtype=np.int64)
-    cu = ws.repeat(ws.take(C, frontier, "arb.cf"), counts, edges, "arb.cu")
-    cw = ws.take(C, dst, "arb.cw")
+    cu = np.repeat(ws.take(C, frontier), counts)
+    cw = ws.take(C, dst)
     tracker.add("gather", work=float(2 * edges), depth=1.0)
 
     # CAS races on unvisited targets: one arbitrary winner each.
-    unvis_pos = ws.equal(cw, UNVISITED, "arb.unvis").nonzero()[0]
-    race = ws.take(dst, unvis_pos, "arb.race")
+    unvis_pos = (cw == UNVISITED).nonzero()[0]
+    race = ws.take(dst, unvis_pos)
     win_local, winners = first_winner(race, workspace=ws, tracker=tracker, plan=plan)
     C[winners] = cu[unvis_pos[win_local]]
     tracker.add("scatter", work=float(winners.size), depth=1.0)
@@ -126,14 +117,11 @@ def arb_round(state: "DecompState") -> np.ndarray:
 
     # Re-read the raced targets' labels; the winner edges are charged
     # no second read (they classify as intra by construction).
-    cw[unvis_pos] = ws.take(C, race, "arb.cwrace")
+    cw[unvis_pos] = ws.take(C, race)
     tracker.add("gather", work=float(edges - winners.size), depth=1.0)
-    keep = ws.not_equal(cw, cu, "arb.inter").nonzero()[0]
+    keep = (cw != cu).nonzero()[0]
     state.keep_inter(
-        cu[keep],
-        cw[keep],
-        _edge_sources(ws, frontier, counts, keep, "arb.starts"),
-        dst[keep],
+        cu[keep], cw[keep], _edge_sources(frontier, counts, keep), dst[keep]
     )
     # End-of-round packing of kept edges / next frontier.
     end_round(edges)
@@ -173,25 +161,25 @@ def min_round(
         if edges == 0:
             end_round()
             return np.zeros(0, dtype=np.int64)
-        cu = ws.take(C, src, "min.cu")
-        cw = ws.take(C, dst, "min.cw")
+        cu = ws.take(C, src)
+        cw = ws.take(C, dst)
         # 3 words per edge: the source's component plus the target's
         # (conflict-value, componentID) *pair* — the extra word per
         # vertex visit the paper's pair layout trades for one fewer
         # cache miss than a two-array layout would cost.
         tracker.add("gather", work=float(3 * edges), depth=1.0)
 
-        unvis_pos = ws.equal(cw, UNVISITED, "min.unvis").nonzero()[0]
+        unvis_pos = (cw == UNVISITED).nonzero()[0]
         # writeMin((delta'_{C[u]}, C[u])) onto every unvisited target.
-        cu_unvis = ws.take(cu, unvis_pos, "min.cuunvis")
-        dst_unvis = ws.take(dst, unvis_pos, "min.dstunvis")
-        keys = ws.take(frac, cu_unvis, "min.keys")
+        cu_unvis = ws.take(cu, unvis_pos)
+        dst_unvis = ws.take(dst, unvis_pos)
+        keys = ws.take(frac, cu_unvis)
         keys = encode_pair(keys, cu_unvis, check=not trusted_keys, out=keys)
         write_min(pair, dst_unvis, keys, tracker=tracker, workspace=ws)
 
         # Edges to visited targets resolve now: inter iff labels differ.
         cw[unvis_pos] = cu_unvis
-        keep_pos = ws.not_equal(cw, cu, "min.inter").nonzero()[0]
+        keep_pos = (cw != cu).nonzero()[0]
         state.keep_inter(
             cu.take(keep_pos), cw.take(keep_pos), src.take(keep_pos), dst.take(keep_pos)
         )
@@ -210,14 +198,14 @@ def min_round(
         if unvis_pos.size == 0:
             end_round()
             return np.zeros(0, dtype=np.int64)
-        winner_center = ws.take(pair, dst_unvis, "min.wcenter")
+        winner_center = ws.take(pair, dst_unvis)
         winner_center &= _PAIR_PAYLOAD_MASK
-        won = ws.equal(winner_center, cu_unvis, "min.won")
+        won = winner_center == cu_unvis
 
         # Winning component's vertices race one CAS to add w once.
         won_pos = won.nonzero()[0]
         first_pos, new_vertices = first_winner(
-            ws.take(dst_unvis, won_pos, "min.wintargets"),
+            ws.take(dst_unvis, won_pos),
             workspace=ws,
             tracker=tracker,
             plan=plan,
@@ -231,7 +219,7 @@ def min_round(
 
         # Losers: inter-component iff the winner differs (it does, by
         # definition of losing) — matches Algorithm 2 lines 32-35.
-        lost = ws.logical_not(won, "min.lost").nonzero()[0]
+        lost = (~won).nonzero()[0]
         lose_dst = dst_unvis.take(lost)
         state.keep_inter(
             cu_unvis.take(lost),
@@ -257,21 +245,21 @@ def dense_round(state: "DecompState") -> np.ndarray:
     ws = state.workspace
     graph, C = state.graph, state.C
 
-    on_frontier = ws.falses("dense.onfrontier", state.n)
+    on_frontier = np.zeros(state.n, dtype=bool)
     on_frontier[state.frontier] = True
     tracker.add("scatter", work=float(state.frontier.size), depth=1.0)
 
-    unvisited = pack_index(ws.equal(C, UNVISITED, "dense.unvis"))
+    unvisited = pack_index(C == UNVISITED)
     if unvisited.size == 0:
         end_round()
         return np.zeros(0, dtype=np.int64)
     # charge_cost=False: only the early-exit edge count below is charged.
     src, dst = graph.expand(unvisited, charge_cost=False, workspace=ws)
-    hit = ws.take(on_frontier, dst, "dense.hit")
+    hit = ws.take(on_frontier, dst)
     hit_positions = hit.nonzero()[0]
     if hit_positions.size:
         first_pos, winners = first_winner(
-            ws.take(src, hit_positions, "dense.race"),
+            ws.take(src, hit_positions),
             workspace=ws,
             tracker=tracker,
             plan=plan,
@@ -286,13 +274,9 @@ def dense_round(state: "DecompState") -> np.ndarray:
     # Early-exit accounting: edges scanned up to the first hit (or the
     # whole list when there is none) — this is the work the paper's
     # read-based sweep saves over the write-based one.
-    counts = ws.sub(
-        ws.take(graph.offsets, unvisited + 1, "dense.offs1"),
-        ws.take(graph.offsets, unvisited, "dense.offs0"),
-        "dense.counts",
-    )
-    starts = ws.exclusive_cumsum(counts, "dense.starts")
-    scanned = ws.as_float(counts, "dense.scanned")
+    counts = ws.take(graph.offsets, unvisited + 1) - ws.take(graph.offsets, unvisited)
+    starts = np.cumsum(counts) - counts
+    scanned = counts.astype(np.float64)
     if hit_positions.size:
         order = np.searchsorted(unvisited, winners)
         scanned[order] = (hit_positions[first_pos] - starts[order] + 1).astype(
@@ -326,15 +310,12 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     counts, dst = state.graph.expand_targets(vertices, workspace=ws)
     edges = int(dst.size)
     state.edges_inspected += edges
-    cu = ws.repeat(ws.take(C, vertices, "filter.cf"), counts, edges, "filter.cu")
-    cw = ws.take(C, dst, "filter.cw")
+    cu = np.repeat(ws.take(C, vertices), counts)
+    cw = ws.take(C, dst)
     tracker.add("scan", work=float(2 * edges), depth=1.0)
-    keep = ws.not_equal(cu, cw, "filter.inter").nonzero()[0]
+    keep = (cu != cw).nonzero()[0]
     state.keep_inter(
-        cu[keep],
-        cw[keep],
-        _edge_sources(ws, vertices, counts, keep, "filter.starts"),
-        dst[keep],
+        cu[keep], cw[keep], _edge_sources(vertices, counts, keep), dst[keep]
     )
     end_round(edges)
 
@@ -356,19 +337,19 @@ def bottom_up_step(
     tracker = current_context().tracker
     plan = current_context().fault_plan
     ws = workspace if workspace is not None else NULL_WORKSPACE
-    unvisited = pack_index(ws.logical_not(visited, "bu.notvis"))
+    unvisited = pack_index(~visited)
     if unvisited.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
     # charge_cost=False: only the early-exit edge count below is charged.
     src, dst = graph.expand(unvisited, charge_cost=False, workspace=ws)
-    hit = ws.take(frontier_bitmap, dst, "bu.hit")
+    hit = ws.take(frontier_bitmap, dst)
     # First frontier-neighbor per source, exploiting expand()'s grouped,
     # adjacency-ordered layout: the first occurrence of each source
     # among the hits is its earliest hit.
     hit_positions = hit.nonzero()[0]
     if hit_positions.size:
         first_pos, winners = first_winner(
-            ws.take(src, hit_positions, "bu.race"),
+            ws.take(src, hit_positions),
             workspace=ws,
             tracker=tracker,
             plan=plan,
@@ -381,13 +362,9 @@ def bottom_up_step(
 
     # Early-exit cost: edges scanned = (position of first hit within the
     # source's slice) + 1, or the full degree when there is no hit.
-    counts = ws.sub(
-        ws.take(graph.offsets, unvisited + 1, "bu.offs1"),
-        ws.take(graph.offsets, unvisited, "bu.offs0"),
-        "bu.counts",
-    )
-    starts = ws.exclusive_cumsum(counts, "bu.starts")
-    scanned = ws.as_float(counts, "bu.scanned")
+    counts = ws.take(graph.offsets, unvisited + 1) - ws.take(graph.offsets, unvisited)
+    starts = np.cumsum(counts) - counts
+    scanned = counts.astype(np.float64)
     if winners.size:
         # Map winner vertex id -> its index within `unvisited` to find
         # the slice start of each winner.

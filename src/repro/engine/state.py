@@ -38,15 +38,21 @@ import numpy as np
 from repro.engine.core import UNVISITED, TraversalEngine, TraversalState, end_round
 from repro.engine.frontier import Frontier
 from repro.engine.kernels import bottom_up_step
+from repro.errors import ParameterError
 from repro.primitives.atomics import first_winner
 from repro.runtime.context import current_context
 
 if TYPE_CHECKING:
-    from repro.engine.workspace import NullWorkspace
     from repro.graphs.csr import CSRGraph
     from repro.resilience.policy import RoundBudget
 
 __all__ = ["BFSTreeState", "ComponentLabelState"]
+
+
+def _check_source(source: int, n: int) -> None:
+    """Reject a traversal source outside ``[0, n)``."""
+    if not 0 <= source < n:
+        raise ParameterError(f"source {source} out of range [0, {n})")
 
 
 class BFSTreeState(TraversalState):
@@ -75,8 +81,7 @@ class BFSTreeState(TraversalState):
         budget: "Optional[RoundBudget]" = None,
     ) -> None:
         n = graph.num_vertices
-        if not 0 <= source < n:
-            raise ValueError(f"source {source} out of range [0, {n})")
+        _check_source(source, n)
         self.graph = graph
         self.source = source
         self.budget = budget
@@ -94,10 +99,8 @@ class BFSTreeState(TraversalState):
             self.visited[source] = True
         self.num_visited = 1
         self.directions: List[str] = []
-        self.workspace = current_context().acquire_workspace(n)
-        self._frontier = Frontier.from_vertices(
-            n, np.zeros(0, dtype=np.int64), workspace=self.workspace
-        )
+        self.workspace = current_context().backend.workspace
+        self._frontier = Frontier.from_vertices(n, np.zeros(0, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -127,9 +130,7 @@ class BFSTreeState(TraversalState):
     def begin_round(self, engine: TraversalEngine, next_frontier: np.ndarray) -> None:
         if self.budget is not None:
             self.budget.check(self.round)
-        self._frontier = Frontier.from_vertices(
-            self.n, next_frontier, workspace=self.workspace
-        )
+        self._frontier = Frontier.from_vertices(self.n, next_frontier)
 
     def _absorb(self, winners: np.ndarray) -> None:
         # The claim's bookkeeping writes ride along with the parent
@@ -146,22 +147,18 @@ class BFSTreeState(TraversalState):
         self.directions.append("top-down")
         src, dst = self.graph.expand(self.frontier, workspace=ws)
         if self.visited is not None:
-            fresh = ws.logical_not(
-                ws.take(self.visited, dst, "bfs.vis"), "bfs.fresh"
-            )
+            fresh = ~ws.take(self.visited, dst)
         else:
-            fresh = ws.equal(
-                ws.take(self.distances, dst, "bfs.dist"), UNVISITED, "bfs.fresh"
-            )
+            fresh = ws.take(self.distances, dst) == UNVISITED
         tracker.add("gather", work=float(dst.size), depth=1.0)
         # CAS race: one arbitrary winner per newly discovered vertex.
         win_pos, winners = first_winner(
-            ws.compress(fresh, dst, "bfs.race"),
+            ws.compress(fresh, dst),
             workspace=ws,
             tracker=tracker,
             plan=plan,
         )
-        src_fresh = ws.compress(fresh, src, "bfs.srcfresh")
+        src_fresh = ws.compress(fresh, src)
         self.parents[winners] = src_fresh[win_pos]
         tracker.add("scatter", work=float(winners.size), depth=1.0)
         self._absorb(winners)
@@ -189,7 +186,9 @@ class ComponentLabelState(TraversalState):
     The hybrid-BFS-CC building block: *labels* is shared across all the
     per-component runs (per-component allocation would inflate the cost
     profile), entries must be ``UNVISITED`` where not yet reached, and
-    every vertex this traversal claims gets *label*.
+    every vertex this traversal claims gets *label*.  An out-of-range
+    *source* raises :class:`~repro.errors.ParameterError` before
+    *labels* is touched.
     """
 
     def __init__(
@@ -199,21 +198,14 @@ class ComponentLabelState(TraversalState):
         labels: np.ndarray,
         label: int,
         budget: "Optional[RoundBudget]" = None,
-        workspace: "Optional[NullWorkspace]" = None,
     ) -> None:
+        _check_source(source, graph.num_vertices)
         self.graph = graph
         self.source = source
         self.labels = labels
         self.label = np.int64(label)
         self.budget = budget
-        # Callers looping over components should create one workspace
-        # per graph and pass it in, so the arena persists across the
-        # per-component runs instead of being rebuilt for each.
-        self.workspace = (
-            workspace
-            if workspace is not None
-            else current_context().acquire_workspace(graph.num_vertices)
-        )
+        self.workspace = current_context().backend.workspace
         labels[source] = self.label
         self.count = 1
         self._frontier = np.zeros(0, dtype=np.int64)
@@ -256,12 +248,10 @@ class ComponentLabelState(TraversalState):
         plan = current_context().fault_plan
         ws = self.workspace
         src, dst = self.graph.expand(self._frontier, workspace=ws)
-        fresh = ws.equal(
-            ws.take(self.labels, dst, "cc.lab"), UNVISITED, "cc.fresh"
-        )
+        fresh = ws.take(self.labels, dst) == UNVISITED
         tracker.add("gather", work=float(dst.size), depth=1.0)
         _pos, winners = first_winner(
-            ws.compress(fresh, dst, "cc.race"),
+            ws.compress(fresh, dst),
             workspace=ws,
             tracker=tracker,
             plan=plan,
@@ -272,17 +262,16 @@ class ComponentLabelState(TraversalState):
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
         tracker = current_context().tracker
-        ws = self.workspace
         n = self.n
-        visited = ws.not_equal(self.labels, UNVISITED, "cc.visited")
+        visited = self.labels != UNVISITED
         tracker.add("scan", work=float(n), depth=1.0)
         # The frontier byte array is preallocated and reused in a
         # Ligra-style implementation, so (as in the seed) building it
         # is not charged as a scatter here.
-        bitmap = ws.falses("cc.bitmap", n)
+        bitmap = np.zeros(n, dtype=bool)
         bitmap[self._frontier] = True
         winners, _parents, _examined = bottom_up_step(
-            self.graph, bitmap, visited, workspace=ws
+            self.graph, bitmap, visited, workspace=self.workspace
         )
         self._claim(winners)
         end_round(packing="unit")

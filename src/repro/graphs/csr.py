@@ -27,7 +27,24 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.runtime.context import current_context
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "ragged_positions"]
+
+
+def ragged_positions(
+    starts: np.ndarray, counts: np.ndarray, total: int
+) -> np.ndarray:
+    """Global positions of a ragged gather, laid out slice after slice.
+
+    Slice ``i`` covers ``starts[i] .. starts[i] + counts[i] - 1``, and
+    *total* is ``counts.sum()``: ``repeat(starts - excl_cumsum(counts),
+    counts) + arange(total)``, with the shift and the add in place.
+    """
+    base = np.cumsum(counts)
+    base -= counts
+    np.subtract(starts, base, out=base)
+    pos = np.repeat(base, counts)
+    pos += np.arange(total, dtype=np.int64)
+    return pos
 
 
 @dataclass(frozen=True)
@@ -153,9 +170,9 @@ class CSRGraph:
         need the source of only a few edges recover it from *counts*
         instead of materializing :meth:`expand`'s source stream.
 
-        Without a *workspace* the targets are freshly allocated; with
-        one, they are an arena view valid until the next round's
-        expansion — callers may mutate either way.
+        *workspace* is the backend's gather strategy (see
+        :mod:`repro.engine.workspace`); without one the targets are
+        gathered by fancy indexing.  The result is always a fresh array.
 
         ``charge_cost=False`` suppresses the cost accounting — used by
         the read-based (bottom-up) sweeps, which on a real machine exit
@@ -176,16 +193,11 @@ class CSRGraph:
                 work=float(frontier.size),
                 depth=float(max(1, int(np.ceil(np.log2(frontier.size + 1))))),
             )
+        pos = ragged_positions(starts, counts, total)
         if workspace is None:
-            # Vectorized ragged gather: global positions of each edge.
-            pos = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-            )
-            pos = pos + np.arange(total, dtype=np.int64)
             edge_targets = self.targets[pos]
         else:
-            pos = workspace.ragged_positions(starts, counts, total, "expand.pos")
-            edge_targets = workspace.take(self.targets, pos, "expand.dst")
+            edge_targets = workspace.take(self.targets, pos)
         return counts, edge_targets
 
     def expand(
@@ -205,13 +217,7 @@ class CSRGraph:
         """
         frontier = np.asarray(frontier, dtype=np.int64)
         counts, edge_targets = self.expand_targets(frontier, charge_cost, workspace)
-        if workspace is None:
-            edge_sources = np.repeat(frontier, counts)
-        else:
-            edge_sources = workspace.repeat(
-                frontier, counts, edge_targets.shape[0], "expand.src"
-            )
-        return edge_sources, edge_targets
+        return np.repeat(frontier, counts), edge_targets
 
     # -- misc ------------------------------------------------------------
 

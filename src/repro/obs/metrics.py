@@ -2,8 +2,8 @@
 
 Where the tracer (:mod:`repro.obs.tracer`) records *when* things
 happened, the metrics registry records *how often* and *how big*:
-Session memo hits and misses, workspace-pool claims, resilience
-retries, fault injections, fuzz oracle comparisons.  The catalog of names lives in
+Session memo hits and misses, resilience retries, fault injections,
+fuzz oracle comparisons.  The catalog of names lives in
 ``docs/observability.md``.
 
 The same null-object idiom as the tracer applies: the process default

@@ -159,9 +159,9 @@ def first_winner(
 
     *workspace* is the execution seam, as for :func:`write_min`: its
     ``winner_scatter`` resolves the race — the O(n) reverse-order
-    scatter of a :class:`~repro.engine.workspace.Workspace`, or the
-    sort-based :func:`unique_winners` of the reference workspace (also
-    run when none is passed).  Both pick the first occurrence per
+    scatter of the fast :class:`~repro.engine.workspace.Workspace`, or
+    the sort-based :func:`unique_winners` of the reference workspace
+    (also run when none is passed).  Both pick the first occurrence per
     destination, so the winner schedule is identical
     (``tests/test_backend_parity.py`` pins this element for element).
     *tracker* / *plan* let round kernels pass their cached context

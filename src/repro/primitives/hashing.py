@@ -64,13 +64,12 @@ class HashTable:
         self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.slots = np.full(self.size, _EMPTY, dtype=np.int64)
         current_context().tracker.add("alloc", work=float(self.size), depth=1.0)
-        self._workspace = current_context().acquire_workspace(self.size)
+        self._workspace = current_context().backend.workspace
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
-        # Workspace seam: every implementation computes
-        # splitmix64(keys ^ seed) & mask into a fresh array (the probe
-        # loop mutates the slots as it advances).
-        return self._workspace.hash_slots(keys, self._seed, self._mask, "hash#slots")
+        """Initial probe slots: ``splitmix64(keys ^ seed) & mask``."""
+        h = splitmix64(keys.astype(np.uint64) ^ self._seed)
+        return (h & self._mask).astype(np.int64)
 
     def insert(self, keys: np.ndarray) -> np.ndarray:
         """Insert *keys*; returns a bool mask of which were newly inserted.

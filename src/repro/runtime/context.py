@@ -84,9 +84,6 @@ class ExecutionContext:
     sanitizer:
         The active :class:`~repro.pram.sanitizer.PramSanitizer`, or
         ``None``.
-    workspace:
-        An optional pooled :class:`~repro.engine.workspace.Workspace`
-        arena offered to the next run (see :meth:`acquire_workspace`).
     seed / rng:
         The context's seed and the generator derived from it; a
         :class:`~repro.runtime.session.Session` threads its seed here
@@ -104,7 +101,6 @@ class ExecutionContext:
     backend: "ExecutionBackend" = field(default_factory=_default_backend)
     fault_plan: "Optional[FaultPlan]" = None
     sanitizer: "Optional[PramSanitizer]" = None
-    workspace: "Optional[NullWorkspace]" = None
     seed: int = 0
     rng: Optional[np.random.Generator] = None
     tracer: NullTracer = field(default_factory=lambda: NULL_TRACER)
@@ -158,30 +154,15 @@ class ExecutionContext:
         finally:
             _CONTEXT.reset(token)
 
-    # -- workspace pooling -------------------------------------------------
+    # -- workspace ---------------------------------------------------------
 
     def acquire_workspace(self, num_vertices: int) -> "NullWorkspace":
-        """Claim the pooled arena, or build a fresh one.
+        """The bound backend's shared workspace (*num_vertices* is unused).
 
-        Claim-once semantics: the first state that asks takes the
-        pooled workspace and the field is cleared, so nested states
-        (contraction recursion) build their own arenas instead of
-        aliasing buffers that are still live in their parent.  The
-        :class:`~repro.runtime.session.Session` that owns the pool
-        keeps its own reference and re-offers the arena to the next
-        run.
-
-        Machine-checked (``repro lint`` RL008): callers must bind the
-        result and may claim at most once per function — a discarded
-        or double ``acquire_workspace`` call is a lint violation.
+        Equivalent to ``self.backend.workspace``; the benchmark harness
+        calls it by this name.
         """
-        ws = self.workspace
-        if ws is not None and self.backend.optimized:
-            self.workspace = None
-            return ws
-        from repro.engine.workspace import make_workspace
-
-        return make_workspace(self.backend, num_vertices)
+        return self.backend.workspace
 
 
 #: The ambient default: null tracker, process-default backend, nothing

@@ -9,15 +9,11 @@ child carrying *all* of the run's ambient state and activates it around
 exactly one algorithm execution.
 
 :class:`Session` is the service-style facade on top (the ROADMAP
-north star): it owns one graph, pools a
-:class:`~repro.engine.workspace.Workspace` arena across runs (the fast
-backend's steady-state zero-allocation property then holds across a
-whole query *sequence*, not just within one run), and memoizes
-labelings by ``(graph fingerprint, algorithm, seed, beta)`` so repeated
-connectivity queries cost one dictionary lookup.  Sessions are
-internally locked; *different* Session objects in different threads are
-isolated by the ``contextvars`` carrier and never share trackers,
-arenas or memo entries.
+north star): it owns one graph and memoizes labelings by ``(graph
+fingerprint, algorithm, seed, beta)`` so repeated connectivity queries
+cost one dictionary lookup.  Sessions are internally locked;
+*different* Session objects in different threads are isolated by the
+``contextvars`` carrier and never share trackers or memo entries.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import numpy as np
 
 from repro.analysis.verify import verify_labeling
 from repro.engine.backend import ExecutionBackend, resolve_backend
-from repro.engine.workspace import make_workspace
 from repro.experiments.harness import RunProfile
 from repro.experiments.registry import build_graph, get_algorithm
 from repro.graphs.csr import CSRGraph
@@ -58,19 +53,18 @@ def execute_profiled(
     sanitize: bool = False,
     halt_on_race: bool = True,
     tracker: Optional[CostTracker] = None,
-    workspace: object = None,
     **algorithm_kwargs: object,
 ) -> RunProfile:
     """Run *algorithm* once inside one derived execution context.
 
     The single entry point every runtime client goes through: builds a
     child of the current context carrying a fresh tracker (or the given
-    one), the resolved *backend*, an optional sanitizer and an optional
-    pooled *workspace*, activates it for exactly one algorithm
-    execution, and returns the :class:`RunProfile`.  A *fault_plan* is
-    armed inside the context (one call = one run against its sabotage
-    budget).  Verification happens outside the context so its costs never
-    pollute the run's profile.
+    one), the resolved *backend* and an optional sanitizer, activates
+    it for exactly one algorithm execution, and returns the
+    :class:`RunProfile`.  A *fault_plan* is armed inside the context
+    (one call = one run against its sabotage budget).  Verification
+    happens outside the context so its costs never pollute the run's
+    profile.
     """
     spec = get_algorithm(algorithm)
     overrides: Dict[str, object] = {
@@ -80,8 +74,6 @@ def execute_profiled(
         overrides["backend"] = resolve_backend(backend)
     if sanitize:
         overrides["sanitizer"] = PramSanitizer(halt_on_race=halt_on_race)
-    if workspace is not None:
-        overrides["workspace"] = workspace
     ctx = current_context().child(**overrides)
     tracer = ctx.tracer
     span = tracer.span("run", "run") if tracer.enabled else None
@@ -128,7 +120,7 @@ def execute_profiled(
 
 
 class Session:
-    """One loaded graph, many runs and queries, pooled resources.
+    """One loaded graph, many runs and queries, memoized labelings.
 
     Parameters
     ----------
@@ -173,48 +165,8 @@ class Session:
         self.hits = 0
         self.misses = 0
         self._memo: Dict[Tuple[str, str, int, float], RunProfile] = {}
-        self._pool: object = None
-        self._pool_busy = False
         self._inflight: Dict[Tuple[str, str, int, float], threading.Event] = {}
         self._lock = threading.RLock()
-
-    # -- resource pooling -------------------------------------------------
-
-    def _ensure_pool(self) -> object:
-        """The session's arena, grown to cover the current graph.
-
-        Caller must hold ``self._lock``.
-        """
-        if not self.backend.optimized:
-            return None
-        n = self.graph.num_vertices
-        if self._pool is None or getattr(self._pool, "num_vertices", 0) < n:
-            self._pool = make_workspace(self.backend, n)
-        return self._pool
-
-    def _claim_pool(self) -> object:
-        """Claim the arena for one run (caller must :meth:`_release_pool`).
-
-        Caller must hold ``self._lock``.  Returns ``None`` when another
-        run already holds it — that run proceeds on a fresh per-run
-        arena instead of waiting (compute never blocks on the pool).
-
-        Machine-checked (``repro lint`` RL008): the typestate analysis
-        proves every claim is paired with :meth:`_release_pool` on all
-        CFG paths out of the claiming function, including exceptional
-        ones — release must sit in a ``finally`` that covers the run.
-        """
-        if self._pool_busy:
-            return None
-        workspace = self._ensure_pool()
-        if workspace is not None:
-            self._pool_busy = True
-        return workspace
-
-    def _release_pool(self, workspace: object) -> None:
-        """Return a claimed arena (caller must hold ``self._lock``)."""
-        if workspace is not None and workspace is self._pool:
-            self._pool_busy = False
 
     # -- running ----------------------------------------------------------
 
@@ -234,7 +186,7 @@ class Session:
         replacing the graph via :meth:`set_graph` changes the
         fingerprint and therefore misses naturally.
 
-        The session lock guards only the bookkeeping (memo, pool claim,
+        The session lock guards only the bookkeeping (memo and
         in-flight table) — the labeling itself computes *outside* the
         lock, so concurrent callers over different keys run truly in
         parallel.  Concurrent callers on the *same* key coalesce: one
@@ -274,19 +226,9 @@ class Session:
                 wait_for.wait()
                 continue
             # From this point on this caller owns the in-flight entry
-            # for the key: EVERY exit — including a pool-claim failure
-            # below — must clear it and set the event, or concurrent
-            # waiters on the same key block forever.  Hence the claim
-            # happens inside the try, not in the registration block.
-            workspace: object = None
+            # for the key: EVERY exit must clear it and set the event,
+            # or concurrent waiters on the same key block forever.
             try:
-                with self._lock:
-                    workspace = self._claim_pool()
-                metrics.incr(
-                    "session.pool.claimed"
-                    if workspace is not None
-                    else "session.pool.fresh"
-                )
                 profile = execute_profiled(
                     algorithm,
                     graph,
@@ -294,7 +236,6 @@ class Session:
                     verify=self.verify,
                     fault_plan=fault_plan,
                     backend=self.backend,
-                    workspace=workspace,
                     **kwargs,
                 )
                 with self._lock:
@@ -305,37 +246,23 @@ class Session:
                     metrics.incr("session.memo.miss")
                 return profile
             finally:
-                with self._lock:
-                    self._release_pool(workspace)
-                    if done is not None:
-                        self._inflight.pop(key, None)
                 if done is not None:
+                    with self._lock:
+                        self._inflight.pop(key, None)
                     done.set()
 
     @contextlib.contextmanager
     def activate(self) -> Iterator[ExecutionContext]:
-        """Activate a context bound to this session's backend and pool.
+        """Activate a context bound to this session's backend and seed.
 
         For callers that drive algorithm code directly (the parity
         tests replaying golden captures through the session path)
-        rather than through :meth:`run`.  The activation claims the
-        pooled arena for the ``with`` body exactly as a run does, so
-        concurrent activations and runs never share it: whoever finds
-        it busy proceeds on a fresh per-run arena.
+        rather than through :meth:`run`.
         """
-        workspace: object = None
-        try:
-            with self._lock:
-                workspace = self._claim_pool()
-            with current_context().child(
-                backend=self.backend,
-                workspace=workspace,
-                seed=self.seed,
-            ).activate() as ctx:
-                yield ctx
-        finally:
-            with self._lock:
-                self._release_pool(workspace)
+        with current_context().child(
+            backend=self.backend, seed=self.seed
+        ).activate() as ctx:
+            yield ctx
 
     # -- graph management -------------------------------------------------
 

@@ -12,13 +12,13 @@ paths:
 * the packed-word value sort is the same permutation as the reference
   per-digit loop, with the same charge, and contraction's
   representative index matches a stable argsort on either backend;
-* arena-backed frontier expansion matches the allocating expansion,
-  and each workspace primitive it is built from matches its
-  reference, empty inputs included;
+* frontier expansion through the fast workspace's unchecked gathers
+  matches the checked expansion, and the ragged positions it gathers
+  at match their definition, empty inputs included;
 * the start permutation's packed sort returns the reference's
   permutation and charge, prefix collisions and key ties included;
-* a :class:`~repro.engine.workspace.Workspace` reused across rounds
-  and across runs never leaks state between them;
+* the shared, stateless fast workspace serves round after round and
+  run after run without carrying anything between them;
 * the backend registry itself (resolve / scope / default) behaves.
 """
 
@@ -44,15 +44,18 @@ from repro.engine.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.engine.workspace import NULL_WORKSPACE, Workspace, make_workspace
+from repro.engine import workspace as workspace_module
+from repro.engine.workspace import FAST_WORKSPACE, NULL_WORKSPACE, Workspace
 from repro.errors import ParameterError
 from repro.graphs import random_gnm, random_kregular, rmat
+from repro.graphs.csr import ragged_positions
 from repro.primitives.atomics import first_winner
 from repro.pram.cost import tracking
 from repro.primitives import rand as rand_module
 from repro.primitives.hashing import _table_size
 from repro.primitives.rand import random_permutation
 from repro.primitives.sort import radix_argsort
+from repro.runtime.context import current_context
 
 dest_streams = st.lists(
     st.integers(min_value=0, max_value=60), min_size=0, max_size=300
@@ -83,11 +86,10 @@ tiny_streams = st.lists(
 @given(st.one_of(dest_streams, sparse_streams, tiny_streams))
 def test_first_winner_scatter_matches_sort(xs):
     idx = np.array(xs, dtype=np.int64)
-    ws = Workspace(64)
     with tracking() as ref_cost:
         ref_pos, ref_dst = first_winner(idx, workspace=None)
     with tracking() as fast_cost:
-        fast_pos, fast_dst = first_winner(idx, workspace=ws)
+        fast_pos, fast_dst = first_winner(idx, workspace=FAST_WORKSPACE)
     assert np.array_equal(ref_pos, fast_pos)
     assert np.array_equal(ref_dst, fast_dst)
     assert fast_pos.dtype == np.int64
@@ -114,10 +116,26 @@ def test_first_winner_matches_sort_across_the_crossover(m, spread, seed):
     with tracking() as ref_cost:
         ref_pos, ref_dst = first_winner(idx, workspace=None)
     with tracking() as fast_cost:
-        fast_pos, fast_dst = first_winner(idx, workspace=Workspace(64))
+        fast_pos, fast_dst = first_winner(idx, workspace=FAST_WORKSPACE)
     assert np.array_equal(ref_pos, fast_pos)
     assert np.array_equal(ref_dst, fast_dst)
     assert ref_cost.snapshot() == fast_cost.snapshot()
+
+
+def _spy_races():
+    """Patch the fast workspace's two race paths to record which ran."""
+    ran = []
+
+    def spy(name):
+        real = getattr(workspace_module, name)
+
+        def wrapped(idx, bound):
+            ran.append(name)
+            return real(idx, bound)
+
+        return mock.patch.object(workspace_module, name, wrapped)
+
+    return ran, spy("_scatter_race"), spy("_sort_race")
 
 
 @pytest.mark.parametrize(
@@ -129,61 +147,65 @@ def test_race_crossover_picks_the_path(m, top, dense):
     # while they number at least half of the id range, and sort below.
     idx = np.arange(m, dtype=np.int64) * top // (m - 1)
     idx[2::4] = idx[1]
-    ws = Workspace(8)
-    pos, dst = ws.winner_scatter(idx)
+    ran, scatter_spy, sort_spy = _spy_races()
+    with scatter_spy, sort_spy:
+        pos, dst = FAST_WORKSPACE.winner_scatter(idx)
     ref_pos, ref_dst = NULL_WORKSPACE.winner_scatter(idx)
     assert pos.tolist() == ref_pos.tolist()
     assert dst.tolist() == ref_dst.tolist()
-    assert ("winner#mask" in ws._buffers) is dense
+    assert ran == (["_scatter_race"] if dense else ["_sort_race"])
 
 
 def test_single_contender_returns_a_fresh_copy():
     idx = np.array([123_456], dtype=np.int64)
-    ws = Workspace(8)
-    pos, dst = ws.winner_scatter(idx)
+    ran, scatter_spy, sort_spy = _spy_races()
+    with scatter_spy, sort_spy:
+        pos, dst = FAST_WORKSPACE.winner_scatter(idx)
     assert pos.tolist() == [0] and dst.tolist() == [123_456]
-    assert dst is not idx and not ws._buffers
+    assert dst is not idx and ran == []
 
 
 def test_ids_too_wide_to_pack_still_resolve():
     idx = np.array([2**62, 5, 2**62, 2**62 - 1], dtype=np.int64)
-    pos, dst = Workspace(8).winner_scatter(idx)
+    pos, dst = FAST_WORKSPACE.winner_scatter(idx)
     assert pos.tolist() == [1, 3, 0]
     assert dst.tolist() == [5, 2**62 - 1, 2**62]
 
 
 def test_sparse_race_skips_the_id_scan():
-    # Two contenders at a high id must not grow a max-id-sized mask.
-    ws = Workspace(8)
-    pos, dst = first_winner(np.array([199_999, 3, 199_999]), workspace=ws)
+    # Two contenders at a high id must not scan a max-id-sized mask.
+    ran, scatter_spy, sort_spy = _spy_races()
+    with scatter_spy, sort_spy:
+        pos, dst = first_winner(
+            np.array([199_999, 3, 199_999]), workspace=FAST_WORKSPACE
+        )
     assert pos.tolist() == [1, 0]
     assert dst.tolist() == [3, 199_999]
-    assert "winner#mask" not in ws._buffers
+    assert ran == ["_sort_race"]
 
 
 def test_first_winner_all_colliding():
     idx = np.full(1000, 7, dtype=np.int64)
-    pos, dst = first_winner(idx, workspace=Workspace(8))
+    pos, dst = first_winner(idx, workspace=FAST_WORKSPACE)
     assert pos.tolist() == [0]
     assert dst.tolist() == [7]
 
 
 def test_first_winner_empty_stream():
     idx = np.zeros(0, dtype=np.int64)
-    pos, dst = first_winner(idx, workspace=Workspace(8))
+    pos, dst = first_winner(idx, workspace=FAST_WORKSPACE)
     assert pos.size == 0 and dst.size == 0
 
 
 @given(st.lists(dest_streams, min_size=2, max_size=5))
 def test_first_winner_workspace_reuse_no_leak(streams):
-    """One arena across many rounds == a fresh arena per round."""
-    ws = Workspace(64)
+    """The shared workspace, round after round, == the sort path."""
     for xs in streams:
         idx = np.array(xs, dtype=np.int64)
-        reused = first_winner(idx, workspace=ws)
-        fresh = first_winner(idx, workspace=Workspace(64))
-        assert np.array_equal(reused[0], fresh[0])
-        assert np.array_equal(reused[1], fresh[1])
+        shared = first_winner(idx, workspace=FAST_WORKSPACE)
+        ref = first_winner(idx, workspace=None)
+        assert np.array_equal(shared[0], ref[0])
+        assert np.array_equal(shared[1], ref[1])
 
 
 # -- radix_argsort: 16-bit digit passes == per-digit loop -----------------
@@ -284,52 +306,46 @@ def test_random_permutation_backend_parity(n, seed, stream, collide):
     assert ref_cost.snapshot() == fast_cost.snapshot()
 
 
-# -- workspace vocabulary: arena == reference, empty inputs included ------
+# -- gathers: fast == reference, empty inputs included --------------------
 
 counts_lists = st.lists(st.integers(min_value=0, max_value=5), max_size=40)
 
 
-@given(counts_lists)
-def test_exclusive_cumsum_parity(xs):
-    a = np.array(xs, dtype=np.int64)
-    ref = NULL_WORKSPACE.exclusive_cumsum(a, "k")
-    fast = Workspace(8).exclusive_cumsum(a, "k")
-    assert ref.shape == (a.size,)
-    assert np.array_equal(ref, fast)
-
-
-@given(counts_lists, st.integers(min_value=0, max_value=1000))
-def test_ragged_positions_parity(xs, base):
+@given(
+    counts_lists,
+    st.lists(st.integers(min_value=0, max_value=1000), max_size=40),
+)
+def test_ragged_positions_parity(xs, gaps):
     counts = np.array(xs, dtype=np.int64)
-    starts = base + np.cumsum(counts) - counts
+    # Slices at arbitrary (possibly overlapping) starts.
+    starts = np.resize(np.array(gaps or [0], dtype=np.int64), counts.size)
     total = int(counts.sum())
-    ref = NULL_WORKSPACE.ragged_positions(starts, counts, total, "k")
-    fast = Workspace(8).ragged_positions(starts, counts, total, "k")
-    assert ref.shape == (total,)
-    assert np.array_equal(ref, fast)
-
-
-@given(counts_lists)
-def test_repeat_parity(xs):
-    counts = np.array(xs, dtype=np.int64)
-    values = np.arange(counts.size, dtype=np.int64) * 3
-    total = int(counts.sum())
-    ref = NULL_WORKSPACE.repeat(values, counts, total, "k")
-    fast = Workspace(8).repeat(values, counts, total, "k")
-    assert ref.shape == (total,)
-    assert np.array_equal(ref, fast)
+    want = [s + k for s, c in zip(starts.tolist(), xs) for k in range(c)]
+    got = ragged_positions(starts, counts, total)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 @given(st.lists(st.booleans(), max_size=60))
 def test_compress_parity(bits):
     mask = np.array(bits, dtype=bool)
     arr = np.arange(mask.size, dtype=np.int64) * 7
-    ref = NULL_WORKSPACE.compress(mask, arr, "k")
-    fast = Workspace(8).compress(mask, arr, "k")
+    ref = NULL_WORKSPACE.compress(mask, arr)
+    fast = FAST_WORKSPACE.compress(mask, arr)
     assert np.array_equal(ref, fast)
 
 
-# -- expand: arena views == fresh allocations -----------------------------
+@given(st.lists(st.integers(min_value=0, max_value=59), max_size=60))
+def test_take_parity(xs):
+    idx = np.array(xs, dtype=np.int64)
+    arr = np.arange(60, dtype=np.int64) * 7
+    ref = NULL_WORKSPACE.take(arr, idx)
+    fast = FAST_WORKSPACE.take(arr, idx)
+    assert np.array_equal(ref, fast)
+    assert fast.dtype == arr.dtype
+
+
+# -- expand: unchecked gathers == checked gathers -------------------------
 
 
 @settings(max_examples=30, deadline=None)
@@ -345,16 +361,14 @@ def test_expand_workspace_parity(frontier):
     graph = random_kregular(100, 4, seed=7)
     front = np.sort(np.array(frontier, dtype=np.int64))
     ref_src, ref_dst = graph.expand(front, workspace=None)
-    ws = Workspace(100)
-    fast_src, fast_dst = graph.expand(front, workspace=ws)
+    fast_src, fast_dst = graph.expand(front, workspace=FAST_WORKSPACE)
     assert np.array_equal(ref_src, fast_src)
     assert np.array_equal(ref_dst, fast_dst)
 
 
 def test_expand_workspace_reuse_across_rounds():
-    """Shrinking then growing frontiers reuse buffers without residue."""
+    """Shrinking then growing frontiers through the shared workspace."""
     graph = random_kregular(64, 5, seed=3)
-    ws = Workspace(64)
     for front in (
         np.arange(64, dtype=np.int64),
         np.arange(0, 64, 7, dtype=np.int64),
@@ -362,7 +376,7 @@ def test_expand_workspace_reuse_across_rounds():
         np.arange(32, dtype=np.int64),
     ):
         ref = graph.expand(front, workspace=None)
-        fast = graph.expand(front, workspace=ws)
+        fast = graph.expand(front, workspace=FAST_WORKSPACE)
         assert np.array_equal(ref[0], fast[0])
         assert np.array_equal(ref[1], fast[1])
 
@@ -446,13 +460,18 @@ def test_use_backend_scopes_and_nests():
     assert current_backend() is outer
 
 
-def test_make_workspace_follows_backend_flags():
-    assert isinstance(make_workspace(FAST, 10), Workspace)
-    assert make_workspace(REFERENCE, 10) is NULL_WORKSPACE
+def test_backend_workspace_follows_backend_flags():
+    assert FAST.workspace is FAST_WORKSPACE
+    assert isinstance(FAST_WORKSPACE, Workspace)
+    assert REFERENCE.workspace is NULL_WORKSPACE
+    with use_backend("reference"):
+        assert current_context().acquire_workspace(10) is NULL_WORKSPACE
+    with use_backend("fast"):
+        assert current_context().acquire_workspace(10) is FAST_WORKSPACE
     # The workspace's class carries the decision into the kernels: both
     # resolve a CAS race to the same first-occurrence winners.
     idx = np.array([3, 1, 3, 0, 1, 7], dtype=np.int64)
-    fast_pos, fast_dests = make_workspace(FAST, 10).winner_scatter(idx)
+    fast_pos, fast_dests = FAST.workspace.winner_scatter(idx)
     ref_pos, ref_dests = NULL_WORKSPACE.winner_scatter(idx)
     assert fast_pos.tolist() == ref_pos.tolist() == [3, 1, 0, 5]
     assert fast_dests.tolist() == ref_dests.tolist() == [0, 1, 3, 7]

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.bfs.frontier import Frontier
-from repro.bfs.hybrid_bfs import bottom_up_step, hybrid_bfs
+from repro.bfs.hybrid_bfs import hybrid_bfs
 from repro.bfs.parallel_bfs import parallel_bfs
+from repro.connectivity.hybrid_bfs_cc import bfs_from_source
+from repro.engine.frontier import Frontier
+from repro.engine.kernels import bottom_up_step
+from repro.errors import ParameterError
 from repro.graphs.generators import (
     binary_tree,
     clique,
@@ -106,6 +109,28 @@ class TestParallelBFS:
     def test_bad_source(self):
         with pytest.raises(ValueError):
             parallel_bfs(line_graph(3), 5)
+
+
+class TestSourceRange:
+    """Both BFS states reject a source outside [0, n) before any write."""
+
+    @pytest.mark.parametrize("source", [-1, 6])
+    def test_component_labeling_rejects_without_writing(self, source):
+        g = line_graph(6)
+        labels = np.full(6, -1, dtype=np.int64)
+        labels[2] = 9
+        before = labels.copy()
+        with pytest.raises(ParameterError, match="out of range") as err:
+            bfs_from_source(g, source, labels, 4)
+        assert isinstance(err.value, ValueError)
+        assert np.array_equal(labels, before)
+
+    @pytest.mark.parametrize("source", [-1, 6])
+    @pytest.mark.parametrize("bfs", [parallel_bfs, hybrid_bfs])
+    def test_bfs_tree_rejects(self, bfs, source):
+        with pytest.raises(ParameterError, match="out of range") as err:
+            bfs(line_graph(6), source)
+        assert isinstance(err.value, ValueError)
 
 
 class TestHybridBFS:

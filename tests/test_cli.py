@@ -298,7 +298,7 @@ class TestLintFormats:
         assert driver["name"] == "reprolint"
         rule_ids = {r["id"] for r in driver["rules"]}
         assert {r for r in rule_ids if r.startswith("RL")} == {
-            "RL001", "RL002", "RL003", "RL004", "RL008", "RL010",
+            "RL001", "RL003", "RL004", "RL008", "RL010",
         }
 
     def test_sarif_violations_become_results(self, capsys, tmp_path):

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from repro.decomp.base import DecompState
-from repro.decomp.decomp_arb import arb_round
-from repro.decomp.decomp_min import _PAIR_INF, min_round
 from repro.engine.backend import use_backend
+from repro.engine.kernels import _PAIR_INF, arb_round, min_round
 from repro.graphs.builder import from_edges
 from repro.pram.cost import tracking
 from repro.resilience.faults import parse_fault_plan

@@ -146,24 +146,22 @@ def test_bfs_family_matches_pre_engine_capture(key, execution, zoo):
 # -- the same 116 entries, driven through the Session runtime path --------
 #
 # The runtime refactor's acceptance bar: a Session-bound context (its
-# backend plus its *pooled* workspace arena, reused across every replay
-# on the same graph) must reproduce each golden capture byte-for-byte.
-# One session per (graph, backend) lives for the whole module, so later
-# parametrized replays run against an arena warmed by earlier ones —
-# pooling must be observationally invisible.  The ``parallel-wN`` cases
-# activate the *same* session on N threads at once: one thread claims
-# the pooled arena, the others must get fresh ones, never a shared one.
+# backend, whose one shared workspace serves every replay) must
+# reproduce each golden capture byte-for-byte.  One session per (graph,
+# backend) lives for the whole module, so later parametrized replays
+# run through the same session as earlier ones.  The ``parallel-wN``
+# cases activate the *same* session on N threads at once.
 
 
 @pytest.fixture(scope="module")
 def session_for(zoo):
-    pool = {}
+    sessions = {}
 
     def get(gname, backend):
         key = (gname, backend)
-        if key not in pool:
-            pool[key] = Session(zoo[gname], graph_name=gname, backend=backend)
-        return pool[key]
+        if key not in sessions:
+            sessions[key] = Session(zoo[gname], graph_name=gname, backend=backend)
+        return sessions[key]
 
     return get
 

@@ -1,20 +1,24 @@
 """Cross-validation: what RL008 flags statically really breaks.
 
 The doctored fixture here is *one source string* staged under a
-``src/repro/...`` path and linted (the rule must flag it), and its
-defect is then reproduced against the real
-:class:`~repro.runtime.session.Session` (the leaked claim must starve
-the pool).  This pins the static rule to the runtime failure it was
-built to prevent — a rule that stopped firing, or a defect that
-stopped mattering, fails here first.
+``src/repro/...`` path and linted (the rule must flag it), and the
+same source is then executed against the real execution-context
+variable (the token it never resets must leave the leaked context
+installed after an exception).  This pins the static rule to the
+runtime failure it was built to prevent — a rule that stopped firing,
+or a defect that stopped mattering, fails here first.
 """
 
 from __future__ import annotations
 
+import contextvars
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.reprolint import lint_paths, load_config
-from repro.runtime.session import Session
+from repro.runtime import context as context_module
+from repro.runtime.context import current_context
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG = REPO_ROOT / "reprolint.toml"
@@ -29,14 +33,16 @@ def stage_and_lint(tmp_path: Path, rel: str, source: str):
 
 
 RL008_FIXTURE = """\
-def leaky_run(session, frontier):
-    ws = session._claim_pool()
-    if frontier is None:
-        return None
-    out = compute(ws, frontier)
-    session._release_pool(ws)
-    return out
+def leaky_run(ctx, body):
+    token = _CONTEXT.set(ctx)
+    result = body()
+    _CONTEXT.reset(token)
+    return result
 """
+
+
+def _boom():
+    raise RuntimeError("boom")
 
 
 class TestRL008CrossValidation:
@@ -45,18 +51,31 @@ class TestRL008CrossValidation:
         assert hits
         assert {v.rule for v in hits} == {"RL008"}
         assert all(v.qualname == "leaky_run" for v in hits)
+        assert any("exceptional" in v.message for v in hits)
 
-    def test_runtime_consequence_is_a_starved_pool(self):
-        sess = Session("random", scale="tiny", seed=2, backend="fast")
-        with sess._lock:
-            ws = sess._claim_pool()
-        assert ws is not None
-        # The leak RL008 prevents: the claim never released, so every
-        # later run is silently pushed onto a fresh per-run arena.
-        with sess._lock:
-            assert sess._claim_pool() is None
-        with sess._lock:
-            sess._release_pool(ws)
-            repaired = sess._claim_pool()
-            sess._release_pool(repaired)
-        assert repaired is not None
+    def test_runtime_consequence_is_a_leaked_context(self):
+        namespace = {"_CONTEXT": context_module._CONTEXT}
+        exec(RL008_FIXTURE, namespace)
+        leaky_run = namespace["leaky_run"]
+        leaked = current_context().child(seed=99)
+
+        def after(run):
+            # A copied context keeps the leak out of the other tests.
+            def scenario():
+                with pytest.raises(RuntimeError, match="boom"):
+                    run()
+                return current_context()
+
+            return contextvars.copy_context().run(scenario)
+
+        # The leak RL008 prevents: the body raised past the reset, so
+        # every later read on this thread sees the dead run's context.
+        assert after(lambda: leaky_run(leaked, _boom)) is leaked
+
+        def activated():
+            with leaked.activate():
+                _boom()
+
+        # The sanctioned shape resets in ``finally`` and restores.
+        assert after(activated) is not leaked
+        assert current_context() is not leaked

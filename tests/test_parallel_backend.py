@@ -3,35 +3,39 @@
 Every backend runs a labeling on the calling thread; the paper's thread
 scaling lives in the cost model.  What *can* run in parallel is the
 host: service-style callers label graphs from several threads at once,
-each with its own execution context and workspace arena.  The golden
-suite (tests/test_engine_parity.py) replays all 116 fixtures on 1, 2
-and 4 concurrent threads; this module covers the pieces underneath:
+each with its own execution context, all through the backend's one
+shared, stateless workspace.  The golden suite
+(tests/test_engine_parity.py) replays all 116 fixtures on 1, 2 and 4
+concurrent threads; this module covers the pieces underneath:
 
-* every ``Workspace`` op, driven from ``workers`` threads at once (one
-  arena each), equals its serial spec across sizes from empty to many
-  buffer growths;
-* the arena scatters (``winner_scatter``, ``minimum_scatter``) keep
-  the serial priority-CRCW schedules and restore their scratch
-  invariants, so arena reuse across rounds stays correct on every
-  thread;
-* concurrent end-to-end runs match the serial labeling, and sanitized
-  concurrent runs are race-free with per-thread sanitizer accounting;
-* concurrent ``Session.run`` callers compute each key once and never
-  corrupt the pool.
+* every op of the shared fast workspace, driven from ``workers``
+  threads at once, equals its serial spec across sizes from empty to
+  a thousand;
+* its scatters (``winner_scatter``, ``minimum_scatter``) keep the
+  serial priority-CRCW schedules call after call on every thread,
+  with four threads racing distinct inputs through it at once;
+* concurrent runs of different decompositions on different graphs
+  match their serial labelings and tracker snapshots, concurrent
+  end-to-end runs match the serial labeling, and sanitized concurrent
+  runs are race-free with per-thread sanitizer accounting;
+* concurrent ``Session.run`` callers compute each key once.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.decomp import decomp_arb, decomp_min
 from repro.engine.backend import BACKENDS, resolve_backend
-from repro.engine.workspace import NULL_WORKSPACE, Workspace
+from repro.engine.workspace import FAST_WORKSPACE, NULL_WORKSPACE
 from repro.experiments.harness import profile_run
 from repro.graphs import empty_graph, line_graph, random_gnm
+from repro.pram.cost import CostTracker
 from repro.pram.sanitizer import sanitizing
 from repro.primitives.atomics import write_min
 from repro.runtime.context import current_context
@@ -43,8 +47,8 @@ from tests.conftest import run_on_threads
 #: pair, an odd count, and more threads than most CI machines have cores.
 WORKER_COUNTS = (1, 2, 3, 4)
 
-#: Sizes straddling the arena's growth steps: empty, single, just below,
-#: at and above a power of two, a ragged multi-growth total, and more.
+#: Sizes from empty and single through just below, at and above a power
+#: of two to a ragged total and more.
 CHUNK = 64
 SIZES = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 17, 1000)
 
@@ -67,39 +71,23 @@ def test_elementwise_ops_match_reference(size, workers):
     arr = rng.integers(0, 1 << 40, size=max(size, 1), dtype=np.int64)
     idx = rng.integers(0, max(size, 1), size=size, dtype=np.int64)
     mask = rng.random(size) < 0.5
-    keys = rng.integers(0, 1 << 50, size=size, dtype=np.int64)
 
-    def ops():
-        ws = Workspace(256)  # one arena per thread
+    def ops(ws):
         return [
-            ws.take(arr, idx, "t").copy(),
-            ws.compress(mask, a, "c").copy(),
-            ws.equal(a, b, "e").copy(),
-            ws.equal(a, np.int64(7), "es").copy(),
-            ws.not_equal(a, b, "n").copy(),
-            ws.logical_not(mask, "l").copy(),
-            ws.sub(a, b, "s").copy(),
-            ws.as_float(a, "f").copy(),
-            ws.hash_slots(keys, np.uint64(0x9E37), np.uint64(1023), "h"),
+            ws.take(arr, idx),
+            ws.take(mask, idx[idx < size]),
+            ws.compress(mask, a),
+            ws.compress(~mask, b),
         ]
 
-    want = [
-        arr[idx],
-        a[mask],
-        a == b,
-        a == 7,
-        a != b,
-        ~mask,
-        a - b,
-        a.astype(np.float64),
-        NULL_WORKSPACE.hash_slots(keys, np.uint64(0x9E37), np.uint64(1023), "h"),
-    ]
-    for got in run_on_threads(ops, workers):
+    want = ops(NULL_WORKSPACE)
+    # One fast instance shared by every thread.
+    for got in run_on_threads(lambda: ops(FAST_WORKSPACE), workers):
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
 
-# ------------------------------------------------------- arena scatters
+# ------------------------------------------------------- shared scatters
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -109,7 +97,7 @@ def test_winner_scatter_matches_serial_schedule(size, workers):
     idx = rng.integers(0, max(size // 2, 1), size=size, dtype=np.int64)
     want_pos, want_dst = _first_occurrences(idx)
     for got_pos, got_dst in run_on_threads(
-        lambda: Workspace(256).winner_scatter(idx), workers
+        lambda: FAST_WORKSPACE.winner_scatter(idx), workers
     ):
         np.testing.assert_array_equal(got_dst, want_dst)
         np.testing.assert_array_equal(got_pos, want_pos)
@@ -117,7 +105,7 @@ def test_winner_scatter_matches_serial_schedule(size, workers):
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_winner_scatter_invariants_survive_reuse(workers):
-    """The scratch mask must reset after each scatter, or round 2 lies."""
+    """Round after round on the shared instance, every thread agrees."""
     rng = np.random.default_rng(9)
     rounds = [
         rng.integers(0, 150, size=3 * CHUNK + 11 + r, dtype=np.int64)
@@ -125,14 +113,53 @@ def test_winner_scatter_invariants_survive_reuse(workers):
     ]
 
     def reuse():
-        ws = Workspace(256)
-        return [ws.winner_scatter(idx) for idx in rounds]
+        return [FAST_WORKSPACE.winner_scatter(idx) for idx in rounds]
 
     for per_round in run_on_threads(reuse, workers):
         for idx, (got_pos, got_dst) in zip(rounds, per_round):
             want_pos, want_dst = _first_occurrences(idx)
             np.testing.assert_array_equal(got_pos, want_pos)
             np.testing.assert_array_equal(got_dst, want_dst)
+
+
+def test_shared_workspace_stress_with_distinct_inputs():
+    """Four threads, each its own races, through the one instance.
+
+    The races are large enough that NumPy releases the interpreter lock
+    inside them, and a short switch interval interleaves the threads
+    between calls: any scratch state kept on the shared workspace from
+    one NumPy call to the next would leak one thread's destinations
+    into another's winners.
+    """
+    streams = [
+        [
+            np.random.default_rng((t, r)).integers(0, 4000 + 1000 * t, size=3000)
+            for r in range(20)
+        ]
+        for t in range(4)
+    ]
+    wants = [[_first_occurrences(idx) for idx in mine] for mine in streams]
+    slots = iter(range(len(streams)))
+    lock = threading.Lock()
+
+    def hammer():
+        with lock:
+            t = next(slots)
+        bad = 0
+        for _ in range(25):
+            for idx, (want_pos, want_dst) in zip(streams[t], wants[t]):
+                pos, dst = FAST_WORKSPACE.winner_scatter(idx)
+                bad += not (
+                    np.array_equal(pos, want_pos) and np.array_equal(dst, want_dst)
+                )
+        return bad
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_on_threads(hammer, len(streams)) == [0] * len(streams)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -148,11 +175,10 @@ def test_minimum_scatter_matches_minimum_at(size, workers):
         batches.append((idx, values, base))
 
     def scatter():
-        ws = Workspace(256)
         out = []
         for idx, values, base in batches:
             got = base.copy()
-            ws.minimum_scatter(got, idx, values)
+            FAST_WORKSPACE.minimum_scatter(got, idx, values)
             out.append(got)
         return out
 
@@ -175,11 +201,62 @@ def test_write_min_routes_through_workspace(workers):
 
     def run():
         got = base.copy()
-        write_min(got, idx, values, workspace=Workspace(256))
+        write_min(got, idx, values, workspace=FAST_WORKSPACE)
         return got
 
     for got in run_on_threads(run, workers):
         np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------- concurrent decompositions
+
+
+def test_one_shared_fast_workspace_serves_concurrent_runs():
+    """Decomp-Arb and Decomp-Min at once, on different graphs.
+
+    Each job runs on two threads, four in all (more than the cores of
+    most CI machines), with a short switch interval so the threads
+    interleave inside the kernels; every run must equal its serial run.
+    """
+    # Big enough that NumPy releases the interpreter lock mid-round.
+    jobs = [
+        (decomp_arb, random_gnm(20_000, 60_000, seed=6)),
+        (decomp_min, line_graph(20_000, seed=2)),
+    ] * 2
+
+    def run(job):
+        decompose, graph = job
+        ctx = current_context().child(
+            backend=resolve_backend("fast"), tracker=CostTracker()
+        )
+        with ctx.activate():
+            assert current_context().backend.workspace is FAST_WORKSPACE
+            dec = decompose(graph, 0.2, seed=3)
+        return dec.labels, dec.inter_src, ctx.tracker.snapshot()
+
+    serial = [run(job) for job in jobs]
+    slots = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def claim():
+        with lock:
+            slot = next(slots)
+        # Back-to-back runs keep every thread busy while the others are.
+        return slot, [run(jobs[slot]) for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = run_on_threads(claim, len(jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(slot for slot, _ in results) == list(range(len(jobs)))
+    for slot, runs in results:
+        want_labels, want_inter, want_snapshot = serial[slot]
+        for labels, inter_src, snapshot in runs:
+            np.testing.assert_array_equal(labels, want_labels)
+            np.testing.assert_array_equal(inter_src, want_inter)
+            assert snapshot == want_snapshot
 
 
 # --------------------------------------------------- end-to-end edge cases

@@ -80,47 +80,13 @@ class TestRL001SharedWrites:
         assert len(violations) == 1
 
     def test_private_host_bookkeeping_skipped(self):
-        # self._buffers[...] = ... is host-side arena bookkeeping, not
+        # self._memo[...] = ... is host-side bookkeeping, not
         # simulated shared memory.
         assert not check(
             "RL001",
             "class W:\n"
-            "    def _buf(self, key, arr):\n"
-            "        self._buffers[key] = arr\n",
-        )
-
-
-class TestRL002Allocations:
-    KEY = "src/repro/engine/kernels.py"
-
-    def test_allocating_call_flagged(self):
-        violations = check(
-            "RL002",
-            "import numpy as np\n"
-            "def round(n):\n"
-            "    return np.zeros(n)\n",
-            self.KEY,
-        )
-        assert len(violations) == 1
-        assert violations[0].rule == "RL002"
-
-    def test_out_kwarg_ok(self):
-        assert not check(
-            "RL002",
-            "import numpy as np\n"
-            "def round(a, b, buf):\n"
-            "    np.equal(a, b, out=buf)\n",
-            self.KEY,
-        )
-
-    def test_empty_sentinel_ok(self):
-        # Zero-length sentinel arrays are not round-loop allocation.
-        assert not check(
-            "RL002",
-            "import numpy as np\n"
-            "def round():\n"
-            "    return np.zeros(0, dtype=np.int64)\n",
-            self.KEY,
+            "    def _remember(self, key, arr):\n"
+            "        self._memo[key] = arr\n",
         )
 
 
@@ -293,8 +259,8 @@ class TestSeededRegression:
         return staged
 
     def test_seeded_bare_shared_write_flagged(self, tmp_path):
-        # Planted in filter_edges, which the registry allowlists for
-        # RL002 only — an unsanctioned shared write there must surface
+        # Planted in filter_edges, which the registry does not
+        # allowlist — an unsanctioned shared write there must surface
         # even under the real checked-in config.
         evil = "    state.C[dst] = state.C[src]\n"
         anchor = "    end_round(edges)\n\n\ndef bottom_up_step"
@@ -314,22 +280,6 @@ class TestSeededRegression:
         assert hits[0].line == line
         assert f"kernels.py:{line}:" in hits[0].format()
         assert "RL001" in hits[0].format()
-
-    def test_seeded_allocating_call_flagged(self, tmp_path):
-        # Planted in arb_round, the first kernel ending on this line.
-        evil = "    scratch = np.zeros(state.n, dtype=np.int64)\n"
-        staged = self._stage(
-            tmp_path,
-            lambda src: src.replace(
-                "    end_round(edges)\n",
-                evil + "    end_round(edges)\n",
-                1,
-            ),
-        )
-        line = staged.read_text().splitlines().index(evil.rstrip("\n")) + 1
-        report = lint_paths([staged], load_config(CONFIG), enforce_stale=False)
-        hits = [v for v in report.violations if v.rule == "RL002"]
-        assert [v.line for v in hits] == [line]
 
     def test_unmodified_copy_is_clean(self, tmp_path):
         staged = self._stage(tmp_path, lambda src: src)
@@ -409,11 +359,6 @@ class TestConfigValidation:
 class TestScoping:
     def test_path_key_normalises_absolute_paths(self):
         assert path_key_for(KERNELS) == "src/repro/engine/kernels.py"
-
-    def test_rl002_only_covers_fast_kernels(self):
-        assert "RL002" in rules_for_path("src/repro/engine/kernels.py")
-        assert "RL002" in rules_for_path("src/repro/engine/workspace.py")
-        assert "RL002" not in rules_for_path("src/repro/engine/core.py")
 
     def test_rl001_covers_the_three_subsystems(self):
         for key in (

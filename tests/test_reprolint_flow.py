@@ -2,9 +2,9 @@
 analysis on every run, and config diagnostics.
 
 Mirrors ``test_reprolint.py`` for the dataflow-powered rule: it flags
-doctored lifecycles — including one planted in a copy of the *real*
-``runtime/session.py`` under the checked-in config — and stays quiet on
-the sanctioned shapes the real code uses.
+doctored contextvar-token lifecycles — including one planted in a copy
+of the *real* ``runtime/session.py`` under the checked-in config — and
+stays quiet on the sanctioned shapes the real code uses.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.errors import LintConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SESSION = REPO_ROOT / "src" / "repro" / "runtime" / "session.py"
-WORKSPACE = REPO_ROOT / "src" / "repro" / "engine" / "workspace.py"
 CONFIG = REPO_ROOT / "reprolint.toml"
 
 ENGINE = "src/repro/engine/x.py"
@@ -37,55 +36,73 @@ def check(rule: str, source: str, path_key: str = ENGINE):
 
 
 class TestRL008Lifecycle:
-    def test_claimed_pool_on_early_return_flagged(self):
+    def test_token_set_on_early_return_flagged(self):
         violations = check(
             "RL008",
-            "class Session:\n"
+            "class Scope:\n"
             "    def run(self):\n"
-            "        ws = self._claim_pool()\n"
-            "        if bad(ws):\n"
+            "        token = _CONTEXT.set(self)\n"
+            "        if bad(token):\n"
             "            return None\n"
-            "        result = compute(ws)\n"
-            "        self._release_pool(ws)\n"
+            "        result = compute(token)\n"
+            "        _CONTEXT.reset(token)\n"
             "        return result\n",
             RUNTIME,
         )
-        # Claimed on the early return AND on every exceptional path
-        # out of compute(); one finding per leaking exit kind at least.
-        assert violations
+        # Set on the early return AND on every exceptional path out of
+        # compute(); one finding per leaking exit kind at least.
+        kinds = " ".join(v.message for v in violations)
+        assert "a return path" in kinds and "an exceptional path" in kinds
         assert all(v.rule == "RL008" for v in violations)
 
     def test_release_in_finally_is_clean(self):
+        # An early return inside the try still passes the finally.
         assert not check(
             "RL008",
-            "class Session:\n"
+            "class Scope:\n"
             "    def run(self):\n"
-            "        ws = self._claim_pool()\n"
+            "        token = _CONTEXT.set(self)\n"
             "        try:\n"
-            "            return compute(ws)\n"
+            "            if bad(token):\n"
+            "                return None\n"
+            "            return compute(token)\n"
             "        finally:\n"
-            "            self._release_pool(ws)\n",
+            "            _CONTEXT.reset(token)\n",
             RUNTIME,
         )
 
     def test_conditional_claim_conditional_release_is_clean(self):
-        # Session.run's real shape: the claim only happens on one
-        # branch, and the finally releases exactly then — the MAYBE
-        # state at the join must not be flagged.
+        # The set only happens on one branch, and the finally resets
+        # exactly then — the MAYBE state at the join must not be
+        # flagged.
         assert not check(
             "RL008",
-            "class Session:\n"
-            "    def run(self, wait_for):\n"
-            "        ws = None\n"
-            "        if wait_for is None:\n"
-            "            ws = self._claim_pool()\n"
+            "class Scope:\n"
+            "    def run(self, ctx):\n"
+            "        token = None\n"
+            "        if ctx is not None:\n"
+            "            token = _CONTEXT.set(ctx)\n"
             "        try:\n"
-            "            return compute(ws)\n"
+            "            return compute(ctx)\n"
             "        finally:\n"
-            "            if ws is not None:\n"
-            "                self._release_pool(ws)\n",
+            "            if token is not None:\n"
+            "                _CONTEXT.reset(token)\n",
             RUNTIME,
         )
+
+    def test_token_set_twice_flagged(self):
+        violations = check(
+            "RL008",
+            "def nest(a, b):\n"
+            "    token = _CONTEXT.set(a)\n"
+            "    try:\n"
+            "        token = _CONTEXT.set(b)\n"
+            "        return compute()\n"
+            "    finally:\n"
+            "        _CONTEXT.reset(token)\n",
+            RUNTIME,
+        )
+        assert any("set again" in v.message for v in violations)
 
     def test_token_without_finally_flagged(self):
         violations = check(
@@ -111,29 +128,8 @@ class TestRL008Lifecycle:
             RUNTIME,
         )
 
-    def test_discarded_acquire_flagged(self):
-        violations = check(
-            "RL008",
-            "def run(ctx, n):\n"
-            "    ctx.acquire_workspace(n)\n"
-            "    return compute(n)\n",
-            RUNTIME,
-        )
-        assert len(violations) == 1
-        assert "discard" in violations[0].message
-
-    def test_double_acquire_flagged(self):
-        violations = check(
-            "RL008",
-            "def run(ctx, n):\n"
-            "    a = ctx.acquire_workspace(n)\n"
-            "    b = ctx.acquire_workspace(n)\n"
-            "    return compute(a, b)\n",
-            RUNTIME,
-        )
-        assert len(violations) == 1
-
     def test_single_bound_acquire_is_clean(self):
+        # Workspaces are shared and stateless: nothing to release.
         assert not check(
             "RL008",
             "def run(ctx, n):\n"
@@ -159,14 +155,14 @@ class TestSeededRegressionSession:
         staged = self._stage(tmp_path, lambda src: src)
         assert self._lint(staged).violations == []
 
-    def test_seeded_leaky_pool_claim_flagged(self, tmp_path):
+    def test_seeded_leaky_token_flagged(self, tmp_path):
         evil = (
             "\n\ndef leaky_run(session, frontier):\n"
-            "    ws = session._claim_pool()\n"
+            "    token = _CONTEXT.set(session)\n"
             "    if frontier is None:\n"
             "        return None\n"
-            "    out = ws.take(frontier, frontier, \"leak\")\n"
-            "    session._release_pool(ws)\n"
+            "    out = session.run(frontier)\n"
+            "    _CONTEXT.reset(token)\n"
             "    return out\n"
         )
         staged = self._stage(tmp_path, lambda src: src + evil)
@@ -239,7 +235,7 @@ class TestConfigDiagnostics:
 
     def test_scopes_cover_the_new_rules(self):
         assert rules_for_path("src/repro/engine/workspace.py") == [
-            "RL001", "RL002", "RL003", "RL004", "RL008",
+            "RL001", "RL003", "RL004", "RL008",
         ]
         assert "RL008" in rules_for_path("src/repro/runtime/session.py")
         assert "RL008" in rules_for_path("src/repro/runtime/context.py")

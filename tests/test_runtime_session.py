@@ -1,4 +1,4 @@
-"""The runtime layer: ExecutionContext isolation, Session memo/pooling.
+"""The runtime layer: ExecutionContext isolation, Session memoization.
 
 The refactor's acceptance bar lives here:
 
@@ -27,7 +27,6 @@ import pytest
 from repro.analysis.verify import verify_labeling
 from repro.errors import ParameterError
 from repro.experiments.registry import build_graph
-from repro.obs import Metrics
 from repro.pram.cost import CostTracker
 from repro.runtime.context import (
     ExecutionContext,
@@ -106,27 +105,6 @@ class TestConcurrentSessions:
         with ThreadPoolExecutor(max_workers=2) as pool:
             totals = list(pool.map(worker, [7.0, 19.0]))
         assert totals == [7.0, 19.0]
-
-    def test_overlapping_activations_never_share_the_pool(self):
-        """An activation claims the pooled arena like a run does."""
-        sess = Session("random", scale="tiny", seed=2)
-        with sess.activate() as outer:
-            with sess.activate() as inner:
-                assert outer.workspace is not None
-                assert inner.workspace is None  # builds a fresh arena
-            metrics = Metrics()
-
-            def run() -> None:
-                with current_context().child(metrics=metrics).activate():
-                    sess.run()
-
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                pool.submit(run).result()
-            # The concurrent run proceeded on a fresh arena too.
-            assert metrics.counter("session.pool.fresh") == 1
-            assert metrics.counter("session.pool.claimed") == 0
-        with sess.activate() as again:
-            assert again.workspace is outer.workspace  # released on exit
 
 
 class TestSessionMemo:
@@ -215,25 +193,24 @@ class TestExecuteProfiled:
 class TestInflightCoalescing:
     """The per-key in-flight table must be cleared on EVERY exit path.
 
-    Regression tests for a leak where the pooled-workspace claim ran
-    after the in-flight registration but outside the try/finally: a
-    claim failure left the key's event in ``_inflight`` forever, and
-    every later caller of the same key deadlocked waiting on it.
+    Regression tests for a leak where a step between the in-flight
+    registration and the run's try/finally could fail: the failure left
+    the key's event in ``_inflight`` forever, and every later caller of
+    the same key deadlocked waiting on it.
     """
 
-    def test_failed_claim_clears_inflight_entry(self):
+    def test_failed_claim_clears_inflight_entry(self, monkeypatch):
+        import repro.runtime.session as session_mod
+
         sess = Session("random", scale="tiny", seed=2)
 
-        def exploding_claim():
-            raise RuntimeError("pool boom")
+        def exploding_run(*args, **kwargs):
+            raise RuntimeError("run boom")
 
-        original = sess._claim_pool
-        sess._claim_pool = exploding_claim
-        try:
-            with pytest.raises(RuntimeError, match="pool boom"):
+        with monkeypatch.context() as patch:
+            patch.setattr(session_mod, "execute_profiled", exploding_run)
+            with pytest.raises(RuntimeError, match="run boom"):
                 sess.run()
-        finally:
-            sess._claim_pool = original
         # Pre-fix this assertion fails (and the run() below would then
         # deadlock on the leaked event — assert first, run second).
         assert sess._inflight == {}
