@@ -1,7 +1,7 @@
 """Breadth-first search: parallel BFS and direction-optimizing BFS.
 
-The frontier representation and the read-based sweep they share live
-in the traversal engine (:mod:`repro.engine.frontier`,
+The round loop and the read-based sweep they share live in the
+traversal engine (:class:`repro.engine.state.BFSTreeState`,
 :func:`repro.engine.kernels.bottom_up_step`).
 """
 

@@ -24,7 +24,8 @@ pull kernel needs) under the paper's
 :class:`~repro.engine.direction.AlwaysPush` /
 :class:`~repro.engine.direction.AlwaysPull` when a direction is forced.
 The read-based sweep itself is
-:func:`repro.engine.kernels.bottom_up_step`.
+:func:`repro.engine.kernels.bottom_up_step`, the same sweep the
+decomposition hybrids' dense rounds run.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from typing import List, Optional
 from repro.bfs.parallel_bfs import BFSResult
 from repro.engine.core import TraversalEngine
 from repro.engine.direction import (
+    DENSE_THRESHOLD,
     AlwaysPull,
     AlwaysPush,
     DirectionPolicy,
     FractionHybrid,
 )
-from repro.engine.frontier import DENSE_THRESHOLD
 from repro.engine.state import BFSTreeState
+from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
 
 __all__ = ["hybrid_bfs", "HybridBFSResult"]
@@ -66,17 +68,20 @@ def hybrid_bfs(
     Parameters
     ----------
     dense_threshold:
-        Switch to the bottom-up sweep when the frontier exceeds this
-        fraction of the remaining unvisited vertices (paper: 20 %).
+        Switch to the bottom-up sweep when the claimed frontier exceeds
+        this fraction of all n vertices and some vertex is still
+        unvisited (paper: 20 %).  NaN or a negative value raises
+        :class:`~repro.errors.ParameterError`; above 1 never pulls.
     force_direction:
         ``"top-down"`` or ``"bottom-up"`` pins every round to one
-        direction (ablation support); default adaptive.
+        direction (ablation support); default adaptive.  Any other
+        value raises :class:`~repro.errors.ParameterError`.
     round_budget:
         Optional :class:`~repro.resilience.policy.RoundBudget` bounding
         the rounds.
     """
     if force_direction not in (None, "top-down", "bottom-up"):
-        raise ValueError(f"bad force_direction {force_direction!r}")
+        raise ParameterError(f"bad force_direction {force_direction!r}")
     direction: DirectionPolicy
     if force_direction == "top-down":
         direction = AlwaysPush()

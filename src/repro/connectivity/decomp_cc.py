@@ -14,23 +14,26 @@ w.h.p.; total expected work O(m), depth O(log^3 n) w.h.p. (Theorem 1).
 
 We run the recursion as an explicit loop with an unwind stack — the
 iterations are a straight chain, and the loop gives the harness natural
-access to the per-iteration edge counts (Figure 4 series).
+access to the per-iteration edge counts (Figure 4 series).  The
+downward pass is :func:`contraction_levels`, which the spanning-forest
+extraction consumes too.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.connectivity.base import ConnectivityResult
 from repro.decomp import DECOMP_VARIANTS
+from repro.decomp.base import Decomposition
 from repro.decomp.contract import Contraction, contract
 from repro.errors import ConvergenceError, ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import current_context
 
-__all__ = ["decomp_cc", "DEFAULT_BETA"]
+__all__ = ["decomp_cc", "contraction_levels", "DEFAULT_BETA", "LEVEL_SEED_STRIDE"]
 
 #: The experiments' default decomposition parameter; the paper's
 #: Figure 3 locates the best beta between 0.05 and 0.2.
@@ -38,6 +41,65 @@ DEFAULT_BETA = 0.2
 
 #: Iteration backstop far above the O(log m) bound for any feasible input.
 _MAX_ITERATIONS = 200
+
+#: Level l decomposes with seed ``seed + LEVEL_SEED_STRIDE * l``, so
+#: every level draws an independent stream.
+LEVEL_SEED_STRIDE = 1000003
+
+#: Level l's contraction deduplicates with seed ``seed + 7 * l``.
+_DEDUP_SEED_STRIDE = 7
+
+
+def contraction_levels(
+    graph: CSRGraph,
+    beta: float,
+    variant: str = "arb",
+    seed: int = 1,
+    schedule_mode: str = "permutation",
+    remove_duplicates: bool = True,
+    **variant_kwargs,
+) -> Iterator[Tuple[CSRGraph, Decomposition, Contraction]]:
+    """Algorithm 1's downward pass: decompose and contract until |E'| = 0.
+
+    Yields ``(level_graph, decomposition, contraction)`` for each level,
+    the base case last.  The contraction is charged to the
+    ``contractGraph`` phase.  An unknown *variant* raises
+    :class:`~repro.errors.ParameterError`; a chain longer than the
+    iteration backstop raises :class:`~repro.errors.ConvergenceError`.
+    """
+    if variant not in DECOMP_VARIANTS:
+        raise ParameterError(
+            f"unknown variant {variant!r}; expected one of {sorted(DECOMP_VARIANTS)}"
+        )
+    decomp_fn = DECOMP_VARIANTS[variant]
+    tracker = current_context().tracker
+    current = graph
+    for level in range(_MAX_ITERATIONS):
+        decomposition = decomp_fn(
+            current,
+            beta,
+            seed=seed + LEVEL_SEED_STRIDE * level,
+            schedule_mode=schedule_mode,
+            **variant_kwargs,
+        )
+        with tracker.phase("contractGraph"):
+            contraction = contract(
+                decomposition,
+                current.num_vertices,
+                remove_duplicates=remove_duplicates,
+                dedup_seed=seed + _DEDUP_SEED_STRIDE * level,
+            )
+        yield current, decomposition, contraction
+        if contraction.is_base_case:
+            return
+        current = contraction.graph
+    raise ConvergenceError(
+        f"Algorithm 1 exceeded {_MAX_ITERATIONS} iterations "
+        f"(beta={beta}, variant={variant})",
+        algorithm=f"decomp-{variant}-CC",
+        rounds_used=_MAX_ITERATIONS,
+        budget=_MAX_ITERATIONS,
+    )
 
 
 def decomp_cc(
@@ -62,9 +124,10 @@ def decomp_cc(
         outside that are allowed for experiments (Figure 3 sweeps to
         0.95) but void the work bound.
     variant:
-        ``"min"`` (Algorithm 2), ``"arb"`` (Algorithm 3, default) or
+        ``"min"`` (Algorithm 2), ``"arb"`` (Algorithm 3, default),
         ``"arb-hybrid"`` (direction-optimizing) — the paper's
-        decomp-min-CC / decomp-arb-CC / decomp-arb-hybrid-CC.
+        decomp-min-CC / decomp-arb-CC / decomp-arb-hybrid-CC — or
+        ``"min-hybrid"`` (Decomp-Min with the same dense rounds).
     seed:
         Base seed; each iteration derives an independent stream.
     schedule_mode:
@@ -82,53 +145,24 @@ def decomp_cc(
         Labels in ``[0, n)``; ``edges_per_iteration`` holds the
         undirected edge count entering each DECOMP call (Figure 4).
     """
-    if variant not in DECOMP_VARIANTS:
-        raise ParameterError(
-            f"unknown variant {variant!r}; expected one of {sorted(DECOMP_VARIANTS)}"
-        )
-    decomp_fn = DECOMP_VARIANTS[variant]
-    tracker = current_context().tracker
-
     # ---- downward pass: decompose + contract until |E'| = 0. --------
-    current = graph
     unwind: List[Contraction] = []
     edges_per_iteration: List[int] = [graph.num_edges]
     rounds_per_iteration: List[int] = []
-    for iteration in range(_MAX_ITERATIONS):
-        decomposition = decomp_fn(
-            current,
-            beta,
-            seed=seed + 1000003 * iteration,
-            schedule_mode=schedule_mode,
-            **variant_kwargs,
-        )
+    for _, decomposition, contraction in contraction_levels(
+        graph, beta, variant, seed, schedule_mode, remove_duplicates, **variant_kwargs
+    ):
         rounds_per_iteration.append(decomposition.num_rounds)
-        with tracker.phase("contractGraph"):
-            contraction = contract(
-                decomposition,
-                current.num_vertices,
-                remove_duplicates=remove_duplicates,
-                dedup_seed=seed + 7 * iteration,
-            )
         unwind.append(contraction)
-        if contraction.is_base_case:
-            break
-        current = contraction.graph
-        edges_per_iteration.append(current.num_edges)
-    else:
-        raise ConvergenceError(
-            f"decomp_cc exceeded {_MAX_ITERATIONS} iterations "
-            f"(beta={beta}, variant={variant})",
-            algorithm=f"decomp-{variant}-CC",
-            rounds_used=_MAX_ITERATIONS,
-            budget=_MAX_ITERATIONS,
-        )
+        if not contraction.is_base_case:
+            edges_per_iteration.append(contraction.graph.num_edges)
 
     # ---- upward pass: RELABELUP through the contraction chain. ------
     # At the deepest level every component is maximal, so its label is
     # its own component id.  One level up, a non-singleton component
     # takes the label of its contracted vertex (offset past that
     # level's singleton label space); singletons keep distinct labels.
+    tracker = current_context().tracker
     with tracker.phase("contractGraph"):
         last = unwind[-1]
         labels = np.arange(last.num_components, dtype=np.int64)

@@ -31,8 +31,7 @@ import numpy as np
 
 from repro.connectivity.base import ConnectivityResult
 from repro.engine.core import UNVISITED, TraversalEngine
-from repro.engine.direction import LigraEdgeHybrid
-from repro.engine.frontier import DENSE_THRESHOLD
+from repro.engine.direction import DENSE_THRESHOLD, LigraEdgeHybrid
 from repro.engine.state import ComponentLabelState
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import current_context
@@ -51,13 +50,13 @@ def bfs_from_source(
 
     Mutates *labels* (entries must be ``-1`` where unvisited); returns
     the number of vertices labeled, including the source.  A *source*
-    outside ``[0, n)`` raises :class:`~repro.errors.ParameterError`
-    and leaves *labels* unchanged.
+    outside ``[0, n)`` or a NaN or negative *dense_threshold* raises
+    :class:`~repro.errors.ParameterError` and leaves *labels*
+    unchanged.
     """
+    direction = LigraEdgeHybrid(graph, threshold=dense_threshold)
     state = ComponentLabelState(graph, source, labels, label)
-    TraversalEngine(
-        state, direction=LigraEdgeHybrid(graph, threshold=dense_threshold)
-    ).run()
+    TraversalEngine(state, direction=direction).run()
     return state.count
 
 

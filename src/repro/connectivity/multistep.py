@@ -18,7 +18,7 @@ from repro.connectivity.base import ConnectivityResult
 from repro.connectivity.hybrid_bfs_cc import bfs_from_source
 from repro.connectivity.label_prop import propagate_labels
 from repro.engine.core import UNVISITED
-from repro.engine.frontier import DENSE_THRESHOLD
+from repro.engine.direction import DENSE_THRESHOLD
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import current_context
 

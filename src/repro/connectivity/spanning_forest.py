@@ -14,6 +14,11 @@ scope:
   the component adjacency it uses (carried by
   :class:`~repro.decomp.contract.Contraction`).
 
+The levels come from
+:func:`~repro.connectivity.decomp_cc.contraction_levels`, the same
+downward pass decomp-CC runs, so the forest and the labeling share one
+recursion, seeds included.
+
 The union over all recursion levels is a spanning forest of the input:
 per level, the intra-partition trees span each partition, and the
 contracted forest connects partitions exactly as the contracted graph's
@@ -26,12 +31,12 @@ w.h.p.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.connectivity.decomp_cc import contraction_levels
 from repro.connectivity.union_find import UnionFind
-from repro.decomp import DECOMP_VARIANTS, contract
 from repro.engine.core import TraversalEngine, TraversalState, end_round
 from repro.engine.direction import AlwaysPush
 from repro.errors import ParameterError, VerificationError
@@ -40,8 +45,6 @@ from repro.primitives.atomics import first_winner
 from repro.runtime.context import current_context
 
 __all__ = ["decomp_spanning_forest", "partition_parents", "verify_spanning_forest"]
-
-_MAX_LEVELS = 200
 
 
 class _PartitionParentState(TraversalState):
@@ -110,11 +113,18 @@ def partition_parents(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
     centers (and isolated vertices) get parent -1.  This reconstructs
     the trees the decomposition's BFS's grew — any intra-partition BFS
     tree from the same roots is a valid choice, since the forest only
-    needs *a* spanning tree per partition.
+    needs *a* spanning tree per partition.  *labels* must have shape
+    ``(n,)`` with values in ``[0, n)``; anything else raises
+    :class:`~repro.errors.ParameterError` before any work is done.
     """
     labels = np.asarray(labels)
-    if graph.num_vertices == 0:
+    n = graph.num_vertices
+    if labels.shape != (n,):
+        raise ParameterError(f"labels must have shape ({n},), got {labels.shape}")
+    if n == 0:
         return np.full(0, -1, dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= n:
+        raise ParameterError(f"labels must lie in [0, {n})")
     state = _PartitionParentState(graph, labels)
     TraversalEngine(state, direction=AlwaysPush()).run()
     return state.parents
@@ -132,33 +142,16 @@ def decomp_spanning_forest(
     Returns ``(src, dst)`` arrays of undirected forest edges (each once,
     arbitrary orientation); ``len(src) == n - #components``.
     """
-    if variant not in DECOMP_VARIANTS:
-        raise ParameterError(
-            f"unknown variant {variant!r}; expected one of {sorted(DECOMP_VARIANTS)}"
-        )
-    decomp_fn = DECOMP_VARIANTS[variant]
-
-    forest_src: List[np.ndarray] = []
-    forest_dst: List[np.ndarray] = []
     # Chain of contractions: the level-l forest edges are component
     # pairs that must be pulled down through levels l-1, ..., 0.
     chain = []
-    current = graph
-    for level in range(_MAX_LEVELS):
-        dec = decomp_fn(
-            current, beta, seed=seed + 1000003 * level, schedule_mode=schedule_mode
-        )
+    for current, dec, con in contraction_levels(
+        graph, beta, variant, seed, schedule_mode
+    ):
         # Intra-partition tree edges, in *current-level* vertex ids.
         parents = partition_parents(current, dec.labels)
         children = np.flatnonzero(parents >= 0)
-        chain.append((children, parents[children]))
-        con = contract(dec, current.num_vertices)
-        chain[-1] = chain[-1] + (con,)
-        if con.is_base_case:
-            break
-        current = con.graph
-    else:  # pragma: no cover - safety net
-        raise RuntimeError("spanning forest exceeded recursion budget")
+        chain.append((children, parents[children], con))
 
     # Unwind: pull each level's forest edges down to original ids.
     # sub_edges holds the forest of the *contracted* graph at the

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.runtime.context import current_context
 
-__all__ = ["UnionFind", "find_roots", "compress_all", "pointer_jump_to_roots"]
+__all__ = ["UnionFind", "find_roots", "compress_all"]
 
 
 COMPRESSION_STRATEGIES = ("halving", "splitting", "full", "none")
@@ -169,11 +169,3 @@ def compress_all(parent: np.ndarray) -> int:
         if np.array_equal(grand, parent):
             return rounds
         parent[:] = grand
-
-
-def pointer_jump_to_roots(parent: np.ndarray) -> np.ndarray:
-    """Non-mutating variant of :func:`compress_all`; returns root labels."""
-    out = parent.copy()
-    current_context().tracker.add("alloc", work=float(parent.size), depth=1.0)
-    compress_all(out)
-    return out

@@ -11,15 +11,16 @@ The helpers here implement the parts all variants share verbatim:
 parameter validation, consuming the shift schedule ("bfsPre" — new
 centers are appended to the single shared frontier array) and
 assembling the result.  :class:`DecompState` is the decomposition
-family's :class:`~repro.engine.core.TraversalState`: the variant
-modules configure a :class:`~repro.engine.core.TraversalEngine` around
-it and the engine drives the rounds.
+family's :class:`~repro.engine.core.TraversalState`, and
+:func:`run_decomposition` is the one function every variant calls:
+it builds the state, runs a :class:`~repro.engine.core.TraversalEngine`
+under the variant's two policies and assembles the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -31,7 +32,17 @@ from repro.graphs.csr import CSRGraph
 from repro.resilience.policy import RoundBudget
 from repro.runtime.context import current_context
 
-__all__ = ["Decomposition", "DecompState", "UNVISITED", "validate_beta"]
+if TYPE_CHECKING:
+    from repro.engine.direction import DirectionPolicy
+    from repro.engine.tiebreak import TiebreakPolicy
+
+__all__ = [
+    "Decomposition",
+    "DecompState",
+    "UNVISITED",
+    "run_decomposition",
+    "validate_beta",
+]
 
 
 def validate_beta(beta: float) -> None:
@@ -291,3 +302,27 @@ class DecompState(TraversalState):
             edges_inspected=self.edges_inspected,
             dense_rounds=self.dense_rounds,
         )
+
+
+def run_decomposition(
+    graph: CSRGraph,
+    beta: float,
+    seed: int,
+    schedule_mode: str,
+    round_budget: Optional[RoundBudget],
+    algorithm: str,
+    direction: "DirectionPolicy",
+    tiebreak: "TiebreakPolicy",
+) -> Decomposition:
+    """Run one decomposition variant: a (direction, tie-break) pair.
+
+    Validates *beta*, builds the :class:`DecompState` (whose default
+    round budget is named after *algorithm*), drives the engine and
+    returns the assembled :class:`Decomposition`.
+    """
+    validate_beta(beta)
+    state = DecompState(
+        graph, beta, seed, schedule_mode, budget=round_budget, algorithm=algorithm
+    )
+    TraversalEngine(state, direction=direction, tiebreak=tiebreak).run()
+    return state.finish()

@@ -20,8 +20,7 @@ see that docstring for the vectorized CRCW round semantics.
 
 from __future__ import annotations
 
-from repro.decomp.base import Decomposition, DecompState, validate_beta
-from repro.engine.core import TraversalEngine
+from repro.decomp.base import Decomposition, run_decomposition
 from repro.engine.direction import AlwaysPush
 from repro.engine.tiebreak import ArbTiebreak
 from repro.graphs.csr import CSRGraph
@@ -55,15 +54,13 @@ def decomp_arb(
 
     Complexity: O(m) expected work, O(log^2 n / beta) depth w.h.p.
     """
-    validate_beta(beta)
-    state = DecompState(
-        graph, beta, seed, schedule_mode,
-        budget=round_budget, algorithm="decomp-arb",
-    )
-    engine = TraversalEngine(
-        state,
+    return run_decomposition(
+        graph,
+        beta,
+        seed,
+        schedule_mode,
+        round_budget,
+        "decomp-arb",
         direction=AlwaysPush(sparse_phase="bfsMain"),
         tiebreak=ArbTiebreak(),
     )
-    engine.run()
-    return state.finish()

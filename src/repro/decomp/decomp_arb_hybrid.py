@@ -1,10 +1,11 @@
 """Decomp-Arb-Hybrid: Decomp-Arb with direction-optimizing rounds.
 
 The paper's third variant applies the Beamer direction-optimizing idea
-to Decomp-Arb: when the frontier holds more than 20 % of the remaining
-unvisited vertices, the round runs *read-based* — every unvisited
-vertex scans its own adjacency list and adopts the component of the
-first frontier neighbor it finds, then exits early.  The sweep is
+to Decomp-Arb: when the claimed frontier holds more than 20 % of all n
+vertices and some vertex is still unvisited, the round runs
+*read-based* — every unvisited vertex scans its own adjacency list and
+adopts the component of the first frontier neighbor it finds, then
+exits early.  The sweep is
 streaming and needs no atomics, which is why it wins on dense
 low-diameter graphs (about 2x on rMat2 / com-Orkut in Table 2) even
 though connectivity, unlike plain BFS, cannot *skip* edge inspections:
@@ -33,10 +34,8 @@ and the deferred-edge classification live in
 
 from __future__ import annotations
 
-from repro.decomp.base import Decomposition, DecompState, validate_beta
-from repro.engine.core import TraversalEngine
-from repro.engine.direction import FractionHybrid
-from repro.engine.frontier import DENSE_THRESHOLD
+from repro.decomp.base import Decomposition, run_decomposition
+from repro.engine.direction import DENSE_THRESHOLD, FractionHybrid
 from repro.engine.tiebreak import ArbTiebreak
 from repro.graphs.csr import CSRGraph
 
@@ -60,22 +59,19 @@ def decomp_arb_hybrid(
     Parameters
     ----------
     dense_threshold:
-        Fraction of remaining unvisited vertices above which a round
-        runs read-based (paper: 0.20).  The ablation bench sweeps this.
+        A round runs read-based when its claimed frontier exceeds this
+        fraction of all n vertices and some vertex is still unvisited
+        (paper: 0.20).  The ablation bench sweeps this.
     round_budget:
         Optional :class:`~repro.resilience.policy.RoundBudget` override.
     """
-    validate_beta(beta)
-    state = DecompState(
-        graph, beta, seed, schedule_mode,
-        budget=round_budget, algorithm="decomp-arb-hybrid",
-    )
-    engine = TraversalEngine(
-        state,
-        direction=FractionHybrid(
-            threshold=dense_threshold, sparse_phase="bfsSparse"
-        ),
+    return run_decomposition(
+        graph,
+        beta,
+        seed,
+        schedule_mode,
+        round_budget,
+        "decomp-arb-hybrid",
+        direction=FractionHybrid(threshold=dense_threshold, sparse_phase="bfsSparse"),
         tiebreak=ArbTiebreak(),
     )
-    engine.run()
-    return state.finish()

@@ -37,8 +37,7 @@ writeMin pair array is owned by :class:`repro.engine.tiebreak.MinTiebreak`.
 
 from __future__ import annotations
 
-from repro.decomp.base import Decomposition, DecompState, validate_beta
-from repro.engine.core import TraversalEngine
+from repro.decomp.base import Decomposition, run_decomposition
 from repro.engine.direction import AlwaysPush
 from repro.engine.tiebreak import MinTiebreak
 from repro.graphs.csr import CSRGraph
@@ -61,15 +60,13 @@ def decomp_min(
     two synchronized passes per round.  ``round_budget`` optionally
     overrides the default O(log n / beta)-derived round bound.
     """
-    validate_beta(beta)
-    state = DecompState(
-        graph, beta, seed, schedule_mode,
-        budget=round_budget, algorithm="decomp-min",
-    )
-    engine = TraversalEngine(
-        state,
+    return run_decomposition(
+        graph,
+        beta,
+        seed,
+        schedule_mode,
+        round_budget,
+        "decomp-min",
         direction=AlwaysPush(),
         tiebreak=MinTiebreak(),
     )
-    engine.run()
-    return state.finish()

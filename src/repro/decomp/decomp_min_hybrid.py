@@ -38,10 +38,8 @@ its stale pair cell is never read again.
 
 from __future__ import annotations
 
-from repro.decomp.base import Decomposition, DecompState, validate_beta
-from repro.engine.core import TraversalEngine
-from repro.engine.direction import FractionHybrid
-from repro.engine.frontier import DENSE_THRESHOLD
+from repro.decomp.base import Decomposition, run_decomposition
+from repro.engine.direction import DENSE_THRESHOLD, FractionHybrid
 from repro.engine.tiebreak import MinTiebreak
 from repro.graphs.csr import CSRGraph
 
@@ -66,20 +64,19 @@ def decomp_min_hybrid(
     Parameters
     ----------
     dense_threshold:
-        Fraction of remaining unvisited vertices above which a round
-        runs read-based (paper: 0.20).
+        A round runs read-based when its claimed frontier exceeds this
+        fraction of all n vertices and some vertex is still unvisited
+        (paper: 0.20).
     round_budget:
         Optional :class:`~repro.resilience.policy.RoundBudget` override.
     """
-    validate_beta(beta)
-    state = DecompState(
-        graph, beta, seed, schedule_mode,
-        budget=round_budget, algorithm="decomp-min-hybrid",
-    )
-    engine = TraversalEngine(
-        state,
+    return run_decomposition(
+        graph,
+        beta,
+        seed,
+        schedule_mode,
+        round_budget,
+        "decomp-min-hybrid",
         direction=FractionHybrid(threshold=dense_threshold),
         tiebreak=MinTiebreak(),
     )
-    engine.run()
-    return state.finish()

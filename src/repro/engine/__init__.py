@@ -6,9 +6,8 @@ and hybrid-BFS-CC — is one configuration of a single round loop:
 
     ``TraversalEngine(state, direction=..., tiebreak=...).run()``
 
-The engine owns the frontier lifecycle (sparse/dense via
-:class:`Frontier` and the shared :data:`DENSE_THRESHOLD` rule), the
-round counter, and the one authoritative round boundary where
+The engine owns the frontier lifecycle, the round counter, and the
+one authoritative round boundary where
 :class:`~repro.pram.cost.CostTracker` barriers are charged
 (:func:`end_round`), :class:`~repro.resilience.policy.RoundBudget`
 limits are checked, and :class:`~repro.resilience.faults.FaultPlan`
@@ -22,7 +21,8 @@ pluggable policies:
   edge-count rule);
 
 plus a :class:`TraversalState` subclass holding the algorithm's arrays
-and round kernels.  See ``docs/api.md`` for writing custom policies.
+and round kernels.  Policies are plain classes passed in as instances;
+see ``docs/api.md`` for writing a custom one.
 """
 
 from repro.engine.backend import (
@@ -40,30 +40,21 @@ from repro.engine.core import (
     end_round,
 )
 from repro.engine.direction import (
-    DIRECTION_POLICIES,
+    DENSE_THRESHOLD,
     AlwaysPull,
     AlwaysPush,
     DirectionPolicy,
     FractionHybrid,
     LigraEdgeHybrid,
-    register_direction_policy,
 )
-from repro.engine.frontier import DENSE_THRESHOLD, Frontier
 from repro.engine.kernels import (
     arb_round,
-    bottom_up_step,
     dense_round,
     filter_edges,
     min_round,
 )
 from repro.engine.state import BFSTreeState, ComponentLabelState
-from repro.engine.tiebreak import (
-    TIEBREAK_POLICIES,
-    ArbTiebreak,
-    MinTiebreak,
-    TiebreakPolicy,
-    register_tiebreak_policy,
-)
+from repro.engine.tiebreak import ArbTiebreak, MinTiebreak, TiebreakPolicy
 from repro.engine.workspace import (
     FAST_WORKSPACE,
     NULL_WORKSPACE,
@@ -86,25 +77,19 @@ __all__ = [
     "TraversalState",
     "end_round",
     "UNVISITED",
-    "Frontier",
     "DENSE_THRESHOLD",
     "TiebreakPolicy",
     "ArbTiebreak",
     "MinTiebreak",
-    "TIEBREAK_POLICIES",
-    "register_tiebreak_policy",
     "DirectionPolicy",
     "AlwaysPush",
     "AlwaysPull",
     "FractionHybrid",
     "LigraEdgeHybrid",
-    "DIRECTION_POLICIES",
-    "register_direction_policy",
     "BFSTreeState",
     "ComponentLabelState",
     "arb_round",
     "min_round",
     "dense_round",
     "filter_edges",
-    "bottom_up_step",
 ]

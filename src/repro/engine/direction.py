@@ -14,6 +14,9 @@ pluggable per-round policy:
 * :class:`LigraEdgeHybrid` — Ligra's edge-count heuristic
   (frontier out-degree + size vs. (m + n)/20), used by hybrid-BFS-CC.
 
+Both hybrids take their threshold from :data:`DENSE_THRESHOLD`, the
+paper's 20 %, unless a caller passes another.
+
 A policy sees the engine, the state, and the *claimed* frontier size
 (last round's winners, before any center seeding — the decomposition's
 switch deliberately excludes fresh centers; see decomp_arb_hybrid's
@@ -21,15 +24,14 @@ history for why).  ``sparse_phase`` is the CostTracker phase label a
 push round runs under for states that track phases (``bfsMain`` for
 pure push decomposition, ``bfsSparse`` for the hybrids).
 
-Register a custom policy with :func:`register_direction_policy`; see
-``docs/api.md`` for a worked example.
+A custom rule is a plain :class:`DirectionPolicy` subclass passed to
+the engine as an instance; see ``docs/api.md`` for a worked example.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Type
+from typing import TYPE_CHECKING, Optional
 
-from repro.engine.frontier import DENSE_THRESHOLD
 from repro.errors import ParameterError
 from repro.runtime.context import current_context
 
@@ -43,16 +45,27 @@ __all__ = [
     "AlwaysPull",
     "FractionHybrid",
     "LigraEdgeHybrid",
-    "DIRECTION_POLICIES",
-    "register_direction_policy",
+    "DENSE_THRESHOLD",
 ]
+
+#: The paper's dense-switch fraction.
+DENSE_THRESHOLD = 0.20
+
+
+def _check_threshold(threshold: float) -> None:
+    """Reject a NaN or negative dense-switch threshold.
+
+    Values above 1 stay legal: they mean "never pull".
+    """
+    if not threshold >= 0:  # also False for NaN
+        raise ParameterError(
+            f"dense_threshold must be a non-negative number, got {threshold}"
+        )
 
 
 class DirectionPolicy:
     """Per-round choice between the push and pull kernels."""
 
-    #: Registry key and display name.
-    name: str = "?"
     #: Phase label for push rounds of phase-tracking states (or None).
     sparse_phase: Optional[str] = None
 
@@ -69,8 +82,6 @@ class DirectionPolicy:
 class AlwaysPush(DirectionPolicy):
     """Every round write-based: the classic level-synchronous loop."""
 
-    name = "push"
-
     def __init__(self, sparse_phase: Optional[str] = None) -> None:
         self.sparse_phase = sparse_phase
 
@@ -85,8 +96,6 @@ class AlwaysPush(DirectionPolicy):
 
 class AlwaysPull(DirectionPolicy):
     """Every round read-based (the forced bottom-up ablation)."""
-
-    name = "pull"
 
     def __init__(self, sparse_phase: Optional[str] = None) -> None:
         self.sparse_phase = sparse_phase
@@ -104,17 +113,19 @@ class FractionHybrid(DirectionPolicy):
     """The paper's rule: pull when claimed > threshold * n.
 
     Matches §4's "fraction of vertices on the frontier is greater than
-    20%", guarded by "someone is left to pull" — once every vertex is
-    visited the remaining drain rounds run (cheap) write-based.
+    20%": the claimed frontier is compared with all n vertices, not
+    with the unvisited ones, guarded by "someone is left to pull" —
+    once every vertex is visited the remaining drain rounds run
+    (cheap) write-based.  A NaN or negative *threshold* raises
+    :class:`~repro.errors.ParameterError`.
     """
-
-    name = "fraction"
 
     def __init__(
         self,
         threshold: float = DENSE_THRESHOLD,
         sparse_phase: Optional[str] = None,
     ) -> None:
+        _check_threshold(threshold)
         self.threshold = threshold
         self.sparse_phase = sparse_phase
 
@@ -138,14 +149,14 @@ class LigraEdgeHybrid(DirectionPolicy):
     0.20 that is the classic (m + n)/20, so a handful of hub vertices
     can already flip a dense graph to the read-based sweep (the
     rMat2/com-Orkut regime).  The degree sum is a real per-round
-    computation, charged as a ``scan`` over the frontier.
+    computation, charged as a ``scan`` over the frontier.  A NaN or
+    negative *threshold* raises :class:`~repro.errors.ParameterError`.
     """
-
-    name = "ligra-edges"
 
     def __init__(
         self, graph: "CSRGraph", threshold: float = DENSE_THRESHOLD
     ) -> None:
+        _check_threshold(threshold)
         self.graph = graph
         self.switch_budget = (
             (graph.num_directed + graph.num_vertices) * threshold / 4.0
@@ -162,29 +173,3 @@ class LigraEdgeHybrid(DirectionPolicy):
         frontier_edges = int((offsets[frontier + 1] - offsets[frontier]).sum())
         current_context().tracker.add("scan", work=float(frontier.size), depth=1.0)
         return frontier_edges + frontier.size > self.switch_budget
-
-
-#: Name -> policy class; the property tests enumerate this.  (Note:
-#: LigraEdgeHybrid is constructed with the input graph, the others with
-#: keyword arguments only.)
-DIRECTION_POLICIES: Dict[str, Type[DirectionPolicy]] = {
-    AlwaysPush.name: AlwaysPush,
-    AlwaysPull.name: AlwaysPull,
-    FractionHybrid.name: FractionHybrid,
-    LigraEdgeHybrid.name: LigraEdgeHybrid,
-}
-
-
-def register_direction_policy(cls: Type[DirectionPolicy]) -> Type[DirectionPolicy]:
-    """Register a custom :class:`DirectionPolicy` under ``cls.name``.
-
-    Usable as a class decorator; raises on name collisions so a custom
-    policy cannot silently shadow a built-in rule.
-    """
-    name = getattr(cls, "name", None)
-    if not name or name == "?":
-        raise ParameterError("direction policy must define a class-level name")
-    if name in DIRECTION_POLICIES and DIRECTION_POLICIES[name] is not cls:
-        raise ParameterError(f"direction policy {name!r} already registered")
-    DIRECTION_POLICIES[name] = cls
-    return cls

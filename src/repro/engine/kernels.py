@@ -4,7 +4,8 @@ These are the bodies of every level-synchronous round in the system,
 written once.  The decomposition kernels (:func:`arb_round`,
 :func:`min_round`, :func:`dense_round`, :func:`filter_edges`) operate
 on a :class:`~repro.decomp.base.DecompState`; :func:`bottom_up_step`
-is the read-based sweep shared by the BFS family.  The engine's policy
+is the read-based sweep every pull round runs, the decomposition's
+dense round and the BFS family's alike.  The engine's policy
 objects dispatch to them.
 
 Execution-backend note: the gathers, compressions and CAS races go
@@ -234,57 +235,29 @@ def min_round(
 def dense_round(state: "DecompState") -> np.ndarray:
     """One read-based round: unvisited vertices pull from the frontier.
 
-    Returns the newly visited vertices (next frontier).  Charges the
-    early-exit edge count as streaming ``scan`` work — no atomics.
-    Tie-break-policy independent: whoever the tie-break rule would pick
-    among concurrent writers, the pull sweep adopts the first frontier
-    neighbor in adjacency order (a legal arbitrary-CRCW schedule).
+    Returns the newly visited vertices (next frontier).  The sweep is
+    :func:`bottom_up_step`; this round adds the frontier bitmap's
+    scatter and the adoption scatter, the latter only when some vertex
+    hit the frontier.  Tie-break-policy independent: whoever the
+    tie-break rule would pick among concurrent writers, the pull sweep
+    adopts the first frontier neighbor in adjacency order (a legal
+    arbitrary-CRCW schedule).
     """
     tracker = current_context().tracker
-    plan = current_context().fault_plan
-    ws = state.workspace
-    graph, C = state.graph, state.C
+    C = state.C
 
     on_frontier = np.zeros(state.n, dtype=bool)
     on_frontier[state.frontier] = True
     tracker.add("scatter", work=float(state.frontier.size), depth=1.0)
 
-    unvisited = pack_index(C == UNVISITED)
-    if unvisited.size == 0:
-        end_round()
-        return np.zeros(0, dtype=np.int64)
-    # charge_cost=False: only the early-exit edge count below is charged.
-    src, dst = graph.expand(unvisited, charge_cost=False, workspace=ws)
-    hit = ws.take(on_frontier, dst)
-    hit_positions = hit.nonzero()[0]
-    if hit_positions.size:
-        first_pos, winners = first_winner(
-            ws.take(src, hit_positions),
-            workspace=ws,
-            tracker=tracker,
-            plan=plan,
-        )
-        adopted_from = dst[hit_positions[first_pos]]
+    winners, adopted_from, examined = bottom_up_step(
+        state.graph, on_frontier, pack_index(C == UNVISITED), state.workspace
+    )
+    if winners.size:
         C[winners] = C[adopted_from]
         tracker.add("scatter", work=float(winners.size), depth=1.0)
         state.visited += int(winners.size)
-    else:
-        winners = np.zeros(0, dtype=np.int64)
-
-    # Early-exit accounting: edges scanned up to the first hit (or the
-    # whole list when there is none) — this is the work the paper's
-    # read-based sweep saves over the write-based one.
-    counts = ws.take(graph.offsets, unvisited + 1) - ws.take(graph.offsets, unvisited)
-    starts = np.cumsum(counts) - counts
-    scanned = counts.astype(np.float64)
-    if hit_positions.size:
-        order = np.searchsorted(unvisited, winners)
-        scanned[order] = (hit_positions[first_pos] - starts[order] + 1).astype(
-            np.float64
-        )
-    examined = int(scanned.sum())
     state.edges_inspected += examined
-    tracker.add("scan", work=float(examined + unvisited.size), depth=1.0)
     end_round(examined)
     return winners
 
@@ -323,57 +296,47 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
 def bottom_up_step(
     graph: "CSRGraph",
     frontier_bitmap: np.ndarray,
-    visited: np.ndarray,
+    unvisited: np.ndarray,
     workspace: "Optional[NullWorkspace]" = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """One read-based (bottom-up) BFS round.
+    """The read-based (bottom-up) sweep every pull round runs.
 
-    Every unvisited vertex scans its neighbors in adjacency order and
-    adopts the first one lying on the current frontier.  Returns
-    ``(new_vertices, their_parents, edges_examined)`` where
-    *edges_examined* counts edge inspections up to each early exit —
-    the quantity the cost model charges.
+    Each vertex of *unvisited* (sorted packed ids) scans its neighbors
+    in adjacency order and adopts the first one set in
+    *frontier_bitmap*.  Returns ``(new_vertices, their_parents,
+    edges_examined)``, where *edges_examined* counts edge inspections
+    up to each early exit (the whole list when there is no hit).
+
+    Charges the winner race and the early-exit edge count as streaming
+    ``scan`` work, no atomics; with no unvisited vertex it charges
+    nothing.  The callers charge their own writes.
     """
     tracker = current_context().tracker
-    plan = current_context().fault_plan
     ws = workspace if workspace is not None else NULL_WORKSPACE
-    unvisited = pack_index(~visited)
     if unvisited.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
     # charge_cost=False: only the early-exit edge count below is charged.
     src, dst = graph.expand(unvisited, charge_cost=False, workspace=ws)
-    hit = ws.take(frontier_bitmap, dst)
-    # First frontier-neighbor per source, exploiting expand()'s grouped,
-    # adjacency-ordered layout: the first occurrence of each source
-    # among the hits is its earliest hit.
-    hit_positions = hit.nonzero()[0]
-    if hit_positions.size:
+    # expand() lays each source's edges out together in adjacency
+    # order, so the first hit per source is its earliest hit.
+    hit_positions = ws.take(frontier_bitmap, dst).nonzero()[0]
+    counts = ws.take(graph.offsets, unvisited + 1) - ws.take(graph.offsets, unvisited)
+    examined = int(counts.sum())
+    if hit_positions.size == 0:
+        winners = parents = np.zeros(0, dtype=np.int64)
+    else:
         first_pos, winners = first_winner(
             ws.take(src, hit_positions),
             workspace=ws,
             tracker=tracker,
-            plan=plan,
+            plan=current_context().fault_plan,
         )
-        parent_of_winner = dst[hit_positions[first_pos]]
-    else:
-        first_pos = np.zeros(0, dtype=np.int64)
-        winners = np.zeros(0, dtype=np.int64)
-        parent_of_winner = np.zeros(0, dtype=np.int64)
-
-    # Early-exit cost: edges scanned = (position of first hit within the
-    # source's slice) + 1, or the full degree when there is no hit.
-    counts = ws.take(graph.offsets, unvisited + 1) - ws.take(graph.offsets, unvisited)
-    starts = np.cumsum(counts) - counts
-    scanned = counts.astype(np.float64)
-    if winners.size:
-        # Map winner vertex id -> its index within `unvisited` to find
-        # the slice start of each winner.
+        first_hit = hit_positions[first_pos]
+        parents = dst[first_hit]
+        # A winner scans up to and including its first hit, not its
+        # whole list: subtract the unscanned tail.
         order = np.searchsorted(unvisited, winners)
-        local_first = hit_positions[first_pos] - starts[order]
-        scanned_winners = (local_first + 1).astype(np.float64)
-        scanned[order] = scanned_winners
-    edges_examined = int(scanned.sum())
-    # Streaming reads, no atomics: the dense sweep's cache-friendliness.
-    tracker.add("scan", work=float(edges_examined + unvisited.size), depth=1.0)
-    tracker.add("scatter", work=float(winners.size), depth=1.0)
-    return winners, parent_of_winner, edges_examined
+        ends = np.cumsum(counts)[order]
+        examined -= int((ends - first_hit - 1).sum())
+    tracker.add("scan", work=float(examined + unvisited.size), depth=1.0)
+    return winners, parents, examined

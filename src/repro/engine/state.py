@@ -36,10 +36,10 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from repro.engine.core import UNVISITED, TraversalEngine, TraversalState, end_round
-from repro.engine.frontier import Frontier
 from repro.engine.kernels import bottom_up_step
 from repro.errors import ParameterError
 from repro.primitives.atomics import first_winner
+from repro.primitives.pack import pack_index
 from repro.runtime.context import current_context
 
 if TYPE_CHECKING:
@@ -100,7 +100,7 @@ class BFSTreeState(TraversalState):
         self.num_visited = 1
         self.directions: List[str] = []
         self.workspace = current_context().backend.workspace
-        self._frontier = Frontier.from_vertices(n, np.zeros(0, dtype=np.int64))
+        self._frontier = np.zeros(0, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -116,7 +116,7 @@ class BFSTreeState(TraversalState):
 
     @property
     def frontier(self) -> np.ndarray:
-        return self._frontier.as_vertices()
+        return self._frontier
 
     def initial_frontier(self) -> np.ndarray:
         return np.array([self.source], dtype=np.int64)
@@ -130,7 +130,7 @@ class BFSTreeState(TraversalState):
     def begin_round(self, engine: TraversalEngine, next_frontier: np.ndarray) -> None:
         if self.budget is not None:
             self.budget.check(self.round)
-        self._frontier = Frontier.from_vertices(self.n, next_frontier)
+        self._frontier = next_frontier
 
     def _absorb(self, winners: np.ndarray) -> None:
         # The claim's bookkeeping writes ride along with the parent
@@ -166,14 +166,19 @@ class BFSTreeState(TraversalState):
         return winners
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
+        tracker = current_context().tracker
         self.directions.append("bottom-up")
         assert self.visited is not None, "pull requires track_visited=True"
+        bitmap = np.zeros(self.n, dtype=bool)
+        bitmap[self._frontier] = True
+        tracker.add("scatter", work=float(self._frontier.size), depth=1.0)
+        unvisited = pack_index(~self.visited)
         winners, parent_of, _examined = bottom_up_step(
-            self.graph,
-            self._frontier.as_bitmap(),
-            self.visited,
-            workspace=self.workspace,
+            self.graph, bitmap, unvisited, workspace=self.workspace
         )
+        if unvisited.size:
+            # The parent scatter, charged even when nobody hit the frontier.
+            tracker.add("scatter", work=float(winners.size), depth=1.0)
         self.parents[winners] = parent_of
         self._absorb(winners)
         end_round(packing="unit")
@@ -263,16 +268,20 @@ class ComponentLabelState(TraversalState):
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
         tracker = current_context().tracker
         n = self.n
-        visited = self.labels != UNVISITED
+        # The visited test over all n vertices, then its pack.
         tracker.add("scan", work=float(n), depth=1.0)
+        unvisited = pack_index(self.labels == UNVISITED)
         # The frontier byte array is preallocated and reused in a
         # Ligra-style implementation, so (as in the seed) building it
         # is not charged as a scatter here.
         bitmap = np.zeros(n, dtype=bool)
         bitmap[self._frontier] = True
         winners, _parents, _examined = bottom_up_step(
-            self.graph, bitmap, visited, workspace=self.workspace
+            self.graph, bitmap, unvisited, workspace=self.workspace
         )
+        if unvisited.size:
+            # The sweep's own scatter; _claim charges the label stores.
+            tracker.add("scatter", work=float(winners.size), depth=1.0)
         self._claim(winners)
         end_round(packing="unit")
         return winners

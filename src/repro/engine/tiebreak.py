@@ -19,19 +19,18 @@ the right phase labels.  Read-based (pull) rounds are tie-break
 independent — every concurrent writer would write the same component
 adoption, so the pull kernel never consults the policy.
 
-Register a custom policy with :func:`register_tiebreak_policy`; see
-``docs/api.md`` for a worked example.
+A custom rule is a plain :class:`TiebreakPolicy` subclass passed to
+the engine as an instance; see ``docs/api.md``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Type
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.engine.kernels import _PAIR_INF, arb_round, min_round
 from repro.engine.workspace import Workspace
-from repro.errors import ParameterError
 from repro.primitives.atomics import encode_pair
 from repro.runtime.context import current_context
 
@@ -43,8 +42,6 @@ __all__ = [
     "TiebreakPolicy",
     "ArbTiebreak",
     "MinTiebreak",
-    "TIEBREAK_POLICIES",
-    "register_tiebreak_policy",
 ]
 
 
@@ -56,9 +53,6 @@ class TiebreakPolicy:
     :meth:`setup` to allocate per-run auxiliary state.  One policy
     instance serves exactly one engine run.
     """
-
-    #: Registry key and display name.
-    name: str = "?"
 
     def setup(self, state: "DecompState") -> None:
         """Allocate per-run auxiliary state (charged to ``init``)."""
@@ -77,8 +71,6 @@ class ArbTiebreak(TiebreakPolicy):
     of state per vertex — the paper's key engineering contribution.
     """
 
-    name = "arb"
-
     def push_round(
         self, state: "DecompState", engine: "TraversalEngine"
     ) -> np.ndarray:
@@ -94,8 +86,6 @@ class MinTiebreak(TiebreakPolicy):
     the two synchronized phases (``bfsPhase1`` / ``bfsPhase2``) the
     rule requires — the cost Decomp-Arb removes.
     """
-
-    name = "min"
 
     def __init__(self) -> None:
         self.pair: np.ndarray = np.zeros(0, dtype=np.int64)
@@ -123,26 +113,3 @@ class MinTiebreak(TiebreakPolicy):
         # Phase labels are the rule's own (bfsPhase1/bfsPhase2, inside
         # the kernel); the direction policy's sparse label is unused.
         return min_round(state, self.pair, trusted_keys=self._checked)
-
-
-#: Name -> policy class; the decomposition facade and the property
-#: tests enumerate this.
-TIEBREAK_POLICIES: Dict[str, Type[TiebreakPolicy]] = {
-    ArbTiebreak.name: ArbTiebreak,
-    MinTiebreak.name: MinTiebreak,
-}
-
-
-def register_tiebreak_policy(cls: Type[TiebreakPolicy]) -> Type[TiebreakPolicy]:
-    """Register a custom :class:`TiebreakPolicy` under ``cls.name``.
-
-    Usable as a class decorator; raises on name collisions so a custom
-    policy cannot silently shadow a built-in rule.
-    """
-    name = getattr(cls, "name", None)
-    if not name or name == "?":
-        raise ParameterError("tie-break policy must define a class-level name")
-    if name in TIEBREAK_POLICIES and TIEBREAK_POLICIES[name] is not cls:
-        raise ParameterError(f"tie-break policy {name!r} already registered")
-    TIEBREAK_POLICIES[name] = cls
-    return cls

@@ -42,7 +42,6 @@ from repro.experiments.registry import (
     TABLE2_ALGORITHM_ORDER,
     build_graph,
     build_suite,
-    fallback_chain,
     get_algorithm,
 )
 from repro.experiments.tables import (
@@ -68,7 +67,6 @@ __all__ = [
     "export_series_csv",
     "export_table2_csv",
     "to_jsonable",
-    "fallback_chain",
     "clear_fig2_cache",
     "fig2_thread_sweep",
     "fig3_beta_sweep",

@@ -50,7 +50,6 @@ __all__ = [
     "TABLE2_ALGORITHM_ORDER",
     "build_graph",
     "build_suite",
-    "fallback_chain",
     "get_algorithm",
 ]
 
@@ -251,15 +250,6 @@ FALLBACK_CHAINS: Dict[str, List[str]] = {
     "label-prop-CC": ["serial-SF"],
     "shiloach-vishkin-CC": ["serial-SF"],
 }
-
-
-def fallback_chain(name: str) -> List[str]:
-    """The degradation chain for *name* (requested algorithm first)."""
-    if name not in ALGORITHMS:
-        raise ParameterError(
-            f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    return [name, *FALLBACK_CHAINS.get(name, [])]
 
 
 #: Row order of the paper's Table 2.

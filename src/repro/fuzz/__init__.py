@@ -19,7 +19,6 @@ from repro.fuzz.case import (
 from repro.fuzz.corpus import (
     corpus_paths,
     default_corpus_dir,
-    iter_corpus,
     load_case,
     save_case,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "build_case_graph",
     "corpus_paths",
     "default_corpus_dir",
-    "iter_corpus",
     "load_case",
     "save_case",
     "FUZZ_ALGORITHMS",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import ParameterError
 from repro.fsutil import atomic_write_text
@@ -23,7 +23,6 @@ from repro.fuzz.case import FuzzCase
 __all__ = [
     "save_case",
     "load_case",
-    "iter_corpus",
     "corpus_paths",
     "default_corpus_dir",
 ]
@@ -89,11 +88,3 @@ def corpus_paths(directory: Optional[PathLike] = None) -> List[Path]:
     if not d.is_dir():
         return []
     return sorted(p for p in d.iterdir() if p.suffix == ".json")
-
-
-def iter_corpus(
-    directory: Optional[PathLike] = None,
-) -> Iterator[Tuple[Path, FuzzCase]]:
-    """Yield ``(path, case)`` for every case in a corpus directory."""
-    for path in corpus_paths(directory):
-        yield path, load_case(path)

@@ -50,7 +50,7 @@ DECOMP_ROUND_SLACK = 32
 
 #: Default seed-rotation stride: a prime far from the generators' own
 #: stream constants, so per-attempt streams never collide with the
-#: per-iteration streams ``decomp_cc`` derives (1000003 * iteration).
+#: per-level streams ``decomp_cc`` derives (``LEVEL_SEED_STRIDE * level``).
 DEFAULT_SEED_STRIDE = 7919
 
 

@@ -1,12 +1,14 @@
-"""Unit tests for frontiers, parallel BFS and direction-optimizing BFS."""
+"""Unit tests for the pull sweep, parallel BFS and direction-optimizing BFS."""
 
 import numpy as np
 import pytest
 
 from repro.bfs.hybrid_bfs import hybrid_bfs
 from repro.bfs.parallel_bfs import parallel_bfs
-from repro.connectivity.hybrid_bfs_cc import bfs_from_source
-from repro.engine.frontier import Frontier
+from repro.connectivity.hybrid_bfs_cc import bfs_from_source, hybrid_bfs_cc
+from repro.connectivity.multistep import multistep_cc
+from repro.decomp import decomp_arb_hybrid, decomp_min_hybrid
+from repro.engine.direction import FractionHybrid, LigraEdgeHybrid
 from repro.engine.kernels import bottom_up_step
 from repro.errors import ParameterError
 from repro.graphs.generators import (
@@ -33,39 +35,6 @@ def nx_distances(g, source):
     for v, dv in dist.items():
         out[v] = dv
     return out
-
-
-class TestFrontier:
-    def test_requires_exactly_one_form(self):
-        with pytest.raises(ValueError):
-            Frontier(5)
-        with pytest.raises(ValueError):
-            Frontier(5, vertices=np.array([0]), bitmap=np.zeros(5, dtype=bool))
-
-    def test_sparse_to_dense(self):
-        f = Frontier.from_vertices(5, np.array([1, 3]))
-        assert f.size == 2
-        assert f.as_bitmap().tolist() == [False, True, False, True, False]
-
-    def test_dense_to_sparse(self):
-        bitmap = np.array([True, False, True])
-        f = Frontier(3, bitmap=bitmap)
-        assert f.as_vertices().tolist() == [0, 2]
-        assert f.size == 2
-
-    def test_empty(self):
-        f = Frontier.empty(4)
-        assert f.is_empty and len(f) == 0
-
-    def test_bitmap_length_checked(self):
-        with pytest.raises(ValueError):
-            Frontier(3, bitmap=np.zeros(4, dtype=bool))
-
-    def test_should_go_dense_threshold(self):
-        f = Frontier.from_vertices(100, np.arange(25))
-        assert f.should_go_dense(remaining_vertices=100)  # 25 > 20
-        assert not f.should_go_dense(remaining_vertices=100, threshold=0.5)
-        assert not f.should_go_dense(remaining_vertices=0)
 
 
 class TestParallelBFS:
@@ -133,6 +102,46 @@ class TestSourceRange:
         assert isinstance(err.value, ValueError)
 
 
+class TestDenseThreshold:
+    """NaN and negative thresholds are rejected; above 1 means never pull."""
+
+    BAD = [float("nan"), -1.0, -0.01]
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_policies_reject(self, threshold):
+        with pytest.raises(ParameterError, match="dense_threshold"):
+            FractionHybrid(threshold=threshold)
+        with pytest.raises(ParameterError, match="dense_threshold"):
+            LigraEdgeHybrid(clique(3), threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_entry_points_reject(self, threshold):
+        g = clique(5)
+        with pytest.raises(ParameterError):
+            hybrid_bfs(g, 0, dense_threshold=threshold)
+        with pytest.raises(ParameterError):
+            hybrid_bfs_cc(g, dense_threshold=threshold)
+        with pytest.raises(ParameterError):
+            multistep_cc(g, dense_threshold=threshold)
+        for decomp in (decomp_arb_hybrid, decomp_min_hybrid):
+            with pytest.raises(ParameterError):
+                decomp(g, 0.2, dense_threshold=threshold)
+
+    def test_bfs_from_source_rejects_without_writing(self):
+        labels = np.full(5, -1, dtype=np.int64)
+        with pytest.raises(ParameterError):
+            bfs_from_source(clique(5), 0, labels, 3, dense_threshold=float("nan"))
+        assert (labels == -1).all()
+
+    def test_above_one_never_pulls(self):
+        g = random_kregular(300, 10, seed=7)
+        res = hybrid_bfs(g, 0, dense_threshold=2.0)
+        assert set(res.directions) == {"top-down"}
+        with tracking():
+            dec = decomp_arb_hybrid(g, 0.2, dense_threshold=2.0)
+        assert dec.dense_rounds == []
+
+
 class TestHybridBFS:
     @pytest.mark.parametrize(
         "graph",
@@ -174,7 +183,7 @@ class TestHybridBFS:
         assert np.array_equal(res.distances, parallel_bfs(g, 0).distances)
 
     def test_bad_force_direction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="force_direction"):
             hybrid_bfs(clique(3), 0, force_direction="sideways")
 
     def test_parents_consistent(self):
@@ -191,7 +200,9 @@ class TestBottomUpStep:
         frontier = np.zeros(5, dtype=bool)
         frontier[0] = True
         visited = frontier.copy()
-        winners, parents, examined = bottom_up_step(g, frontier, visited)
+        winners, parents, examined = bottom_up_step(
+            g, frontier, np.flatnonzero(~visited)
+        )
         assert sorted(winners.tolist()) == [1, 2, 3, 4]
         assert (parents == 0).all()
         assert examined == 4  # each leaf exits after its single edge
@@ -202,7 +213,7 @@ class TestBottomUpStep:
         frontier[:20] = True
         visited = frontier.copy()
         with tracking() as t:
-            _, _, examined = bottom_up_step(g, frontier, visited)
+            _, _, examined = bottom_up_step(g, frontier, np.flatnonzero(~visited))
         # every unvisited vertex should find a frontier neighbor fast
         assert examined < g.num_directed / 2
 
@@ -211,15 +222,16 @@ class TestBottomUpStep:
         frontier = np.zeros(10, dtype=bool)
         frontier[0] = True
         visited = frontier.copy()
-        winners, _, examined = bottom_up_step(g, frontier, visited)
+        winners, _, examined = bottom_up_step(g, frontier, np.flatnonzero(~visited))
         assert winners.tolist() == [1]
         # vertices 2..9 scanned all their edges fruitlessly
         assert examined >= 14
 
     def test_all_visited(self):
         g = clique(4)
-        visited = np.ones(4, dtype=bool)
-        winners, parents, examined = bottom_up_step(
-            g, np.ones(4, dtype=bool), visited
-        )
+        with tracking() as t:
+            winners, parents, examined = bottom_up_step(
+                g, np.ones(4, dtype=bool), np.zeros(0, dtype=np.int64)
+            )
         assert winners.size == 0 and examined == 0
+        assert t.snapshot() == {}  # nothing to sweep, nothing charged

@@ -2,16 +2,15 @@
 
 Two families of guarantees:
 
-* **Combination validity** — every registered tie-break x direction
+* **Combination validity** — every built-in tie-break x direction
   combination (including configurations no named variant uses, like a
   pull-only writeMin decomposition) produces a *valid* decomposition on
   every test graph: fully labeled, centers own their partitions,
   partitions connected, the recorded inter-edge count matching a
   from-scratch recount, one frontier appearance per vertex, and
   deterministic under a fixed seed.
-* **Extension points** — custom policies can be registered (and name
-  collisions / missing names are rejected), the engine actually
-  consults a custom direction rule, and the new Decomp-Min-Hybrid
+* **Extension points** — a custom direction rule, a plain subclass
+  passed in as an instance, is actually consulted, and the Decomp-Min-Hybrid
   variant behaves as its policy table says (collapses to Decomp-Min
   when the dense switch can never fire, goes dense where Arb-Hybrid
   does, and yields a verified connectivity labeling end-to-end).
@@ -28,17 +27,16 @@ from repro.connectivity import decomp_cc
 from repro.decomp import DECOMP_VARIANTS, decomp_min, decomp_min_hybrid
 from repro.decomp.base import DecompState
 from repro.engine import (
-    DIRECTION_POLICIES,
-    TIEBREAK_POLICIES,
     AlwaysPull,
+    AlwaysPush,
+    ArbTiebreak,
     DirectionPolicy,
+    FractionHybrid,
     LigraEdgeHybrid,
-    TiebreakPolicy,
+    MinTiebreak,
     TraversalEngine,
     TraversalState,
     end_round,
-    register_direction_policy,
-    register_tiebreak_policy,
 )
 from repro.errors import ParameterError
 from repro.pram.cost import tracking
@@ -70,10 +68,14 @@ def zoo():
     return _zoo()
 
 
-def _make_direction(name: str, graph) -> DirectionPolicy:
-    if name == "ligra-edges":
-        return DIRECTION_POLICIES[name](graph)
-    return DIRECTION_POLICIES[name]()
+#: Name -> factory from the input graph, for every built-in policy.
+DIRECTIONS = {
+    "fraction": lambda graph: FractionHybrid(),
+    "ligra-edges": LigraEdgeHybrid,
+    "pull": lambda graph: AlwaysPull(),
+    "push": lambda graph: AlwaysPush(),
+}
+TIEBREAKS = {"arb": ArbTiebreak, "min": MinTiebreak}
 
 
 def _run_combo(graph, tiebreak: str, direction: str):
@@ -81,14 +83,14 @@ def _run_combo(graph, tiebreak: str, direction: str):
     with tracking():
         TraversalEngine(
             state,
-            direction=_make_direction(direction, graph),
-            tiebreak=TIEBREAK_POLICIES[tiebreak](),
+            direction=DIRECTIONS[direction](graph),
+            tiebreak=TIEBREAKS[tiebreak](),
         ).run()
     return state.finish()
 
 
-@pytest.mark.parametrize("direction", sorted(DIRECTION_POLICIES))
-@pytest.mark.parametrize("tiebreak", sorted(TIEBREAK_POLICIES))
+@pytest.mark.parametrize("direction", sorted(DIRECTIONS))
+@pytest.mark.parametrize("tiebreak", sorted(TIEBREAKS))
 @pytest.mark.parametrize("gname", COMBO_GRAPHS)
 def test_every_policy_combo_yields_valid_decomposition(
     gname, tiebreak, direction, zoo
@@ -114,7 +116,7 @@ def test_every_policy_combo_yields_valid_decomposition(
     assert sum(dec.frontier_sizes) == graph.num_vertices
 
 
-@pytest.mark.parametrize("tiebreak", sorted(TIEBREAK_POLICIES))
+@pytest.mark.parametrize("tiebreak", sorted(TIEBREAKS))
 def test_policy_combos_are_deterministic(tiebreak, zoo):
     a = _run_combo(zoo["gnm-dense"], tiebreak, "fraction")
     b = _run_combo(zoo["gnm-dense"], tiebreak, "fraction")
@@ -168,65 +170,10 @@ class TestMinHybrid:
 
 
 class TestRegistration:
-    def test_custom_tiebreak_registers_and_collides(self):
-        @register_tiebreak_policy
-        class EchoTiebreak(TiebreakPolicy):
-            name = "echo-test"
-
-            def push_round(self, state, engine):
-                raise AssertionError("never driven in this test")
-
-        try:
-            assert TIEBREAK_POLICIES["echo-test"] is EchoTiebreak
-
-            with pytest.raises(ParameterError):
-
-                @register_tiebreak_policy
-                class Clash(TiebreakPolicy):
-                    name = "arb"
-
-                    def push_round(self, state, engine):
-                        raise AssertionError
-        finally:
-            TIEBREAK_POLICIES.pop("echo-test", None)
-
-    def test_custom_direction_registers_and_collides(self):
-        @register_direction_policy
-        class EveryOther(DirectionPolicy):
-            name = "every-other-test"
-
-            def go_dense(self, engine, state, claimed):
-                return state.round % 2 == 1
-
-        try:
-            assert DIRECTION_POLICIES["every-other-test"] is EveryOther
-
-            # Re-registering the *same* class is idempotent...
-            assert register_direction_policy(EveryOther) is EveryOther
-            # ...but a different class cannot shadow a taken name.
-            with pytest.raises(ParameterError):
-
-                @register_direction_policy
-                class Shadow(DirectionPolicy):
-                    name = "pull"
-
-                    def go_dense(self, engine, state, claimed):
-                        return True
-        finally:
-            DIRECTION_POLICIES.pop("every-other-test", None)
-
-    def test_nameless_policy_rejected(self):
-        class NoName(DirectionPolicy):
-            def go_dense(self, engine, state, claimed):
-                return False
-
-        with pytest.raises(ParameterError):
-            register_direction_policy(NoName)
+    """A custom policy needs no registration: the engine takes an instance."""
 
     def test_custom_direction_rule_is_consulted(self, zoo):
         class DenseFromRoundTwo(DirectionPolicy):
-            name = "dense-from-two"
-
             def go_dense(self, engine, state, claimed):
                 return state.round >= 2 and state.visited_count < state.n
 
@@ -236,7 +183,7 @@ class TestRegistration:
             TraversalEngine(
                 state,
                 direction=DenseFromRoundTwo(),
-                tiebreak=TIEBREAK_POLICIES["arb"](),
+                tiebreak=ArbTiebreak(),
             ).run()
         dec = state.finish()
         assert dec.dense_rounds and min(dec.dense_rounds) == 2
@@ -290,6 +237,6 @@ class TestEngineEdges:
             TraversalEngine(
                 state,
                 direction=LigraEdgeHybrid(graph),
-                tiebreak=TIEBREAK_POLICIES["min"](),
+                tiebreak=MinTiebreak(),
             ).run()
         verify_decomposition(graph, state.finish().labels)

@@ -9,7 +9,12 @@ from repro.connectivity import (
     serial_spanning_forest,
     verify_spanning_forest,
 )
-from repro.decomp import decomp_arb
+from repro.connectivity.decomp_cc import (
+    LEVEL_SEED_STRIDE,
+    contraction_levels,
+    decomp_cc,
+)
+from repro.decomp import DECOMP_VARIANTS, decomp_arb
 from repro.errors import ParameterError, VerificationError
 from repro.graphs.generators import (
     clique,
@@ -20,10 +25,11 @@ from repro.graphs.generators import (
     random_kregular,
     star_graph,
 )
+from repro.pram.cost import tracking
 
 from tests.conftest import zoo_params
 
-VARIANTS = ["min", "arb", "arb-hybrid"]
+VARIANTS = ["min", "arb", "arb-hybrid", "min-hybrid"]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -62,6 +68,26 @@ def test_forest_unknown_variant():
         decomp_spanning_forest(clique(3), variant="bogus")
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_levels_are_decomp_cc_recursion(variant):
+    # The forest and decomp-CC walk one recursion: level l decomposes
+    # the level graph with seed + LEVEL_SEED_STRIDE * l.
+    g = disjoint_union_edges([grid3d(4), line_graph(30), star_graph(9)])
+    with tracking():
+        levels = list(contraction_levels(g, 0.2, variant, seed=4))
+        result = decomp_cc(g, 0.2, variant=variant, seed=4)
+    assert len(levels) == result.iterations
+    assert levels[-1][2].is_base_case
+    rounds = [dec.num_rounds for _, dec, _ in levels]
+    assert rounds == result.stats["rounds_per_iteration"]
+    for level, (level_graph, dec, _) in enumerate(levels):
+        with tracking():
+            again = DECOMP_VARIANTS[variant](
+                level_graph, 0.2, seed=4 + LEVEL_SEED_STRIDE * level
+            )
+        assert np.array_equal(dec.labels, again.labels)
+
+
 class TestPartitionParents:
     def test_single_partition_is_bfs_tree(self):
         g = grid3d(4)
@@ -86,6 +112,23 @@ class TestPartitionParents:
         for v in range(10):
             if parents[v] >= 0:
                 assert labels[parents[v]] == labels[v]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.zeros(3),
+            np.zeros(7),
+            np.array([0, 1, 5, 2, 3]),
+            np.array([0, -1, 2, 3, 4]),
+        ],
+        ids=["short", "long", "too-large", "negative"],
+    )
+    def test_rejects_malformed_labels(self, labels):
+        g = line_graph(5)
+        with tracking() as tracker:
+            with pytest.raises(ParameterError, match="labels"):
+                partition_parents(g, labels.astype(np.int64))
+        assert tracker.snapshot() == {}
 
     def test_after_real_decomposition(self):
         g = random_kregular(400, 4, seed=2)
