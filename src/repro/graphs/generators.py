@@ -27,7 +27,8 @@ supports the test suite's edge cases.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,29 +101,50 @@ def rmat(
     Vectorized over all edges, one bit level at a time: O(m log n) total
     generation work (charged as scan).
     """
-    if num_vertices_log2 < 0 or num_vertices_log2 > 31:
+    src, dst = _rmat_edges(num_vertices_log2, num_edges, a, b, c, _rng(seed))
+    return from_edges(src, dst, num_vertices=1 << num_vertices_log2)
+
+
+def _rmat_edges(
+    scale: int, num_edges: int, a: float, b: float, c: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The raw R-MAT edges of :func:`rmat`: loops and duplicates kept.
+
+    One ``rng.random(num_edges)`` draw per level, into one reused
+    buffer.  With ``u`` the draw, the quadrants a, b, c, d are cut at
+    the thresholds a, a+b, a+b+c, so the source bit (quadrant c or d)
+    is ``u >= a+b`` and the target bit (quadrant b or d) is
+    ``(u >= a) ^ (u >= a+b) | (u >= a+b+c)``.  Ids of at most 31 bits
+    accumulate in int32 and are widened at the end.
+    """
+    if not 0 <= scale <= 31:
         raise ParameterError("num_vertices_log2 must be in [0, 31]")
+    if num_edges < 0:
+        raise ParameterError(f"num_edges must be >= 0, got {num_edges}")
     d = 1.0 - a - b - c
-    if min(a, b, c, d) < 0 or max(a, b, c, d) > 1:
+    # Written so that a NaN probability fails the check.
+    if not all(0 <= p <= 1 for p in (a, b, c, d)):
         raise ParameterError("R-MAT probabilities must be a valid distribution")
-    n = 1 << num_vertices_log2
-    rng = _rng(seed)
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
     current_context().tracker.add(
-        "scan", work=float(num_edges * max(num_vertices_log2, 1)), depth=1.0
+        "scan", work=float(num_edges * max(scale, 1)), depth=1.0
     )
-    for _level in range(num_vertices_log2):
-        u = rng.random(num_edges)
+    src = np.zeros(num_edges, dtype=np.int32)
+    dst = np.zeros(num_edges, dtype=np.int32)
+    u = np.empty(num_edges)
+    hi = np.empty(num_edges, dtype=bool)
+    bit = np.empty(num_edges, dtype=bool)
+    for _level in range(scale):
+        rng.random(out=u)
+        np.greater_equal(u, a + b, out=hi)
+        np.greater_equal(u, a, out=bit)
+        bit ^= hi
         src <<= 1
+        src |= hi
+        np.greater_equal(u, a + b + c, out=hi)
+        bit |= hi
         dst <<= 1
-        # Quadrants: a -> (0,0), b -> (0,1), c -> (1,0), d -> (1,1).
-        in_b = (u >= a) & (u < a + b)
-        in_c = (u >= a + b) & (u < a + b + c)
-        in_d = u >= a + b + c
-        dst += in_b | in_d
-        src += in_c | in_d
-    return from_edges(src, dst, num_vertices=n)
+        dst |= bit
+    return src.astype(np.int64), dst.astype(np.int64)
 
 
 def rmat_paper(scale: int = 14, edge_factor: float = 3.7, seed: int = 1) -> CSRGraph:
@@ -232,6 +254,10 @@ def orkut_like(
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
+    if not (math.isfinite(avg_degree) and avg_degree > 0):
+        raise ParameterError(
+            f"avg_degree must be positive and finite, got {avg_degree}"
+        )
     scale = int(np.ceil(np.log2(n)))
     rng = _rng(seed)
     # Uniform layer: ~40% of the degree mass, spread over all vertices.
@@ -239,10 +265,12 @@ def orkut_like(
     base_src = np.repeat(np.arange(n, dtype=np.int64), base_k)
     base_dst = rng.integers(0, n, size=n * base_k, dtype=np.int64)
     # R-MAT core (the rest), folded from the 2^scale id space onto [0, n).
+    # Its raw edges suffice: the from_edges below mirrors, drops loops
+    # and dedups them anyway.
     num_core = max(0, int(n * avg_degree / 2) - n * base_k)
-    core = rmat(scale, num_core, a=0.57, b=0.19, c=0.19, seed=seed)
-    src, dst = core.edge_array()
-    src, dst = src % n, dst % n
+    src, dst = _rmat_edges(scale, num_core, 0.57, 0.19, 0.19, _rng(seed))
+    src %= n
+    dst %= n
     # Hamiltonian cycle over a random permutation: one giant component.
     perm = random_permutation(n, seed + 17)
     src = np.concatenate((src, base_src, perm))

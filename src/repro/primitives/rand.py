@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.primitives.sort import _charge, _num_passes, packed_argsort, radix_argsort
+from repro.primitives.sort import charge_sort, packed_argsort, radix_argsort
 from repro.runtime.context import current_context
 
 __all__ = [
@@ -127,7 +127,7 @@ def random_permutation(n: int, seed: int, stream: int = 1) -> np.ndarray:
     keys63 = keys.view(np.int64)
     if not current_context().backend.optimized:
         return radix_argsort(keys63)
-    _charge(n, _num_passes(int(keys63.max())))
+    charge_sort(n, int(keys63.max()))
     return packed_argsort(keys63, _MASK64 >> 1)
 
 

@@ -15,7 +15,9 @@ value, in place.  NumPy's int64 argsort is not vectorized, while its
 int64 value sort is (SIMD kernels on x86 since NumPy 2), so one value
 sort over the packed words beats both an argsort and any digit loop.
 Correctness does not rest on that: a stable sorting permutation is
-unique, and the packed sort returns it on any host.
+unique, and the packed sort returns it on any host.  :func:`radix_sort`
+needs no permutation at all, so there the fast backend value-sorts a
+copy of the keys.
 
 Cost accounting: a sort of n keys spanning ``b`` bits performs
 ``ceil(b/16)`` passes of O(n) work each; depth is charged as
@@ -33,6 +35,7 @@ import numpy as np
 from repro.runtime.context import current_context
 
 __all__ = [
+    "charge_sort",
     "packed_argsort",
     "radix_argsort",
     "radix_sort",
@@ -54,10 +57,34 @@ def _num_passes(max_key: int) -> int:
     return (bits + RADIX_BITS - 1) // RADIX_BITS
 
 
-def _charge(n: int, passes: int) -> None:
-    tracker = current_context().tracker
+def charge_sort(n: int, max_key: int) -> int:
+    """Charge one radix sort of *n* keys ``<= max_key``; return its passes.
+
+    For callers that execute the sort another way, or not at all
+    because their keys are already in order.
+    """
+    passes = _num_passes(max_key)
     depth_per_pass = float(max(1.0, n**_DEPTH_EPS))
-    tracker.add("sort", work=float(n * passes), depth=depth_per_pass * passes)
+    current_context().tracker.add(
+        "sort", work=float(n * passes), depth=depth_per_pass * passes
+    )
+    return passes
+
+
+def _check_and_charge(keys: np.ndarray, max_key: Optional[int]) -> Tuple[int, int]:
+    """Validate non-empty *keys* against *max_key* and charge their sort.
+
+    Returns the largest key and the passes charged, which count the
+    declared width (the largest key's when *max_key* is None).
+    """
+    if keys.min() < 0:
+        raise ValueError("radix sort requires non-negative keys")
+    hi = int(keys.max())
+    if max_key is None:
+        max_key = hi
+    elif hi > max_key:
+        raise ValueError("key exceeds declared max_key")
+    return hi, charge_sort(keys.shape[0], max_key)
 
 
 def packed_argsort(keys: np.ndarray, max_key: int) -> np.ndarray:
@@ -123,15 +150,7 @@ def radix_argsort(keys: np.ndarray, max_key: Optional[int] = None) -> np.ndarray
     n = keys.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if keys.min() < 0:
-        raise ValueError("radix sort requires non-negative keys")
-    hi = int(keys.max())
-    if max_key is None:
-        max_key = hi
-    elif hi > max_key:
-        raise ValueError("key exceeds declared max_key")
-    passes = _num_passes(max_key)
-    _charge(n, passes)
+    hi, passes = _check_and_charge(keys, max_key)
 
     if current_context().backend.optimized:
         # The charge above reflects the declared key width; packing
@@ -155,9 +174,21 @@ def radix_argsort(keys: np.ndarray, max_key: Optional[int] = None) -> np.ndarray
 def radix_sort(
     keys: np.ndarray, max_key: Optional[int] = None
 ) -> np.ndarray:
-    """Sorted copy of non-negative integer *keys* (stable LSD radix)."""
+    """Sorted copy of non-negative integer *keys* (stable LSD radix).
+
+    Charged as :func:`radix_argsort`.  The reference backend gathers
+    the keys through the per-digit loop's permutation; the fast backend
+    sorts a copy of the keys by value, in place, since equal keys are
+    indistinguishable and a value sort needs no permutation.
+    """
     keys = np.asarray(keys)
-    return keys[radix_argsort(keys, max_key=max_key)]
+    if not current_context().backend.optimized:
+        return keys[radix_argsort(keys, max_key=max_key)]
+    out = keys.copy()
+    if out.shape[0]:
+        _check_and_charge(out, max_key)
+        out.sort()
+    return out
 
 
 def sort_pairs_by_key(

@@ -10,7 +10,8 @@ paths:
   picks exactly the winners the sort-based ``np.unique`` path picks,
   for the same charge;
 * the packed-word value sort is the same permutation as the reference
-  per-digit loop, with the same charge, and contraction's
+  per-digit loop, and ``radix_sort``'s value sort the same array, each
+  with the same charge, and contraction's
   representative index matches a stable argsort on either backend;
 * frontier expansion through the fast workspace's unchecked gathers
   matches the checked expansion, and the ragged positions it gathers
@@ -54,7 +55,7 @@ from repro.pram.cost import tracking
 from repro.primitives import rand as rand_module
 from repro.primitives.hashing import _table_size
 from repro.primitives.rand import random_permutation
-from repro.primitives.sort import radix_argsort
+from repro.primitives.sort import radix_argsort, radix_sort
 from repro.runtime.context import current_context
 
 dest_streams = st.lists(
@@ -208,7 +209,7 @@ def test_first_winner_workspace_reuse_no_leak(streams):
         assert np.array_equal(shared[1], ref[1])
 
 
-# -- radix_argsort: 16-bit digit passes == per-digit loop -----------------
+# -- radix sorts: the fast backend's value sorts == per-digit loop ---------
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,12 +224,14 @@ def test_first_winner_workspace_reuse_no_leak(streams):
 )
 def test_radix_argsort_backend_parity(xs):
     keys = np.array(xs, dtype=np.int64)
-    with use_backend("reference"), tracking() as ref_cost:
-        ref = radix_argsort(keys)
-    with use_backend("fast"), tracking() as fast_cost:
-        fast = radix_argsort(keys)
-    assert np.array_equal(ref, fast)
-    assert ref_cost.snapshot() == fast_cost.snapshot()
+    for sort in (radix_argsort, radix_sort):
+        with use_backend("reference"), tracking() as ref_cost:
+            ref = sort(keys)
+        with use_backend("fast"), tracking() as fast_cost:
+            fast = sort(keys)
+        assert ref.dtype == fast.dtype
+        assert np.array_equal(ref, fast)
+        assert ref_cost.snapshot() == fast_cost.snapshot()
 
 
 # -- contract: radix representative index == stable argsort ---------------

@@ -122,6 +122,21 @@ class TestFromEdges:
         with pytest.raises(GraphFormatError):
             from_edges(np.array([-1]), np.array([0]), num_vertices=2)
 
+    @pytest.mark.parametrize("remove_duplicates", [True, False])
+    def test_rejects_length_mismatch(self, remove_duplicates):
+        # Mirroring [0,1,2] -> [1,2] would give two equal-length arrays
+        # (a directed 3-cycle), so the shapes are checked first.
+        with pytest.raises(GraphFormatError):
+            from_edges(
+                np.array([0, 1, 2]),
+                np.array([1, 2]),
+                remove_duplicates=remove_duplicates,
+            )
+
+    def test_rejects_2d_edge_arrays(self):
+        with pytest.raises(GraphFormatError):
+            from_edges(np.array([[0, 1]]), np.array([[1, 2]]))
+
 
 class TestFromDirectedEdges:
     def test_exact_edges_kept(self):

@@ -96,6 +96,14 @@ class TestRMat:
         with pytest.raises(ParameterError):
             rmat(32, 10)
 
+    def test_rejects_negative_edge_count(self):
+        with pytest.raises(ParameterError):
+            rmat(4, -1)
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ParameterError):
+            rmat(3, 10, a=float("nan"))
+
 
 class TestGrid3D:
     def test_sizes(self):
@@ -179,6 +187,14 @@ class TestOrkutLike:
     def test_rejects_tiny(self):
         with pytest.raises(ParameterError):
             orkut_like(2)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ParameterError):
+            orkut_like(100, -5.0)
+
+    def test_rejects_nan_degree(self):
+        with pytest.raises(ParameterError):
+            orkut_like(100, float("nan"))
 
 
 class TestZooGenerators:
