@@ -1,8 +1,8 @@
 """reprolint: the PRAM-invariant static analyzer (``repro lint``).
 
-Five rules machine-check the disciplines the reproduction's
-guarantees rest on (see docs/static_analysis.md for the catalog).
-The syntactic family (per-function AST patterns):
+Four per-function AST rules machine-check the disciplines the
+reproduction's guarantees rest on (see docs/static_analysis.md for the
+catalog):
 
 * **RL001** — shared-array writes in ``engine/``, ``decomp/``,
   ``connectivity/`` route through ``primitives.atomics`` or appear in
@@ -14,26 +14,16 @@ The syntactic family (per-function AST patterns):
 * **RL010** — the tracing layer (``repro.obs``) never mutates what it
   observes.
 
-The flow rule (per-function CFG + dataflow; see
-:mod:`~repro.analysis.reprolint.cfg` and
-:mod:`~repro.analysis.reprolint.dataflow`):
-
-* **RL008** — every contextvar token ``set`` is ``reset`` on every
-  CFG path, including exceptional ones.
-
-The static half's runtime complement — the PRAM race sanitizer behind
-the global ``--sanitize`` flag — lives in :mod:`repro.pram.sanitizer`
-(re-exported here for discoverability).
+The runtime complement — the PRAM race sanitizer behind the global
+``--sanitize`` flag — lives in :mod:`repro.pram.sanitizer`.
 """
 
-from repro.analysis.reprolint.cfg import CFG, CFGNode, build_cfg
 from repro.analysis.reprolint.config import (
     KNOWN_RULES,
     AllowEntry,
     LintConfig,
     load_config,
 )
-from repro.analysis.reprolint.dataflow import run_forward
 from repro.analysis.reprolint.linter import (
     RULE_SCOPES,
     LintReport,
@@ -44,14 +34,7 @@ from repro.analysis.reprolint.linter import (
     rules_for_path,
     run_lint,
 )
-from repro.analysis.reprolint.rules import RULE_CHECKERS, Violation
-from repro.analysis.reprolint.rules_flow import FLOW_RULE_CHECKERS, RULE_DOCS
-from repro.analysis.reprolint.sarif import to_sarif, validate_sarif
-from repro.pram.sanitizer import (  # noqa: F401  (discoverability re-export)
-    PramSanitizer,
-    RaceReport,
-    sanitizing,
-)
+from repro.analysis.reprolint.rules import RULE_CHECKERS, RULE_DOCS, Violation
 
 __all__ = [
     "KNOWN_RULES",
@@ -67,16 +50,6 @@ __all__ = [
     "rules_for_path",
     "run_lint",
     "RULE_CHECKERS",
-    "Violation",
-    "FLOW_RULE_CHECKERS",
     "RULE_DOCS",
-    "CFG",
-    "CFGNode",
-    "build_cfg",
-    "run_forward",
-    "to_sarif",
-    "validate_sarif",
-    "PramSanitizer",
-    "RaceReport",
-    "sanitizing",
+    "Violation",
 ]

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.reprolint import rules_flow  # noqa: F401  (registers RL008)
 from repro.analysis.reprolint.config import AllowEntry, LintConfig, load_config
 from repro.analysis.reprolint.rules import RULE_CHECKERS, Violation
+from repro.errors import ParameterError
 
 __all__ = [
     "LintReport",
@@ -46,13 +46,6 @@ RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
         "src/repro/connectivity/",
     ),
     "RL004": ("src/repro/",),
-    # The flow rule (per-function CFG typestate; see rules_flow.py).
-    "RL008": (
-        "src/repro/runtime/",
-        "src/repro/engine/",
-        "src/repro/decomp/",
-        "src/repro/connectivity/",
-    ),
     "RL010": ("src/repro/obs/",),
 }
 
@@ -226,12 +219,19 @@ def run_lint(
 
     With no *paths* the package source tree is linted and stale
     allowlist entries are an error; with explicit paths the stale check
-    is skipped.
+    is skipped.  An explicit path that does not exist, or is a file but
+    not a ``.py`` file, raises :class:`~repro.errors.ParameterError`
+    rather than linting nothing and passing.
     """
     explicit = bool(paths)
-    targets = (
-        [Path(p) for p in paths] if paths else [default_lint_root()]
-    )
+    targets = [Path(p) for p in paths] if paths else [default_lint_root()]
+    for target in targets:
+        if not target.exists():
+            raise ParameterError(f"lint path {str(target)!r} does not exist")
+        if target.is_file() and target.suffix != ".py":
+            raise ParameterError(
+                f"lint path {str(target)!r} is not a directory or a .py file"
+            )
     if config_path is not None:
         config = load_config(Path(config_path))
     else:

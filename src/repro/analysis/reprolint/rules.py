@@ -1,4 +1,4 @@
-"""The repo-specific AST rules (RL001, RL003, RL004, RL010).
+"""The repo-specific AST rules (RL001, RL003, RL004, RL010) and their docs.
 
 Each rule is a function ``(module_ast, path_key) -> list[Violation]``.
 Scoping — which files each rule applies to — lives in
@@ -36,7 +36,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-__all__ = ["Violation", "RULE_CHECKERS", "iter_functions"]
+__all__ = ["Violation", "RULE_CHECKERS", "RULE_DOCS", "iter_functions"]
 
 
 @dataclass(frozen=True)
@@ -577,4 +577,47 @@ RULE_CHECKERS = {
     "RL003": check_rl003,
     "RL004": check_rl004,
     "RL010": check_rl010,
+}
+
+#: rule id -> its documentation (``repro lint --explain RLxxx``).
+RULE_DOCS: Dict[str, str] = {
+    "RL001": (
+        "Shared-array writes must route through primitives.atomics.\n\n"
+        "A bare subscript store (labels[idx] = ...) into a shared array —\n"
+        "a parameter, self.<attr>, or an alias of either — is the bug\n"
+        "class the simulated CRCW machine exists to prevent. Legal claim\n"
+        "scatters are registered in the reprolint.toml allowlist.\n\n"
+        "Runtime counterpart: the PRAM race sanitizer's post-round\n"
+        "snapshot diff (repro --sanitize)."
+    ),
+    "RL003": (
+        "Edge-expanding kernels must charge the cost tracker on every\n"
+        "post-expand return path.\n\n"
+        "Otherwise the (work, depth) profiles undercount exactly when a\n"
+        "kernel exits early and the figures silently diverge from the\n"
+        "paper's O(m) accounting.\n\n"
+        "Runtime counterpart: the cost-model parity fixtures."
+    ),
+    "RL004": (
+        "No np.random module-global state and no wall-clock reads in\n"
+        "simulation code.\n\n"
+        "Randomness flows through seeded generators (primitives.rand /\n"
+        "default_rng(seed)); real time belongs to the measuring layers\n"
+        "(experiments/, obs/, runtime/session.py) and the bench/ harness.\n\n"
+        "Runtime counterpart: byte-identical golden parity replays."
+    ),
+    "RL010": (
+        "Observational purity of the tracing layer (repro.obs).\n\n"
+        "Tracer and metrics code observes a run; it may never write\n"
+        "back: no subscript/augmented/attribute stores rooted at a\n"
+        "function parameter (the run state handed in for observation),\n"
+        "no in-place np.* or ndarray-method mutation, no cost-tracker\n"
+        "charges (tracker.add/sync). Timestamps are wall-clock by\n"
+        "design — repro.obs is exempt from RL004's clock ban, and this\n"
+        "rule polices its purity instead.\n\n"
+        "Runtime counterpart: the tracing-determinism parity tests\n"
+        "(tests/test_obs.py) replay golden captures with tracing off\n"
+        "and on and require byte-identical labelings and charges.\n"
+        "Allowlist policy: none expected; fix the tracer instead."
+    ),
 }

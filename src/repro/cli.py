@@ -17,8 +17,8 @@ Gives shell access to the whole reproduction:
 ``figure {2,3,4,5,6,7,8}``
     Regenerate one of the paper's figures as ASCII series.
 ``lint``
-    Run the reprolint PRAM-invariant static analyzer (RL001–RL004,
-    RL008, RL010; see docs/static_analysis.md).
+    Run the reprolint PRAM-invariant static analyzer (RL001, RL003,
+    RL004, RL010; see docs/static_analysis.md).
 ``fuzz``
     Run the differential fuzzer: seed-determined adversarial inputs
     through every implementation x backend, failures delta-debugged to
@@ -222,20 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="explicit reprolint.toml (default: auto-discovered from the "
         "working directory or the source checkout root)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "sarif"],
-        default="text",
-        dest="format_",
-        help="report format: human-readable text (default) or SARIF 2.1.0 "
-        "for GitHub code scanning",
-    )
-    lint.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write the report to PATH instead of stdout (text summary "
-        "still prints to stdout for sarif)",
     )
     lint.add_argument(
         "--explain",
@@ -611,8 +597,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis.reprolint import run_lint
-    from repro.analysis.reprolint.rules_flow import RULE_DOCS
+    from repro.analysis.reprolint import RULE_DOCS, run_lint
 
     if args.explain is not None:
         rule = args.explain.upper()
@@ -625,28 +610,8 @@ def _cmd_lint(args) -> int:
         print(f"{rule}: {doc}")
         return 0
     report = run_lint(paths=args.paths or None, config_path=args.config)
-    if args.format_ == "sarif":
-        import json
-
-        from repro.analysis.reprolint.sarif import to_sarif, validate_sarif
-
-        log = to_sarif(report)
-        validate_sarif(log)
-        payload = json.dumps(log, indent=2)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(report.summary())
-        else:
-            print(payload)
-        return 0 if report.ok else 1
-    lines = report.format_lines() + [report.summary()]
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    for line in report.format_lines() + [report.summary()]:
+        print(line)
     return 0 if report.ok else 1
 
 

@@ -5,9 +5,9 @@ separate module-global mutable stacks — the cost tracker
 (``pram.cost``), the fault plan (``resilience.faults``), the race
 sanitizer (``pram.sanitizer``) and the execution backend
 (``engine.backend``).  That ambient-state pattern is exactly what the
-reprolint pass polices *inside* kernels, and it makes concurrent
-service-style execution (the ROADMAP north star) impossible: two
-threads pushing onto one stack corrupt each other's accounting.
+reprolint pass polices *inside* kernels, and it made running two
+sessions in two threads unsafe: two threads pushing onto one stack
+corrupt each other's accounting.
 
 :class:`ExecutionContext` bundles all of that per-run state into one
 immutable-by-convention record carried in a single
@@ -143,10 +143,6 @@ class ExecutionContext:
         reset in ``finally``, so no failure path can leave a stale
         context installed — the bug class the old module-level
         push/pop stacks could not rule out.
-
-        Machine-checked (``repro lint`` RL008): the typestate analysis
-        proves the ``set``/``reset`` pair is balanced on every CFG
-        path out of this method, exceptional paths included.
         """
         token = _CONTEXT.set(self)
         try:

@@ -8,12 +8,11 @@ once: it derives one :class:`~repro.runtime.context.ExecutionContext`
 child carrying *all* of the run's ambient state and activates it around
 exactly one algorithm execution.
 
-:class:`Session` is the service-style facade on top (the ROADMAP
-north star): it owns one graph and memoizes labelings by ``(graph
-fingerprint, algorithm, seed, beta)`` so repeated connectivity queries
-cost one dictionary lookup.  Sessions are internally locked;
-*different* Session objects in different threads are isolated by the
-``contextvars`` carrier and never share trackers or memo entries.
+:class:`Session` is the library's front door on top: it owns one graph
+and memoizes labelings by ``(graph fingerprint, algorithm, seed,
+beta)`` so repeated connectivity queries cost one dictionary lookup.
+A lock guards the memo; Session objects in different threads are
+isolated by the ``contextvars`` carrier and never share trackers.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import numpy as np
 
 from repro.analysis.verify import verify_labeling
 from repro.engine.backend import ExecutionBackend, resolve_backend
+from repro.errors import ParameterError
 from repro.experiments.harness import RunProfile
 from repro.experiments.registry import build_graph, get_algorithm
 from repro.graphs.csr import CSRGraph
@@ -165,7 +165,6 @@ class Session:
         self.hits = 0
         self.misses = 0
         self._memo: Dict[Tuple[str, str, int, float], RunProfile] = {}
-        self._inflight: Dict[Tuple[str, str, int, float], threading.Event] = {}
         self._lock = threading.RLock()
 
     # -- running ----------------------------------------------------------
@@ -186,12 +185,10 @@ class Session:
         replacing the graph via :meth:`set_graph` changes the
         fingerprint and therefore misses naturally.
 
-        The session lock guards only the bookkeeping (memo and
-        in-flight table) — the labeling itself computes *outside* the
-        lock, so concurrent callers over different keys run truly in
-        parallel.  Concurrent callers on the *same* key coalesce: one
-        computes, the rest wait on a per-key event and return the memo
-        entry (one hit each, exactly as if they had arrived later).
+        The session lock guards only the memo; the labeling computes
+        outside it.  Concurrent callers that miss on the same key each
+        compute the labeling (the results are identical) and the last
+        one to finish fills the memo; a failed run memoizes nothing.
         """
         algorithm = algorithm if algorithm is not None else self.algorithm
         seed = seed if seed is not None else self.seed
@@ -202,54 +199,30 @@ class Session:
             kwargs.setdefault("beta", beta)
             kwargs.setdefault("seed", seed)
         metrics = current_context().metrics
-        while True:
-            wait_for: Optional[threading.Event] = None
-            done: Optional[threading.Event] = None
+        with self._lock:
+            key = (self.graph.fingerprint(), algorithm, seed, beta)
+            graph, graph_name = self.graph, self.graph_name
+            if memoizable:
+                cached = self._memo.get(key)
+                if cached is not None:
+                    self.hits += 1
+                    metrics.incr("session.memo.hit")
+                    return cached
+        profile = execute_profiled(
+            algorithm,
+            graph,
+            graph_name=graph_name,
+            verify=self.verify,
+            fault_plan=fault_plan,
+            backend=self.backend,
+            **kwargs,
+        )
+        if memoizable:
             with self._lock:
-                key = (self.graph.fingerprint(), algorithm, seed, beta)
-                graph, graph_name = self.graph, self.graph_name
-                if memoizable:
-                    cached = self._memo.get(key)
-                    if cached is not None:
-                        self.hits += 1
-                        metrics.incr("session.memo.hit")
-                        return cached
-                    wait_for = self._inflight.get(key)
-                    if wait_for is None:
-                        done = threading.Event()
-                        self._inflight[key] = done
-            if wait_for is not None:
-                # Someone else is computing this key; when they finish
-                # (or fail), re-check the memo — on failure this caller
-                # becomes the next owner and retries the computation.
-                metrics.incr("session.inflight.wait")
-                wait_for.wait()
-                continue
-            # From this point on this caller owns the in-flight entry
-            # for the key: EVERY exit must clear it and set the event,
-            # or concurrent waiters on the same key block forever.
-            try:
-                profile = execute_profiled(
-                    algorithm,
-                    graph,
-                    graph_name=graph_name,
-                    verify=self.verify,
-                    fault_plan=fault_plan,
-                    backend=self.backend,
-                    **kwargs,
-                )
-                with self._lock:
-                    if memoizable:
-                        self._memo[key] = profile
-                        self.misses += 1
-                if memoizable:
-                    metrics.incr("session.memo.miss")
-                return profile
-            finally:
-                if done is not None:
-                    with self._lock:
-                        self._inflight.pop(key, None)
-                    done.set()
+                self._memo[key] = profile
+                self.misses += 1
+            metrics.incr("session.memo.miss")
+        return profile
 
     @contextlib.contextmanager
     def activate(self) -> Iterator[ExecutionContext]:
@@ -297,10 +270,27 @@ class Session:
         v: Union[int, np.ndarray],
         algorithm: Optional[str] = None,
     ) -> Union[bool, np.ndarray]:
-        """Whether *u* and *v* share a component (vectorizes over arrays)."""
+        """Whether *u* and *v* share a component (vectorizes over arrays).
+
+        Every id must be an integer in ``[0, n)``; anything else raises
+        :class:`~repro.errors.ParameterError`.
+        """
+        u_ids, v_ids = self._vertex_ids(u, "u"), self._vertex_ids(v, "v")
         labels = self.components(algorithm)
-        same = labels[np.asarray(u)] == labels[np.asarray(v)]
+        same = labels[u_ids] == labels[v_ids]
         return bool(same) if np.ndim(same) == 0 else same
+
+    def _vertex_ids(self, ids: Union[int, np.ndarray], name: str) -> np.ndarray:
+        """*ids* as an integer index array, range-checked against n."""
+        arr = np.asarray(ids)
+        n = self.graph.num_vertices
+        if arr.dtype.kind not in "iu":
+            raise ParameterError(
+                f"{name} must be integer vertex ids, got dtype {arr.dtype}"
+            )
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            raise ParameterError(f"{name} has a vertex id outside [0, {n})")
+        return arr
 
     def component_sizes(self, algorithm: Optional[str] = None) -> Dict[int, int]:
         """``{component label: vertex count}`` for every component."""

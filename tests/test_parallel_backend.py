@@ -313,8 +313,13 @@ def test_sanitized_parallel_run_is_race_free(workers):
 # -------------------------------------------------- session concurrency
 
 
-def test_concurrent_session_runs_compute_each_key_once():
-    """The narrowed memo lock: concurrent runs never double-compute."""
+def test_concurrent_session_runs_agree_per_key():
+    """Concurrent runs over shared keys agree, and every key ends memoized.
+
+    Callers that miss on one key at the same time may each compute it;
+    they must produce the same labeling, and once any of them finishes
+    the key is a memo hit.
+    """
     graph = random_gnm(200, 400, seed=8)
     session = Session(graph, graph_name="gnm", backend="fast")
     seeds = [1, 2, 3, 4]
@@ -335,14 +340,18 @@ def test_concurrent_session_runs_compute_each_key_once():
     for t in threads:
         t.join()
     assert not errors
-    # One computation per distinct key, everything else a memo hit.
-    assert session.misses == len(seeds)
-    assert session.hits == len(seeds) * 4 - len(seeds)
+    # Every call is counted once, and every key was computed at least once.
+    assert session.hits + session.misses == len(seeds) * 4
+    assert session.misses >= len(seeds)
     for seed in seeds:
         for tid in range(1, 4):
             np.testing.assert_array_equal(
                 results[(tid, seed)], results[(0, seed)]
             )
+    hits = session.hits
+    for seed in seeds:
+        session.run("decomp-arb-CC", seed=seed, beta=0.25)
+    assert session.hits == hits + len(seeds)
 
 
 # --------------------------------------------------------------- CLI seam

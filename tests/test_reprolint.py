@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis.reprolint import (
     KNOWN_RULES,
+    RULE_DOCS,
     LintConfig,
     lint_paths,
     load_config,
@@ -27,8 +28,8 @@ from repro.analysis.reprolint import (
     rules_for_path,
     run_lint,
 )
-from repro.analysis.reprolint.rules import RULE_CHECKERS
-from repro.errors import LintConfigError
+from repro.analysis.reprolint.rules import RULE_CHECKERS, Violation
+from repro.errors import LintConfigError, ParameterError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 KERNELS = REPO_ROOT / "src" / "repro" / "engine" / "kernels.py"
@@ -353,12 +354,104 @@ class TestConfigValidation:
         assert any("stale" in line for line in report.format_lines())
 
     def test_known_rules_all_have_checkers(self):
-        assert set(KNOWN_RULES) == set(RULE_CHECKERS)
+        want = ["RL001", "RL003", "RL004", "RL010"]
+        assert list(KNOWN_RULES) == want
+        assert list(RULE_CHECKERS) == want
+        assert list(RULE_DOCS) == want
+
+
+class TestConfigDiagnostics:
+    def _load(self, tmp_path: Path, text: str):
+        p = tmp_path / "reprolint.toml"
+        p.write_text(text)
+        return p, lambda: load_config(p)
+
+    def test_errors_carry_the_entry_line_number(self, tmp_path):
+        p, load = self._load(
+            tmp_path,
+            '[[allow]]\n'
+            'rule = "RL001"\n'
+            'site = "a.py::f"\n'
+            'reason = "fine"\n'
+            '\n'
+            '[[allow]]\n'
+            'rule = "RL999"\n'
+            'site = "b.py::g"\n'
+            'reason = "broken"\n',
+        )
+        with pytest.raises(LintConfigError) as err:
+            load()
+        assert f"{p}:6: allow[1]" in str(err.value)
+
+    def test_unknown_entry_keys_rejected(self, tmp_path):
+        _, load = self._load(
+            tmp_path,
+            '[[allow]]\n'
+            'rule = "RL001"\n'
+            'site = "a.py::f"\n'
+            'reason = "x"\n'
+            'sevirity = "low"\n',
+        )
+        with pytest.raises(LintConfigError, match="unknown keys"):
+            load()
+
+    def test_retired_rule_rejected(self, tmp_path):
+        _, load = self._load(
+            tmp_path,
+            '[[allow]]\nrule = "RL008"\nsite = "a.py::f"\nreason = "x"\n',
+        )
+        with pytest.raises(LintConfigError, match="RL008"):
+            load()
+
+
+class TestFindingsAreNeverReplayed:
+    def test_second_run_sees_a_changed_checker(self, monkeypatch):
+        # Every run re-analyzes every file, so a rule edited between two
+        # runs on an unchanged tree reports its new findings at once.
+        assert run_lint().ok
+        original = RULE_CHECKERS["RL003"]
+
+        def planted(tree, path):
+            found = original(tree, path)
+            if path == "src/repro/engine/kernels.py":
+                found.append(
+                    Violation(
+                        rule="RL003",
+                        path=path,
+                        line=1,
+                        col=0,
+                        qualname="<planted>",
+                        message="planted finding",
+                    )
+                )
+            return found
+
+        monkeypatch.setitem(RULE_CHECKERS, "RL003", planted)
+        second = run_lint()
+        assert [v.qualname for v in second.violations] == ["<planted>"]
 
 
 class TestScoping:
     def test_path_key_normalises_absolute_paths(self):
         assert path_key_for(KERNELS) == "src/repro/engine/kernels.py"
+
+    def test_rule_scopes(self):
+        assert rules_for_path("src/repro/engine/workspace.py") == [
+            "RL001", "RL003", "RL004",
+        ]
+        assert rules_for_path("src/repro/runtime/context.py") == ["RL004"]
+        assert rules_for_path("src/repro/runtime/session.py") == []
+        assert rules_for_path("src/repro/obs/tracer.py") == ["RL010"]
+
+    def test_missing_path_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="does not exist"):
+            run_lint([str(tmp_path / "nope")])
+
+    def test_non_python_file_rejected(self, tmp_path):
+        notes = tmp_path / "notes.md"
+        notes.write_text("# notes\n")
+        with pytest.raises(ParameterError, match=r"\.py"):
+            run_lint([str(notes)])
 
     def test_rl001_covers_the_three_subsystems(self):
         for key in (

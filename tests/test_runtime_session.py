@@ -12,13 +12,15 @@ The refactor's acceptance bar lives here:
   the *same* profile object; replacing the graph changes the CSR
   fingerprint and misses; rebuilding a byte-identical graph hits again.
 * **context discipline** — :meth:`ExecutionContext.activate` restores
-  the previous context even when the body raises.
+  the previous context even when the body raises: a failing nested
+  activation restores the outer context and then the root, in the main
+  thread and in a worker thread alike, and a worker's activations
+  never change the main thread's context.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,6 +29,7 @@ import pytest
 from repro.analysis.verify import verify_labeling
 from repro.errors import ParameterError
 from repro.experiments.registry import build_graph
+from repro.graphs.generators import line_graph
 from repro.pram.cost import CostTracker
 from repro.runtime.context import (
     ExecutionContext,
@@ -160,6 +163,33 @@ class TestSessionMemo:
         assert sess.stats["misses"] == 1
 
 
+class TestConnectedRange:
+    """``connected`` rejects ids outside ``[0, n)`` and non-integer ids.
+
+    The path 0-1-2-3 is one component, so a wrapped ``-1`` (vertex 3)
+    would silently answer ``True``.
+    """
+
+    @pytest.mark.parametrize("bad", [-1, 4, 0.5])
+    def test_scalar_id_out_of_range(self, bad):
+        sess = Session(line_graph(4), graph_name="line4")
+        assert sess.connected(3, 0) is True
+        with pytest.raises(ParameterError):
+            sess.connected(bad, 0)
+        with pytest.raises(ParameterError):
+            sess.connected(0, bad)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 0.5])
+    def test_array_id_out_of_range(self, bad):
+        sess = Session(line_graph(4), graph_name="line4")
+        many = sess.connected(np.array([3, 1]), np.array([0, 2]))
+        assert many.tolist() == [True, True]
+        with pytest.raises(ParameterError):
+            sess.connected(np.array([1, bad]), np.array([0, 0]))
+        with pytest.raises(ParameterError):
+            sess.connected(np.array([0, 0]), np.array([bad, 1]))
+
+
 class TestExecuteProfiled:
     def test_returns_fresh_profile(self):
         graph = build_graph("random", "tiny")
@@ -190,16 +220,10 @@ class TestExecuteProfiled:
             execute_profiled("no-such-CC", build_graph("random", "tiny"))
 
 
-class TestInflightCoalescing:
-    """The per-key in-flight table must be cleared on EVERY exit path.
+class TestSameKeyRuns:
+    """Runs on one memo key: failures memoize nothing, races agree."""
 
-    Regression tests for a leak where a step between the in-flight
-    registration and the run's try/finally could fail: the failure left
-    the key's event in ``_inflight`` forever, and every later caller of
-    the same key deadlocked waiting on it.
-    """
-
-    def test_failed_claim_clears_inflight_entry(self, monkeypatch):
+    def test_failed_run_memoizes_nothing(self, monkeypatch):
         import repro.runtime.session as session_mod
 
         sess = Session("random", scale="tiny", seed=2)
@@ -211,64 +235,30 @@ class TestInflightCoalescing:
             patch.setattr(session_mod, "execute_profiled", exploding_run)
             with pytest.raises(RuntimeError, match="run boom"):
                 sess.run()
-        # Pre-fix this assertion fails (and the run() below would then
-        # deadlock on the leaked event — assert first, run second).
-        assert sess._inflight == {}
+        assert sess.stats == {"hits": 0, "misses": 0}
         prof = sess.run()
         assert prof.tracker.total_work() > 0.0
         assert sess.stats == {"hits": 0, "misses": 1}
 
-    def test_waiter_recovers_when_first_runner_fails(self, monkeypatch):
-        """Two threads, same key: the first fails, the second computes."""
-        import repro.runtime.session as session_mod
-
+    def test_concurrent_same_key_runs_agree(self):
+        """4 threads, one key: equal labels and charges, then a memo hit."""
         sess = Session("random", scale="tiny", seed=2)
-        real = session_mod.execute_profiled
-        first_entered = threading.Event()
-        release_first = threading.Event()
-        attempts = []
+        barrier = threading.Barrier(4)
 
-        def flaky(*args, **kwargs):
-            attempts.append(threading.get_ident())
-            if len(attempts) == 1:
-                first_entered.set()
-                assert release_first.wait(10)
-                raise RuntimeError("first run dies")
-            return real(*args, **kwargs)
+        def worker(_):
+            barrier.wait()
+            return sess.run()
 
-        monkeypatch.setattr(session_mod, "execute_profiled", flaky)
-        errors, profiles = [], []
-
-        def owner():
-            try:
-                sess.run()
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        def waiter():
-            profiles.append(sess.run())
-
-        t_owner = threading.Thread(target=owner)
-        t_owner.start()
-        assert first_entered.wait(10)  # owner holds the in-flight entry
-        t_waiter = threading.Thread(target=waiter)
-        t_waiter.start()
-        # Give the waiter a moment to park on the in-flight event, then
-        # let the owner fail; the waiter must wake, become the next
-        # owner, and compute the labeling itself.
-        deadline = time.monotonic() + 10
-        while not sess._inflight and time.monotonic() < deadline:
-            time.sleep(0.001)
-        release_first.set()
-        t_owner.join(10)
-        t_waiter.join(10)
-        assert not t_owner.is_alive() and not t_waiter.is_alive()
-        assert len(errors) == 1 and "first run dies" in str(errors[0])
-        assert len(profiles) == 1
-        assert profiles[0].tracker.total_work() > 0.0
-        assert sess._inflight == {}
-        # The waiter's successful compute entered the memo.
-        assert sess.run() is profiles[0]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            profiles = list(pool.map(worker, range(4)))
+        first = profiles[0]
+        for prof in profiles[1:]:
+            assert np.array_equal(prof.result.labels, first.result.labels)
+            assert prof.tracker.snapshot() == first.tracker.snapshot()
+        hits = sess.stats["hits"]
+        later = sess.run()
+        assert any(later is prof for prof in profiles)
+        assert sess.stats["hits"] == hits + 1
 
 
 class TestContextDiscipline:
@@ -280,6 +270,50 @@ class TestContextDiscipline:
                 assert current_context() is ctx
                 raise RuntimeError("boom")
         assert current_context() is before
+
+    def test_nested_activate_restores_outer_then_root(self):
+        root = current_context()
+        outer = root.child(tracker=CostTracker())
+        inner = outer.child(tracker=CostTracker())
+        with outer.activate():
+            with pytest.raises(RuntimeError):
+                with inner.activate():
+                    assert current_context() is inner
+                    raise RuntimeError("boom")
+            assert current_context() is outer
+        assert current_context() is root
+
+    def test_worker_thread_restores_and_main_is_untouched(self):
+        main_ctx = current_context()
+        inside, checked = threading.Event(), threading.Event()
+        seen = []
+
+        def worker():
+            root = current_context()
+            outer = root.child(tracker=CostTracker())
+            inner = outer.child(tracker=CostTracker())
+            with outer.activate():
+                try:
+                    with inner.activate():
+                        seen.append(current_context() is inner)
+                        inside.set()
+                        assert checked.wait(10)
+                        raise RuntimeError("boom")
+                except RuntimeError:
+                    pass
+                seen.append(current_context() is outer)
+            seen.append(current_context() is root)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert inside.wait(10)
+        main_during = current_context()
+        checked.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert seen == [True, True, True]
+        assert main_during is main_ctx
+        assert current_context() is main_ctx
 
     def test_root_context_is_process_wide_default(self):
         assert current_context() is root_context()
