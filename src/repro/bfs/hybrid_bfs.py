@@ -49,7 +49,7 @@ from repro.graphs.csr import CSRGraph
 __all__ = ["hybrid_bfs", "HybridBFSResult"]
 
 
-@dataclass
+@dataclass(eq=False)
 class HybridBFSResult(BFSResult):
     """BFS result plus the per-round direction decisions (for tests/benches)."""
 

@@ -30,7 +30,7 @@ from repro.graphs.csr import CSRGraph
 __all__ = ["BFSResult", "parallel_bfs"]
 
 
-@dataclass
+@dataclass(eq=False)
 class BFSResult:
     """Output of one breadth-first search.
 

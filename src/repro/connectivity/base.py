@@ -21,7 +21,7 @@ from repro.runtime.context import current_context
 __all__ = ["ConnectivityResult", "canonicalize_labels", "num_components"]
 
 
-@dataclass
+@dataclass(eq=False)
 class ConnectivityResult:
     """Connected-components labeling plus run metadata.
 
@@ -42,6 +42,10 @@ class ConnectivityResult:
     stats:
         Free-form per-algorithm diagnostics (rounds, frontier sizes,
         direction decisions, ...).
+
+    Results compare by identity, like every result record holding an
+    ndarray: a field-wise ``==`` would ask an element-wise array
+    comparison for one truth value.
     """
 
     labels: np.ndarray

@@ -55,7 +55,7 @@ def validate_beta(beta: float) -> None:
         raise ParameterError(f"beta must be in (0,1), got {beta}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Decomposition:
     """Result of one low-diameter decomposition.
 
@@ -127,6 +127,12 @@ class DecompState(TraversalState):
     ``push_round`` delegates to the configured tie-break policy, and
     ``pull_round`` is the read-based sweep whose inspected edges are
     deferred to the ``filterEdges`` pass in :meth:`finalize`.
+
+    The state resolves the active context once, when it is built (once
+    per contraction level): ``tracker``, ``plan`` (the armed fault
+    plan), ``sanitizer`` and ``workspace``.  The round kernels read
+    those attributes instead of the context var, so a state runs under
+    the context it was built in.
     """
 
     def __init__(
@@ -147,17 +153,20 @@ class DecompState(TraversalState):
             if budget is not None
             else RoundBudget.for_decomposition(n, beta, algorithm=algorithm)
         )
-        tracker = current_context().tracker
+        ctx = current_context()
+        self.tracker = tracker = ctx.tracker
+        self.plan = ctx.fault_plan
+        self.sanitizer = ctx.sanitizer
+        # The backend's gather and race strategy for the round kernels.
+        # Never charged — it changes how rounds run, not what they
+        # compute or cost.
+        self.workspace = ctx.backend.workspace
         with tracker.phase("init"):
             self.schedule = ShiftSchedule(
                 n=n, beta=beta, seed=seed, mode=mode  # type: ignore[arg-type]
             )
             self.C = np.full(n, UNVISITED, dtype=np.int64)
             tracker.add("alloc", work=float(n), depth=1.0)
-        # The backend's gather and race strategy for the round kernels.
-        # Never charged — it changes how rounds run, not what they
-        # compute or cost.
-        self.workspace = current_context().backend.workspace
         self.frontier = np.zeros(0, dtype=np.int64)
         self.consumed = 0
         self.visited = 0
@@ -206,13 +215,13 @@ class DecompState(TraversalState):
         return engine.tiebreak.push_round(self, engine)
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
-        with current_context().tracker.phase("bfsDense"):
+        with self.tracker.phase("bfsDense"):
             return dense_round(self)
 
     def finalize(self, engine: TraversalEngine) -> None:
         # A no-op (and charge-free) pass for push-only runs; for the
         # hybrids it classifies every edge the dense rounds skipped.
-        with current_context().tracker.phase("filterEdges"):
+        with self.tracker.phase("filterEdges"):
             filter_edges(self, self.deferred)
 
     def start_new_centers(self, next_frontier: np.ndarray) -> None:
@@ -230,35 +239,34 @@ class DecompState(TraversalState):
         armed :class:`~repro.resilience.faults.FaultPlan`.
         """
         self.budget.check(self.round)
-        tracker = current_context().tracker
-        plan = current_context().fault_plan
+        tracker, plan = self.tracker, self.plan
         with tracker.phase("bfsPre"):
-            cum = self.schedule.cumulative(self.round)
-            candidates = self.schedule.order[self.consumed : cum]
+            cum = self.schedule.cumulative(self.round, plan)
+            # A shift_perturb fault may move cum below what was consumed:
+            # then nothing is due and the quota resumes from cum.
+            due = max(0, cum - self.consumed)
+            tracker.add("gather", work=float(due), depth=1.0)
+            frontier = next_frontier
+            if due:
+                candidates = self.schedule.order[self.consumed : cum]
+                fresh = candidates[self.C[candidates] == UNVISITED]
+                if fresh.size:
+                    if self.sanitizer is not None:
+                        # Self-claim seeding: distinct unvisited vertices,
+                        # single writer each — declared, so the shadow
+                        # check knows these cells changed legally.
+                        self.sanitizer.record_write(self.C, fresh)
+                    self.C[fresh] = fresh
+                    tracker.add("scatter", work=float(fresh.size), depth=1.0)
+                    self.visited += int(fresh.size)
+                    frontier = np.concatenate((next_frontier, fresh))
             self.consumed = cum
-            tracker.add("gather", work=float(candidates.size), depth=1.0)
-            fresh = candidates[self.C[candidates] == UNVISITED]
-            if fresh.size:
-                sanitizer = current_context().sanitizer
-                if sanitizer is not None:
-                    # Self-claim seeding: distinct unvisited vertices,
-                    # single writer each — declared, so the shadow check
-                    # knows these cells changed legally.
-                    sanitizer.record_write(self.C, fresh)
-                self.C[fresh] = fresh
-                tracker.add("scatter", work=float(fresh.size), depth=1.0)
-                self.visited += int(fresh.size)
-            frontier = (
-                np.concatenate((next_frontier, fresh))
-                if next_frontier.size or fresh.size
-                else next_frontier
-            )
             if plan is not None:
                 frontier = plan.filter_frontier(frontier, self.round)
                 plan.corrupt_labels(self.C, self.round, int(UNVISITED))
             self.frontier = frontier
-            self.frontier_sizes.append(int(self.frontier.size))
-            end_round(packing="unit")
+            self.frontier_sizes.append(int(frontier.size))
+            end_round(packing="unit", tracker=tracker)
 
     def keep_inter(
         self,

@@ -36,7 +36,7 @@ from repro.runtime.context import current_context
 __all__ = ["Contraction", "contract"]
 
 
-@dataclass
+@dataclass(eq=False)
 class Contraction:
     """Output of one contraction step.
 

@@ -21,7 +21,7 @@ from repro.graphs.csr import CSRGraph
 __all__ = ["LowDiameterDecomposition", "low_diameter_decomposition"]
 
 
-@dataclass
+@dataclass(eq=False)
 class LowDiameterDecomposition:
     """A (beta, d)-decomposition with measured quality.
 

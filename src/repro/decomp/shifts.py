@@ -28,7 +28,7 @@ part of its shift value").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Literal, Optional
 
 import numpy as np
 
@@ -39,7 +39,10 @@ from repro.primitives.rand import (
     random_permutation,
 )
 from repro.primitives.sort import radix_argsort
-from repro.runtime.context import current_context
+from repro.runtime.context import FROM_CONTEXT, current_context
+
+if TYPE_CHECKING:
+    from repro.resilience.faults import FaultPlan
 
 __all__ = ["ShiftSchedule", "FRAC_BITS"]
 
@@ -154,20 +157,25 @@ class ShiftSchedule:
         """Upper bound on rounds before every vertex is a candidate."""
         return int(self._cum_by_round.size)
 
-    def cumulative(self, round_index: int) -> int:
+    def cumulative(
+        self, round_index: int, plan: "Optional[FaultPlan]" = FROM_CONTEXT
+    ) -> int:
         """Number of candidate centers whose start time is < round+1.
 
         An armed :class:`~repro.resilience.faults.FaultPlan` with a
         ``shift_perturb`` spec may withhold part of an early round's
         quota — simulating perturbed exponential draws.  The plan only
         perturbs a bounded prefix of rounds, so every vertex is still
-        released eventually (the schedule stays a schedule).
+        released eventually (the schedule stays a schedule).  *plan*
+        defaults to the active context's; the round boundary passes the
+        one its state resolved.
         """
         if round_index < 0:
             raise ParameterError(f"round_index must be >= 0, got {round_index}")
         idx = min(round_index, self._cum_by_round.size - 1)
         cum = int(self._cum_by_round[idx])
-        plan = current_context().fault_plan
+        if plan is FROM_CONTEXT:
+            plan = current_context().fault_plan
         if plan is not None:
             cum = plan.perturb_cumulative(round_index, cum, self.n)
         return cum

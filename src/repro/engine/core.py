@@ -30,12 +30,12 @@ once, here, and nowhere else.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.pram.cost import CostTracker, log_depth
 from repro.runtime.context import current_context
 
 if TYPE_CHECKING:  # policies import the engine's types, not vice versa
@@ -50,7 +50,12 @@ __all__ = ["UNVISITED", "TraversalState", "TraversalEngine", "end_round"]
 UNVISITED = np.int64(-1)
 
 
-def end_round(edges: int = 0, *, packing: str = "edges") -> None:
+def end_round(
+    edges: int = 0,
+    *,
+    packing: str = "edges",
+    tracker: Optional[CostTracker] = None,
+) -> None:
     """Charge the end-of-round barrier — the engine-owned ``sync``.
 
     Every level-synchronous round ends with a barrier at which the
@@ -65,10 +70,14 @@ def end_round(edges: int = 0, *, packing: str = "edges") -> None:
     * ``packing="unit"`` — the BFS kernels keep the seed cost model's
       unit barrier: the frontier pack's log-depth is already folded
       into their per-primitive depth charges.
+
+    The barrier is charged to *tracker*, or to the active context's
+    when it is ``None``.
     """
-    tracker = current_context().tracker
+    if tracker is None:
+        tracker = current_context().tracker
     if packing == "edges":
-        tracker.sync(depth=float(max(1, math.ceil(math.log2(edges + 1)))))
+        tracker.sync(depth=log_depth(edges))
     elif packing == "unit":
         tracker.sync()
     else:

@@ -12,9 +12,9 @@ Execution-backend note: the gathers, compressions and CAS races go
 through the state's :mod:`~repro.engine.workspace`, whose class is the
 backend's choice of NumPy execution (checked or unchecked gathers,
 sort- or scatter-based races); the rest is plain NumPy.  The kernels
-also resolve the ambient cost tracker and fault plan once per round
-and pass them into the primitives, so the innermost loops perform no
-repeated context-var reads.
+take the cost tracker, fault plan and sanitizer from the state, which
+resolved them once per level, and pass them into the primitives, so a
+round performs no context-var reads.
 
 Cost parity note: each kernel charges exactly what its pre-engine
 counterpart charged; the only intentional change is that every
@@ -40,12 +40,14 @@ from repro.primitives.atomics import (
     write_min,
 )
 from repro.primitives.pack import pack_index
-from repro.runtime.context import current_context
+from repro.runtime.context import FROM_CONTEXT, current_context
 
 if TYPE_CHECKING:
     from repro.decomp.base import DecompState
     from repro.engine.workspace import NullWorkspace
     from repro.graphs.csr import CSRGraph
+    from repro.pram.cost import CostTracker
+    from repro.pram.sanitizer import PramSanitizer
 
 __all__ = [
     "arb_round",
@@ -94,15 +96,13 @@ def arb_round(state: "DecompState") -> np.ndarray:
     per frontier vertex); the source vertices are recovered for the
     kept edges only.
     """
-    tracker = current_context().tracker
-    plan = current_context().fault_plan
-    ws = state.workspace
+    tracker, ws = state.tracker, state.workspace
     graph, C, frontier = state.graph, state.C, state.frontier
-    counts, dst = graph.expand_targets(frontier, workspace=ws)
+    counts, dst = graph.expand_targets(frontier, workspace=ws, tracker=tracker)
     edges = int(dst.size)
     state.edges_inspected += edges
     if edges == 0:
-        end_round()
+        end_round(tracker=tracker)
         return np.zeros(0, dtype=np.int64)
     cu = np.repeat(ws.take(C, frontier), counts)
     cw = ws.take(C, dst)
@@ -111,7 +111,13 @@ def arb_round(state: "DecompState") -> np.ndarray:
     # CAS races on unvisited targets: one arbitrary winner each.
     unvis_pos = (cw == UNVISITED).nonzero()[0]
     race = ws.take(dst, unvis_pos)
-    win_local, winners = first_winner(race, workspace=ws, tracker=tracker, plan=plan)
+    win_local, winners = first_winner(
+        race,
+        workspace=ws,
+        tracker=tracker,
+        plan=state.plan,
+        sanitizer=state.sanitizer,
+    )
     C[winners] = cu[unvis_pos[win_local]]
     tracker.add("scatter", work=float(winners.size), depth=1.0)
     state.visited += int(winners.size)
@@ -121,11 +127,12 @@ def arb_round(state: "DecompState") -> np.ndarray:
     cw[unvis_pos] = ws.take(C, race)
     tracker.add("gather", work=float(edges - winners.size), depth=1.0)
     keep = (cw != cu).nonzero()[0]
-    state.keep_inter(
-        cu[keep], cw[keep], _edge_sources(frontier, counts, keep), dst[keep]
-    )
+    if keep.size:
+        state.keep_inter(
+            cu[keep], cw[keep], _edge_sources(frontier, counts, keep), dst[keep]
+        )
     # End-of-round packing of kept edges / next frontier.
-    end_round(edges)
+    end_round(edges, tracker=tracker)
     return winners
 
 
@@ -146,22 +153,26 @@ def min_round(
     positions of the target labels with their source labels, so one
     ``cw != cu`` pass keeps exactly the visited inter-edges, in stream
     order; phase 2 takes the losers' edges from the unvisited arrays.
+    The gathers of kept and lost edges are skipped when there are none.
+
+    Unlike :func:`arb_round`, the kernel keeps the whole source stream:
+    most of its rounds keep or lose some edge, and one ``repeat`` of the
+    frontier plus gathers from it costs less there than a binary search
+    per kept edge (:func:`_edge_sources`).
     """
-    ctx = current_context()
-    tracker = ctx.tracker
-    plan = ctx.fault_plan
-    ws = state.workspace
-    graph, C = state.graph, state.C
+    tracker, ws = state.tracker, state.workspace
+    graph, C, frontier = state.graph, state.C, state.frontier
     frac = state.schedule.frac
 
     # ---- Phase 1: writeMin marking + classification of visited targets.
     with tracker.phase("bfsPhase1"):
-        src, dst = graph.expand(state.frontier, workspace=ws)
-        edges = int(src.size)
+        counts, dst = graph.expand_targets(frontier, workspace=ws, tracker=tracker)
+        edges = int(dst.size)
         state.edges_inspected += edges
         if edges == 0:
-            end_round()
+            end_round(tracker=tracker)
             return np.zeros(0, dtype=np.int64)
+        src = frontier.repeat(counts)
         cu = ws.take(C, src)
         cw = ws.take(C, dst)
         # 3 words per edge: the source's component plus the target's
@@ -176,16 +187,27 @@ def min_round(
         dst_unvis = ws.take(dst, unvis_pos)
         keys = ws.take(frac, cu_unvis)
         keys = encode_pair(keys, cu_unvis, check=not trusted_keys, out=keys)
-        write_min(pair, dst_unvis, keys, tracker=tracker, workspace=ws)
+        write_min(
+            pair,
+            dst_unvis,
+            keys,
+            tracker=tracker,
+            workspace=ws,
+            sanitizer=state.sanitizer,
+        )
 
         # Edges to visited targets resolve now: inter iff labels differ.
         cw[unvis_pos] = cu_unvis
         keep_pos = (cw != cu).nonzero()[0]
-        state.keep_inter(
-            cu.take(keep_pos), cw.take(keep_pos), src.take(keep_pos), dst.take(keep_pos)
-        )
+        if keep_pos.size:
+            state.keep_inter(
+                cu.take(keep_pos),
+                cw.take(keep_pos),
+                src.take(keep_pos),
+                dst.take(keep_pos),
+            )
         # Phase-1 output compaction (the paper's in-place E overwrite).
-        end_round(edges)
+        end_round(edges, tracker=tracker)
 
     # ---- Phase 2: losers classify, winners claim (one CAS per target).
     with tracker.phase("bfsPhase2"):
@@ -197,7 +219,7 @@ def min_round(
             "gather", work=float(2 * unvis_pos.size + keep_pos.size), depth=1.0
         )
         if unvis_pos.size == 0:
-            end_round()
+            end_round(tracker=tracker)
             return np.zeros(0, dtype=np.int64)
         winner_center = ws.take(pair, dst_unvis)
         winner_center &= _PAIR_PAYLOAD_MASK
@@ -209,7 +231,8 @@ def min_round(
             ws.take(dst_unvis, won_pos),
             workspace=ws,
             tracker=tracker,
-            plan=plan,
+            plan=state.plan,
+            sanitizer=state.sanitizer,
         )
         C[new_vertices] = winner_center.take(won_pos.take(first_pos))
         # Mark claimed cells so later writeMins cannot touch them
@@ -220,15 +243,16 @@ def min_round(
 
         # Losers: inter-component iff the winner differs (it does, by
         # definition of losing) — matches Algorithm 2 lines 32-35.
-        lost = (~won).nonzero()[0]
-        lose_dst = dst_unvis.take(lost)
-        state.keep_inter(
-            cu_unvis.take(lost),
-            C.take(lose_dst),
-            src.take(unvis_pos.take(lost)),
-            lose_dst,
-        )
-        end_round(edges)
+        if won_pos.size < unvis_pos.size:
+            lost = (~won).nonzero()[0]
+            lose_dst = dst_unvis.take(lost)
+            state.keep_inter(
+                cu_unvis.take(lost),
+                C.take(lose_dst),
+                src.take(unvis_pos.take(lost)),
+                lose_dst,
+            )
+        end_round(edges, tracker=tracker)
     return new_vertices
 
 
@@ -243,7 +267,7 @@ def dense_round(state: "DecompState") -> np.ndarray:
     adopts the first frontier neighbor in adjacency order (a legal
     arbitrary-CRCW schedule).
     """
-    tracker = current_context().tracker
+    tracker = state.tracker
     C = state.C
 
     on_frontier = np.zeros(state.n, dtype=bool)
@@ -251,14 +275,20 @@ def dense_round(state: "DecompState") -> np.ndarray:
     tracker.add("scatter", work=float(state.frontier.size), depth=1.0)
 
     winners, adopted_from, examined = bottom_up_step(
-        state.graph, on_frontier, pack_index(C == UNVISITED), state.workspace
+        state.graph,
+        on_frontier,
+        pack_index(C == UNVISITED),
+        state.workspace,
+        tracker=tracker,
+        plan=state.plan,
+        sanitizer=state.sanitizer,
     )
     if winners.size:
         C[winners] = C[adopted_from]
         tracker.add("scatter", work=float(winners.size), depth=1.0)
         state.visited += int(winners.size)
     state.edges_inspected += examined
-    end_round(examined)
+    end_round(examined, tracker=tracker)
     return winners
 
 
@@ -272,25 +302,24 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     source labels are repeated from the frontier and the source
     vertices recovered for the kept edges only.
     """
-    tracker = current_context().tracker
     if not deferred:
         return
     vertices = np.concatenate(deferred)
     if vertices.size == 0:
         return
-    C = state.C
-    ws = state.workspace
-    counts, dst = state.graph.expand_targets(vertices, workspace=ws)
+    C, tracker, ws = state.C, state.tracker, state.workspace
+    counts, dst = state.graph.expand_targets(vertices, workspace=ws, tracker=tracker)
     edges = int(dst.size)
     state.edges_inspected += edges
     cu = np.repeat(ws.take(C, vertices), counts)
     cw = ws.take(C, dst)
     tracker.add("scan", work=float(2 * edges), depth=1.0)
     keep = (cu != cw).nonzero()[0]
-    state.keep_inter(
-        cu[keep], cw[keep], _edge_sources(vertices, counts, keep), dst[keep]
-    )
-    end_round(edges)
+    if keep.size:
+        state.keep_inter(
+            cu[keep], cw[keep], _edge_sources(vertices, counts, keep), dst[keep]
+        )
+    end_round(edges, tracker=tracker)
 
 
 def bottom_up_step(
@@ -298,6 +327,10 @@ def bottom_up_step(
     frontier_bitmap: np.ndarray,
     unvisited: np.ndarray,
     workspace: "Optional[NullWorkspace]" = None,
+    *,
+    tracker: "Optional[CostTracker]" = None,
+    plan: object = FROM_CONTEXT,
+    sanitizer: "Optional[PramSanitizer]" = FROM_CONTEXT,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """The read-based (bottom-up) sweep every pull round runs.
 
@@ -309,9 +342,12 @@ def bottom_up_step(
 
     Charges the winner race and the early-exit edge count as streaming
     ``scan`` work, no atomics; with no unvisited vertex it charges
-    nothing.  The callers charge their own writes.
+    nothing.  The callers charge their own writes.  *tracker*, *plan*
+    and *sanitizer* default to the active context's, as in
+    :func:`~repro.primitives.atomics.first_winner`.
     """
-    tracker = current_context().tracker
+    if tracker is None:
+        tracker = current_context().tracker
     ws = workspace if workspace is not None else NULL_WORKSPACE
     if unvisited.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
@@ -329,7 +365,8 @@ def bottom_up_step(
             ws.take(src, hit_positions),
             workspace=ws,
             tracker=tracker,
-            plan=current_context().fault_plan,
+            plan=plan,
+            sanitizer=sanitizer,
         )
         first_hit = hit_positions[first_pos]
         parents = dst[first_hit]

@@ -162,7 +162,7 @@ class BFSTreeState(TraversalState):
         self.parents[winners] = src_fresh[win_pos]
         tracker.add("scatter", work=float(winners.size), depth=1.0)
         self._absorb(winners)
-        end_round(packing="unit")
+        end_round(packing="unit", tracker=tracker)
         return winners
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
@@ -181,7 +181,7 @@ class BFSTreeState(TraversalState):
             tracker.add("scatter", work=float(winners.size), depth=1.0)
         self.parents[winners] = parent_of
         self._absorb(winners)
-        end_round(packing="unit")
+        end_round(packing="unit", tracker=tracker)
         return winners
 
 
@@ -262,7 +262,7 @@ class ComponentLabelState(TraversalState):
             plan=plan,
         )
         self._claim(winners)
-        end_round(packing="unit")
+        end_round(packing="unit", tracker=tracker)
         return winners
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
@@ -283,5 +283,5 @@ class ComponentLabelState(TraversalState):
             # The sweep's own scatter; _claim charges the label stores.
             tracker.add("scatter", work=float(winners.size), depth=1.0)
         self._claim(winners)
-        end_round(packing="unit")
+        end_round(packing="unit", tracker=tracker)
         return winners

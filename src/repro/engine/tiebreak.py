@@ -31,8 +31,7 @@ import numpy as np
 
 from repro.engine.kernels import _PAIR_INF, arb_round, min_round
 from repro.engine.workspace import Workspace
-from repro.primitives.atomics import encode_pair
-from repro.runtime.context import current_context
+from repro.primitives.atomics import check_pair_domain
 
 if TYPE_CHECKING:
     from repro.decomp.base import DecompState
@@ -75,7 +74,7 @@ class ArbTiebreak(TiebreakPolicy):
         self, state: "DecompState", engine: "TraversalEngine"
     ) -> np.ndarray:
         label = engine.direction.sparse_phase or "bfsMain"
-        with current_context().tracker.phase(label):
+        with state.tracker.phase(label):
             return arb_round(state)
 
 
@@ -92,7 +91,7 @@ class MinTiebreak(TiebreakPolicy):
         self._checked = False
 
     def setup(self, state: "DecompState") -> None:
-        tracker = current_context().tracker
+        tracker = state.tracker
         with tracker.phase("init"):
             self.pair = np.full(state.n, _PAIR_INF, dtype=np.int64)
             tracker.add("alloc", work=float(state.n), depth=1.0)
@@ -100,11 +99,7 @@ class MinTiebreak(TiebreakPolicy):
             # Prove the whole (delta', center) domain encodable once, so
             # the per-round encode_pair range scans can be skipped (the
             # per-round keys are gathers out of exactly this domain).
-            encode_pair(
-                state.schedule.frac,
-                np.arange(state.n, dtype=np.int64),
-                check=True,
-            )
+            check_pair_domain(state.schedule.frac, state.n)
             self._checked = True
 
     def push_round(

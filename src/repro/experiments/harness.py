@@ -29,7 +29,7 @@ from repro.resilience.faults import FaultPlan
 __all__ = ["RunProfile", "profile_run", "sweep_seconds", "median_simulated"]
 
 
-@dataclass
+@dataclass(eq=False)
 class RunProfile:
     """Everything one measured cell of the evaluation needs.
 

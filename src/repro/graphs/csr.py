@@ -20,29 +20,33 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.pram.cost import CostTracker, log_depth
 from repro.runtime.context import current_context
 
 __all__ = ["CSRGraph", "ragged_positions"]
 
 
 def ragged_positions(
-    starts: np.ndarray, counts: np.ndarray, total: int
+    starts: np.ndarray, counts: np.ndarray, total: Optional[int] = None
 ) -> np.ndarray:
     """Global positions of a ragged gather, laid out slice after slice.
 
     Slice ``i`` covers ``starts[i] .. starts[i] + counts[i] - 1``, and
-    *total* is ``counts.sum()``: ``repeat(starts - excl_cumsum(counts),
-    counts) + arange(total)``, with the shift and the add in place.
+    *total* is ``counts.sum()`` (read off the prefix sum when omitted):
+    ``repeat(starts - excl_cumsum(counts), counts) + arange(total)``,
+    with the shift and the add in place.
     """
-    base = np.cumsum(counts)
+    base = counts.cumsum()
+    if total is None:
+        total = int(base[-1]) if base.size else 0
     base -= counts
     np.subtract(starts, base, out=base)
-    pos = np.repeat(base, counts)
+    pos = base.repeat(counts)
     pos += np.arange(total, dtype=np.int64)
     return pos
 
@@ -157,6 +161,7 @@ class CSRGraph:
         frontier: np.ndarray,
         charge_cost: bool = True,
         workspace=None,
+        tracker: Optional[CostTracker] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Gather the out-edge targets of every frontier vertex, vectorized.
 
@@ -170,30 +175,30 @@ class CSRGraph:
         need the source of only a few edges recover it from *counts*
         instead of materializing :meth:`expand`'s source stream.
 
-        *workspace* is the backend's gather strategy (see
-        :mod:`repro.engine.workspace`); without one the targets are
-        gathered by fancy indexing.  The result is always a fresh array.
+        *frontier* is an int64 vertex-id array.  *workspace* is the
+        backend's gather strategy (see :mod:`repro.engine.workspace`);
+        without one the targets are gathered by fancy indexing.  The
+        result is always a fresh array.
 
-        ``charge_cost=False`` suppresses the cost accounting — used by
+        The charges go to *tracker*, or to the active context's when it
+        is ``None``.  ``charge_cost=False`` suppresses them — used by
         the read-based (bottom-up) sweeps, which on a real machine exit
         each adjacency list early and charge only the edges actually
         examined (they account for those themselves).
         """
-        frontier = np.asarray(frontier, dtype=np.int64)
-        if frontier.size == 0:
+        size = frontier.size
+        if size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        starts = self.offsets[frontier]
-        counts = self.offsets[frontier + 1] - starts
-        total = int(counts.sum())
+        starts = self.offsets.take(frontier)
+        counts = self.offsets.take(frontier + 1)
+        counts -= starts
+        pos = ragged_positions(starts, counts)
         if charge_cost:
-            tracker = current_context().tracker
-            tracker.add("gather", work=float(total + frontier.size), depth=1.0)
-            tracker.add(  # offset computation = prefix sum over the frontier
-                "scan",
-                work=float(frontier.size),
-                depth=float(max(1, int(np.ceil(np.log2(frontier.size + 1))))),
-            )
-        pos = ragged_positions(starts, counts, total)
+            if tracker is None:
+                tracker = current_context().tracker
+            tracker.add("gather", work=float(pos.size + size), depth=1.0)
+            # offset computation = prefix sum over the frontier
+            tracker.add("scan", work=float(size), depth=log_depth(size))
         if workspace is None:
             edge_targets = self.targets[pos]
         else:

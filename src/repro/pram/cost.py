@@ -44,6 +44,7 @@ __all__ = [
     "KINDS",
     "PhaseObserver",
     "SEQUENTIAL_KINDS",
+    "log_depth",
     "tracking",
 ]
 
@@ -75,22 +76,64 @@ KINDS: Tuple[str, ...] = (
     "seq",  # inherently sequential work (not divisible by p)
 )
 
+_KIND_SET = frozenset(KINDS)
+
 #: Kinds whose work the machine model must NOT divide by the core count.
 SEQUENTIAL_KINDS: Tuple[str, ...] = ("seq",)
 
 CostKind = str
 
 
+def log_depth(n: int) -> float:
+    """``max(1, ceil(log2(n + 1)))``: the depth of an n-element parallel
+    scan, pack or reduction (at least one step, so an empty one still
+    pays its barrier).
+
+    Computed exactly on integers: ``ceil(log2(n + 1))`` is the bit
+    length of ``n`` for every ``n >= 0``.
+    """
+    return float(max(1, int(n).bit_length()))
+
+
 @dataclass
 class _Bucket:
     """Accumulated cost for one (phase, kind) cell."""
 
-    work: float = 0.0
-    depth: float = 0.0
+    __slots__ = ("work", "depth")
+
+    work: float
+    depth: float
 
     def add(self, work: float, depth: float) -> None:
         self.work += work
         self.depth += depth
+
+
+class _PhaseWindow:
+    """The ``with`` window :meth:`CostTracker.phase` returns.
+
+    Pushes its label on entry and pops it on exit, notifying the
+    tracker's observer after the push and after the pop; an exception
+    raised inside the window still pops the label and notifies.
+    """
+
+    __slots__ = ("_tracker", "_label")
+
+    def __init__(self, tracker: "CostTracker", label: str) -> None:
+        self._tracker = tracker
+        self._label = label
+
+    def __enter__(self) -> None:
+        tracker = self._tracker
+        tracker._phase_stack.append(self._label)
+        if tracker.observer is not None:
+            tracker.observer.phase_begin(self._label)
+
+    def __exit__(self, *exc_info: object) -> None:
+        tracker = self._tracker
+        tracker._phase_stack.pop()
+        if tracker.observer is not None:
+            tracker.observer.phase_end(self._label)
 
 
 @dataclass
@@ -125,18 +168,9 @@ class CostTracker:
         """The innermost active phase label (``"unphased"`` if none)."""
         return self._phase_stack[-1] if self._phase_stack else "unphased"
 
-    @contextlib.contextmanager
-    def phase(self, label: str) -> Iterator[None]:
+    def phase(self, label: str) -> _PhaseWindow:
         """Attribute costs recorded inside the ``with`` body to *label*."""
-        self._phase_stack.append(label)
-        if self.observer is not None:
-            self.observer.phase_begin(label)
-        try:
-            yield
-        finally:
-            self._phase_stack.pop()
-            if self.observer is not None:
-                self.observer.phase_end(label)
+        return _PhaseWindow(self, label)
 
     # -- recording --------------------------------------------------------
 
@@ -147,13 +181,15 @@ class CostTracker:
         inspected, one element scanned); ``depth`` is in units of PRAM
         time steps along the critical path.
         """
-        if kind not in KINDS:
+        if kind not in _KIND_SET:
             raise ValueError(f"unknown cost kind {kind!r}; expected one of {KINDS}")
-        key = (self.phase_label, kind)
+        stack = self._phase_stack
+        key = (stack[-1] if stack else "unphased", kind)
         bucket = self.buckets.get(key)
         if bucket is None:
-            bucket = self.buckets[key] = _Bucket()
-        bucket.add(work, depth)
+            bucket = self.buckets[key] = _Bucket(0.0, 0.0)
+        bucket.work += work
+        bucket.depth += depth
 
     def sync(self, depth: float = 1.0) -> None:
         """Charge a synchronisation barrier of *depth* time steps.
@@ -213,7 +249,7 @@ class CostTracker:
         for key, bucket in other.buckets.items():
             mine = self.buckets.get(key)
             if mine is None:
-                mine = self.buckets[key] = _Bucket()
+                mine = self.buckets[key] = _Bucket(0.0, 0.0)
             mine.add(bucket.work, bucket.depth)
         self.sync_count += other.sync_count
 
@@ -236,7 +272,7 @@ class _NullTracker(CostTracker):
     def add(  # noqa: D102
         self, kind: CostKind, work: float, depth: float = 0.0
     ) -> None:
-        if kind not in KINDS:  # keep the validation so bugs surface in tests
+        if kind not in _KIND_SET:  # keep the validation so bugs surface in tests
             raise ValueError(f"unknown cost kind {kind!r}; expected one of {KINDS}")
 
     def sync(self, depth: float = 1.0) -> None:  # noqa: D102

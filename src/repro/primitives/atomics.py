@@ -25,16 +25,18 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple
 import numpy as np
 
 from repro.pram.cost import CostTracker
-from repro.runtime.context import current_context
+from repro.runtime.context import FROM_CONTEXT, current_context
 
 if TYPE_CHECKING:  # layering: primitives must not import engine at runtime
     from repro.engine.workspace import NullWorkspace
+    from repro.pram.sanitizer import PramSanitizer
 
 __all__ = [
     "write_min",
     "first_winner",
     "unique_winners",
     "encode_pair",
+    "check_pair_domain",
     "decode_pair",
     "PAIR_SHIFT",
 ]
@@ -45,10 +47,22 @@ __all__ = [
 PAIR_SHIFT = 31
 _PAIR_MASK = (1 << PAIR_SHIFT) - 1
 
-#: Sentinel distinguishing "not passed" from "no plan" (the round
-#: kernels read ``current_context().fault_plan`` once per round and
-#: pass it down; legacy callers fall back to the context read).
-_LOOKUP_PLAN = object()
+
+def _check_half(values: np.ndarray, half: str) -> None:
+    if values.size and (values.min() < 0 or values.max() > _PAIR_MASK):
+        raise ValueError(f"{half} out of range [0, 2^{PAIR_SHIFT})")
+
+
+def check_pair_domain(priority: np.ndarray, num_payloads: int) -> None:
+    """Raise unless every (priority, payload) pair with a payload in
+    ``[0, num_payloads)`` is encodable by :func:`encode_pair`.
+
+    The range check ``encode_pair(priority, arange(num_payloads))``
+    performs, without building the payloads or the encoding.
+    """
+    _check_half(np.asarray(priority, dtype=np.int64), "priority")
+    if num_payloads - 1 > _PAIR_MASK:
+        raise ValueError(f"payload out of range [0, 2^{PAIR_SHIFT})")
 
 
 def encode_pair(
@@ -74,10 +88,8 @@ def encode_pair(
     priority = np.asarray(priority, dtype=np.int64)
     payload = np.asarray(payload, dtype=np.int64)
     if check:
-        if priority.size and (priority.min() < 0 or priority.max() > _PAIR_MASK):
-            raise ValueError(f"priority out of range [0, 2^{PAIR_SHIFT})")
-        if payload.size and (payload.min() < 0 or payload.max() > _PAIR_MASK):
-            raise ValueError(f"payload out of range [0, 2^{PAIR_SHIFT})")
+        _check_half(priority, "priority")
+        _check_half(payload, "payload")
     if out is None:
         return (priority << PAIR_SHIFT) | payload
     np.left_shift(priority, PAIR_SHIFT, out=out)
@@ -98,6 +110,7 @@ def write_min(
     *,
     tracker: Optional[CostTracker] = None,
     workspace: Optional[NullWorkspace] = None,
+    sanitizer: "Optional[PramSanitizer]" = FROM_CONTEXT,
 ) -> None:
     """One synchronous round of priority-CRCW writeMins.
 
@@ -106,8 +119,8 @@ def write_min(
     minimum, matching the paper's ``writeMin`` primitive.  Charged as
     one atomic op per write attempt plus O(1) depth for the round.
 
-    Mutates *dest* in place.  *tracker* lets round kernels pass the
-    tracker they already resolved (one context-var read per round, not
+    Mutates *dest* in place.  *tracker* and *sanitizer* let round
+    kernels pass what their state already resolved (no context-var read
     per primitive).  *workspace* is the execution seam: when the round
     kernel passes one, its ``minimum_scatter`` runs the scatter;
     charging and the sanitizer record stay here either way, so the
@@ -120,7 +133,8 @@ def write_min(
     if tracker is None:
         tracker = current_context().tracker
     tracker.add("atomic", work=float(idx.shape[0]), depth=1.0)
-    sanitizer = current_context().sanitizer
+    if sanitizer is FROM_CONTEXT:
+        sanitizer = current_context().sanitizer
     if sanitizer is not None:
         sanitizer.record_atomic(dest, idx)
     if workspace is not None:
@@ -145,7 +159,8 @@ def first_winner(
     *,
     workspace: Optional[NullWorkspace] = None,
     tracker: Optional[CostTracker] = None,
-    plan: Any = _LOOKUP_PLAN,
+    plan: Any = FROM_CONTEXT,
+    sanitizer: "Optional[PramSanitizer]" = FROM_CONTEXT,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Resolve an arbitrary-CRCW race: one winner per distinct destination.
 
@@ -164,8 +179,8 @@ def first_winner(
     (also run when none is passed).  Both pick the first occurrence per
     destination, so the winner schedule is identical
     (``tests/test_backend_parity.py`` pins this element for element).
-    *tracker* / *plan* let round kernels pass their cached context
-    lookups down the hot path.
+    *tracker* / *plan* / *sanitizer* let round kernels pass their
+    cached context lookups down the hot path.
 
     An armed :class:`~repro.resilience.faults.FaultPlan` may flip
     winners to *other legal contenders* (a different arbitrary
@@ -181,9 +196,10 @@ def first_winner(
         positions, dests = workspace.winner_scatter(idx)
     else:
         positions, dests = unique_winners(idx)
-    if plan is _LOOKUP_PLAN:
+    if plan is FROM_CONTEXT:
         plan = current_context().fault_plan
-    sanitizer = current_context().sanitizer
+    if sanitizer is FROM_CONTEXT:
+        sanitizer = current_context().sanitizer
     if plan is not None:
         # The pre-perturbation resolution IS the machine's deterministic
         # schedule; an armed sanitizer validates whatever comes back

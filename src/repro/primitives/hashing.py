@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError
+from repro.pram.cost import log_depth
 from repro.primitives.atomics import first_winner
 from repro.primitives.rand import splitmix64
 from repro.runtime.context import current_context
@@ -87,9 +88,7 @@ class HashTable:
         inserted = np.zeros(keys.shape[0], dtype=bool)
         pending = np.arange(keys.shape[0], dtype=np.int64)
         slot = self._hash(keys)
-        max_rounds = _MAX_ROUNDS_FACTOR * max(
-            1, int(np.ceil(np.log2(self.size + 1)))
-        )
+        max_rounds = _MAX_ROUNDS_FACTOR * int(log_depth(self.size))
         # Context lookups cached once per insert (round granularity);
         # the probe loop passes them straight into the primitives.
         tracker = current_context().tracker

@@ -15,11 +15,11 @@ changing any values.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
 
+from repro.pram.cost import log_depth
 from repro.runtime.context import current_context
 
 __all__ = ["pack", "pack_index", "split_by_flag"]
@@ -30,7 +30,7 @@ _LOG_STAR = 4.0
 
 def _charge(n: int, approximate: bool) -> None:
     tracker = current_context().tracker
-    depth = _LOG_STAR if approximate else float(max(1, math.ceil(math.log2(n + 1))))
+    depth = _LOG_STAR if approximate else log_depth(n)
     tracker.add("scan", work=float(n), depth=depth)
 
 

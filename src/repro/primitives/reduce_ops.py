@@ -8,20 +8,18 @@ using per-processor counts plus a transpose-and-scan; we run them with
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
+from repro.pram.cost import log_depth
 from repro.runtime.context import current_context
 
 __all__ = ["reduce_sum", "reduce_max", "reduce_min", "count_true", "histogram"]
 
 
 def _charge(n: int, kind: str = "scan") -> None:
-    current_context().tracker.add(
-        kind, work=float(n), depth=float(max(1, math.ceil(math.log2(n + 1))))
-    )
+    current_context().tracker.add(kind, work=float(n), depth=log_depth(n))
 
 
 def reduce_sum(values: np.ndarray) -> float:

@@ -9,11 +9,11 @@ idiom) and charge exactly that PRAM cost to the ambient tracker.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.pram.cost import log_depth
 from repro.runtime.context import current_context
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
 def _charge(n: int) -> None:
     """Charge the PRAM cost of one n-element scan."""
     tracker = current_context().tracker
-    tracker.add("scan", work=float(n), depth=float(max(1, math.ceil(math.log2(n + 1)))))
+    tracker.add("scan", work=float(n), depth=log_depth(n))
 
 
 def inclusive_scan(values: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import contextlib
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 import numpy as np
 
@@ -51,9 +51,16 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ExecutionContext",
+    "FROM_CONTEXT",
     "current_context",
     "root_context",
 ]
+
+#: Default of the hot-path primitives' ``plan=`` and ``sanitizer=``
+#: arguments: read them from the active context (``None`` there means
+#: "none armed").  Round kernels pass what their state resolved once per
+#: level instead.
+FROM_CONTEXT: Any = object()
 
 
 def _default_backend() -> "ExecutionBackend":

@@ -9,15 +9,23 @@ the same unvisited vertex in the same round.
 * Decomp-Arb: some single center wins (we don't prescribe which), the
   loser records an inter-component edge, and the winner's claiming
   edge is deleted.
+
+It also pins the rounds' fixed cost: a round reads no context var.
 """
+
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+import repro.runtime.context as context_module
+from repro.decomp import decomp_arb, decomp_min
 from repro.decomp.base import DecompState
 from repro.engine.backend import use_backend
 from repro.engine.kernels import _PAIR_INF, arb_round, min_round
 from repro.graphs.builder import from_edges
+from repro.graphs.generators import line_graph
 from repro.pram.cost import tracking
 from repro.resilience.faults import parse_fault_plan
 
@@ -156,20 +164,18 @@ class TestArbRoundSemantics:
         # visited foreign vertex 4 (component 4).  Edge stream order:
         # 0->1, 0->3, 0->5, 2->1, 2->4.
         graph = from_edges(np.array([0, 0, 0, 2, 2]), np.array([1, 3, 5, 1, 4]))
-        with use_backend(backend):
-            state = DecompState(graph, 0.2, 1, "permutation")
-        for v, label in ((0, 0), (2, 2), (3, 0), (4, 4)):
-            state.C[v] = label
-        state.visited = 4
-        state.frontier = np.array([0, 2], dtype=np.int64)
         plan = parse_fault_plan("cas_flip:p=1.0", seed=0)
-        with tracking():
-            if flip:
-                with plan.activate():
-                    next_frontier = arb_round(state)
-                assert plan.fired
-            else:
-                next_frontier = arb_round(state)
+        # A state runs under the context it was built in (its backend
+        # and, when flipping, the armed plan), as in one engine run.
+        with use_backend(backend), plan.activate() if flip else nullcontext():
+            state = DecompState(graph, 0.2, 1, "permutation")
+            for v, label in ((0, 0), (2, 2), (3, 0), (4, 4)):
+                state.C[v] = label
+            state.visited = 4
+            state.frontier = np.array([0, 2], dtype=np.int64)
+            next_frontier = arb_round(state)
+        if flip:
+            assert plan.fired
         assert next_frontier.tolist() == [1, 5]
         assert state.C[1] == winner and state.C[5] == 0
         dec = state.finish()
@@ -216,3 +222,45 @@ class TestRoundEdgeConservation:
         # (dropped); the claims equal the number of new vertices
         assert dec.num_inter_directed <= frontier_edges
         assert winners.size == state.visited - 3
+
+
+#: Context reads a decomposition may make per level, outside its rounds
+#: (building the state and its schedule, opening the engine run).
+CONTEXT_READS_PER_LEVEL = 12
+
+
+def _count_context_reads(fn):
+    """Run *fn* with every ``repro`` module's ``current_context`` counted."""
+    original = context_module.current_context
+    calls = 0
+
+    def counting():
+        nonlocal calls
+        calls += 1
+        return original()
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if (
+                name.startswith("repro")
+                and getattr(module, "current_context", None) is original
+            ):
+                mp.setattr(module, "current_context", counting)
+        result = fn()
+    return calls, result
+
+
+class TestContextReadsPerRound:
+    """The kernels take the context from the state, resolved once per level."""
+
+    @pytest.mark.parametrize("decompose", [decomp_min, decomp_arb])
+    def test_reads_do_not_grow_with_rounds(self, decompose):
+        runs = []
+        for n in (2_000, 20_000):
+            graph = line_graph(n)
+            with tracking():
+                reads, dec = _count_context_reads(lambda: decompose(graph, 0.2, seed=1))
+            assert reads <= 2 * dec.num_rounds + CONTEXT_READS_PER_LEVEL
+            runs.append((reads, dec.num_rounds))
+        (small, small_rounds), (large, large_rounds) = runs
+        assert large - small <= 2 * (large_rounds - small_rounds)

@@ -1,13 +1,33 @@
 """Unit tests for the work/depth cost tracker."""
 
+import math
+
 import pytest
 
 from repro.pram.cost import (
     KINDS,
     CostTracker,
+    log_depth,
     tracking,
 )
 from repro.runtime.context import current_context
+
+
+class _RecordingObserver:
+    """A phase observer that logs every event and the label it saw."""
+
+    def __init__(self, tracker=None):
+        self.tracker = tracker
+        self.events = []
+
+    def phase_begin(self, label):
+        self.events.append(("begin", label, self._innermost()))
+
+    def phase_end(self, label):
+        self.events.append(("end", label, self._innermost()))
+
+    def _innermost(self):
+        return self.tracker.phase_label if self.tracker is not None else None
 
 
 class TestCostTracker:
@@ -71,6 +91,51 @@ class TestCostTracker:
             with t.phase("doomed"):
                 raise RuntimeError("boom")
         assert t.phase_label == "unphased"
+
+    def test_exception_in_window_pops_label_and_notifies(self):
+        t = CostTracker()
+        t.observer = obs = _RecordingObserver(t)
+        with t.phase("outer"):
+            with pytest.raises(RuntimeError):
+                with t.phase("doomed"):
+                    t.add("scan", work=1.0)
+                    raise RuntimeError("boom")
+            assert t.phase_label == "outer"
+            t.add("scan", work=2.0)
+        assert obs.events[-2:] == [
+            ("end", "doomed", "outer"),
+            ("end", "outer", "unphased"),
+        ]
+        assert t.work_by_phase() == {"doomed": 1.0, "outer": 2.0}
+
+    def test_nested_windows_charge_innermost_label(self):
+        t = CostTracker()
+        with t.phase("a"), t.phase("b"), t.phase("c"):
+            t.add("gather", work=4.0, depth=1.0)
+            t.sync(depth=2.0)
+        assert t.snapshot() == {("c", "gather"): (4.0, 1.0), ("c", "scan"): (0.0, 2.0)}
+
+    def test_observer_sees_begin_end_in_order(self):
+        t = CostTracker()
+        t.observer = obs = _RecordingObserver(t)
+        with t.phase("init"):
+            pass
+        with t.phase("bfsPhase1"):
+            with t.phase("bfsPhase2"):
+                pass
+        # begin fires after the push, end after the pop
+        assert obs.events == [
+            ("begin", "init", "init"),
+            ("end", "init", "unphased"),
+            ("begin", "bfsPhase1", "bfsPhase1"),
+            ("begin", "bfsPhase2", "bfsPhase2"),
+            ("end", "bfsPhase2", "bfsPhase1"),
+            ("end", "bfsPhase1", "unphased"),
+        ]
+
+    def test_log_depth_matches_the_float_formula(self):
+        for n in [*range(0, 2050), 2**31 - 1, 2**31, 2**40 - 1, 2**40]:
+            assert log_depth(n) == float(max(1, math.ceil(math.log2(n + 1)))), n
 
     def test_work_by_kind(self):
         t = CostTracker()

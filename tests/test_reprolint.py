@@ -264,7 +264,7 @@ class TestSeededRegression:
         # allowlist — an unsanctioned shared write there must surface
         # even under the real checked-in config.
         evil = "    state.C[dst] = state.C[src]\n"
-        anchor = "    end_round(edges)\n\n\ndef bottom_up_step"
+        anchor = "    end_round(edges, tracker=tracker)\n\n\ndef bottom_up_step"
         staged = self._stage(
             tmp_path,
             lambda src: src.replace(

@@ -27,10 +27,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.verify import verify_labeling
+from repro.decomp import contract, decomp_arb
 from repro.errors import ParameterError
 from repro.experiments.registry import build_graph
 from repro.graphs.generators import line_graph
-from repro.pram.cost import CostTracker
+from repro.pram.cost import CostTracker, tracking
 from repro.runtime.context import (
     ExecutionContext,
     current_context,
@@ -218,6 +219,26 @@ class TestExecuteProfiled:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ParameterError):
             execute_profiled("no-such-CC", build_graph("random", "tiny"))
+
+    def test_equal_profiles_compare_without_raising(self):
+        # The result records hold ndarrays, so they compare by identity;
+        # a generated field-wise __eq__ raised "truth value of an array
+        # ... is ambiguous" here.
+        graph = build_graph("random", "tiny")
+        a, b = (
+            execute_profiled("decomp-arb-CC", graph, verify=False, beta=0.2, seed=1)
+            for _ in range(2)
+        )
+        assert np.array_equal(a.result.labels, b.result.labels)
+        assert a == a and a != b
+        assert a.result == a.result and a.result != b.result
+        assert a in [b, a] and b not in [a]
+        assert a.result in [b.result, a.result]
+        with tracking():
+            dec = decomp_arb(graph, 0.2, seed=1)
+            con = contract(dec, graph.num_vertices)
+        assert dec == dec and dec != decomp_arb(graph, 0.2, seed=1)
+        assert con in [con] and con != contract(dec, graph.num_vertices)
 
 
 class TestSameKeyRuns:
