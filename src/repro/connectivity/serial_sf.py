@@ -42,13 +42,9 @@ def serial_spanning_forest(
         src, dst = edges_as_undirected_pairs(graph)
         uf = UnionFind(graph.num_vertices)
     current_context().tracker.add("seq", work=sub.total_work(), depth=0.0)
-    forest: List[Tuple[int, int]] = []
-    forest_append = forest.append
-    union = uf.union
-    for u, v in zip(src.tolist(), dst.tolist()):
-        if union(u, v):
-            forest_append((u, v))
+    merged = uf.union_edges(src, dst)
     uf.flush_costs()
+    forest = list(zip(src[merged].tolist(), dst[merged].tolist()))
     return uf, forest
 
 

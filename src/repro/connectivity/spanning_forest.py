@@ -59,6 +59,7 @@ class _PartitionParentState(TraversalState):
     def __init__(self, graph: CSRGraph, labels: np.ndarray) -> None:
         self.graph = graph
         self.labels = labels
+        self.tracker = current_context().tracker
         self.n = graph.num_vertices
         self.parents = np.full(self.n, -1, dtype=np.int64)
         self.reached = np.zeros(self.n, dtype=bool)
@@ -82,7 +83,7 @@ class _PartitionParentState(TraversalState):
     def initial_frontier(self) -> np.ndarray:
         centers = np.unique(self.labels)
         self.reached[centers] = True
-        current_context().tracker.add("scatter", work=float(centers.size), depth=1.0)
+        self.tracker.add("scatter", work=float(centers.size), depth=1.0)
         return centers
 
     def begin_round(self, engine, next_frontier: np.ndarray) -> None:
@@ -92,7 +93,7 @@ class _PartitionParentState(TraversalState):
         src, dst = self.graph.expand(self._frontier)
         same = self.labels[src] == self.labels[dst]
         fresh = same & ~self.reached[dst]
-        current_context().tracker.add("gather", work=float(2 * dst.size), depth=1.0)
+        self.tracker.add("gather", work=float(2 * dst.size), depth=1.0)
         if not fresh.any():
             # dead frontier: no claim and no barrier, the engine's next
             # begin_round sees the empty frontier and stops
@@ -102,7 +103,7 @@ class _PartitionParentState(TraversalState):
         first, targets = first_winner(dst[fresh_pos])
         self.parents[targets] = src[fresh_pos[first]]
         self.reached[targets] = True
-        end_round(packing="unit")
+        end_round(packing="unit", tracker=self.tracker)
         return targets
 
 
@@ -174,6 +175,15 @@ def decomp_spanning_forest(
     return sub_src, sub_dst
 
 
+def _contains(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the *queries* present in *sorted_keys* (binary search)."""
+    if sorted_keys.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    at = np.searchsorted(sorted_keys, queries)
+    np.minimum(at, sorted_keys.size - 1, out=at)
+    return sorted_keys[at] == queries
+
+
 def verify_spanning_forest(
     graph: CSRGraph, src: np.ndarray, dst: np.ndarray
 ) -> None:
@@ -190,12 +200,19 @@ def verify_spanning_forest(
     if src.shape != dst.shape:
         raise VerificationError("forest src/dst must have equal length")
     n = graph.num_vertices
-    # edges must exist in the graph
+    # Edges must exist in the graph, in either orientation: look the
+    # packed (u, v) keys up among the graph's sorted keys.  Out-of-range
+    # endpoints get key -1, which no graph edge has.
     gsrc, gdst = graph.edge_array()
-    real = set(zip(gsrc.tolist(), gdst.tolist()))
-    for u, v in zip(src.tolist(), dst.tolist()):
-        if (u, v) not in real and (v, u) not in real:
-            raise VerificationError(f"forest edge ({u}, {v}) is not a graph edge")
+    edge_keys = gsrc * n
+    edge_keys += gdst
+    edge_keys.sort()
+    in_range = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    real = _contains(edge_keys, np.where(in_range, src * n + dst, -1))
+    real |= _contains(edge_keys, np.where(in_range, dst * n + src, -1))
+    if not real.all():
+        i = int(np.argmin(real))
+        raise VerificationError(f"forest edge ({src[i]}, {dst[i]}) is not a graph edge")
     # acyclic + count
     labels = ground_truth_labels(graph)
     num_components = int(np.unique(labels).size) if n else 0
@@ -204,9 +221,10 @@ def verify_spanning_forest(
             f"forest has {src.size} edges; expected n - c = {n - num_components}"
         )
     uf = UnionFind(n)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        if not uf.union(u, v):
-            raise VerificationError(f"forest edge ({u}, {v}) closes a cycle")
+    merged = uf.union_edges(src, dst)
+    if not merged.all():
+        i = int(np.argmin(merged))
+        raise VerificationError(f"forest edge ({src[i]}, {dst[i]}) closes a cycle")
     uf.flush_costs()
     # spanning: same partition as the graph
     forest_labels = uf.components()

@@ -108,6 +108,61 @@ class UnionFind:
             self.rank[rx] += 1
         return True
 
+    def union_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`union` over every edge ``(src[i], dst[i])``, in order.
+
+        Returns the bool mask of the edges that merged two sets (the
+        spanning-forest edges).  The sets, the ranks and the charged
+        ``seq`` work end up exactly as after the per-edge :meth:`union`
+        calls.  Under ``halving`` the loop is fused: both finds and the
+        union by rank run inline over local copies of the parent and
+        rank lists, with one local op counter.  The other strategies
+        call :meth:`union` per edge.
+        """
+        us = np.asarray(src, dtype=np.int64).tolist()
+        vs = np.asarray(dst, dtype=np.int64).tolist()
+        if self.compression != "halving":
+            union = self.union
+            return np.array([union(u, v) for u, v in zip(us, vs)], dtype=bool)
+        parent = list(self.parent)
+        rank = list(self.rank)
+        merged = bytearray()
+        merged_append = merged.append
+        hops = 0
+        for x, y in zip(us, vs):
+            # find(x), then find(y), each halving its path as it goes.
+            px = parent[x]
+            while px != x:
+                gx = parent[px]
+                parent[x] = gx
+                x = gx
+                px = parent[x]
+                hops += 1
+            py = parent[y]
+            while py != y:
+                gy = parent[py]
+                parent[y] = gy
+                y = gy
+                py = parent[y]
+                hops += 1
+            if x == y:
+                merged_append(0)
+                continue
+            rx, ry = rank[x], rank[y]
+            if rx < ry:
+                parent[x] = y
+            else:
+                parent[y] = x
+                if rx == ry:
+                    rank[x] = rx + 1
+            merged_append(1)
+        self.parent = parent
+        self.rank = rank
+        # Each union is two finds (one op each, plus one per hop) and
+        # two ops of its own.
+        self._ops += 4 * len(us) + hops
+        return np.frombuffer(merged, dtype=bool)
+
     def flush_costs(self) -> None:
         """Charge accumulated operations as sequential work.
 
@@ -121,11 +176,10 @@ class UnionFind:
 
     def components(self) -> np.ndarray:
         """Per-element root labels (flattens all paths, sequentially)."""
-        out = np.empty(self.n, dtype=np.int64)
-        for v in range(self.n):
-            out[v] = self.find(v)
+        find = self.find
+        roots = [find(v) for v in range(self.n)]
         self.flush_costs()
-        return out
+        return np.array(roots, dtype=np.int64)
 
 
 def find_roots(parent: np.ndarray, vertices: np.ndarray) -> np.ndarray:

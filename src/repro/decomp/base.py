@@ -236,10 +236,14 @@ class DecompState(TraversalState):
         here: the :class:`RoundBudget` check (a runaway loop raises a
         structured :class:`~repro.errors.ConvergenceError` instead of
         spinning) and the frontier/label fault-injection points of an
-        armed :class:`~repro.resilience.faults.FaultPlan`.
+        armed :class:`~repro.resilience.faults.FaultPlan`, which is told
+        the round index here so that its round-restricted ``cas_flip``
+        specs fire in this round's races only.
         """
         self.budget.check(self.round)
         tracker, plan = self.tracker, self.plan
+        if plan is not None:
+            plan.round_index = self.round
         with tracker.phase("bfsPre"):
             cum = self.schedule.cumulative(self.round, plan)
             # A shift_perturb fault may move cum below what was consumed:
@@ -332,5 +336,10 @@ def run_decomposition(
     state = DecompState(
         graph, beta, seed, schedule_mode, budget=round_budget, algorithm=algorithm
     )
-    TraversalEngine(state, direction=direction, tiebreak=tiebreak).run()
+    try:
+        TraversalEngine(state, direction=direction, tiebreak=tiebreak).run()
+    finally:
+        if state.plan is not None:
+            # Outside the rounds again (contraction's hash table races next).
+            state.plan.round_index = None
     return state.finish()

@@ -108,6 +108,9 @@ class TraversalState:
     done: bool
     #: The current frontier as a vertex-id array.
     frontier: np.ndarray
+    #: The cost tracker the state resolved from the context when it was
+    #: built; its rounds and the direction policies charge it.
+    tracker: CostTracker
 
     def initial_frontier(self) -> np.ndarray:
         """Frontier fed into the first ``begin_round``."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ParameterError
-from repro.runtime.context import current_context
 
 if TYPE_CHECKING:
     from repro.engine.core import TraversalEngine, TraversalState
@@ -149,8 +148,10 @@ class LigraEdgeHybrid(DirectionPolicy):
     0.20 that is the classic (m + n)/20, so a handful of hub vertices
     can already flip a dense graph to the read-based sweep (the
     rMat2/com-Orkut regime).  The degree sum is a real per-round
-    computation, charged as a ``scan`` over the frontier.  A NaN or
-    negative *threshold* raises :class:`~repro.errors.ParameterError`.
+    computation: one gather from the graph's cached degree array,
+    charged as a ``scan`` over the frontier to the state's tracker.  A
+    NaN or negative *threshold* raises
+    :class:`~repro.errors.ParameterError`.
     """
 
     def __init__(
@@ -158,6 +159,7 @@ class LigraEdgeHybrid(DirectionPolicy):
     ) -> None:
         _check_threshold(threshold)
         self.graph = graph
+        self.degrees = graph.degrees
         self.switch_budget = (
             (graph.num_directed + graph.num_vertices) * threshold / 4.0
         )
@@ -169,7 +171,6 @@ class LigraEdgeHybrid(DirectionPolicy):
         claimed: int,
     ) -> bool:
         frontier = state.frontier
-        offsets = self.graph.offsets
-        frontier_edges = int((offsets[frontier + 1] - offsets[frontier]).sum())
-        current_context().tracker.add("scan", work=float(frontier.size), depth=1.0)
+        frontier_edges = int(self.degrees.take(frontier).sum())
+        state.tracker.add("scan", work=float(frontier.size), depth=1.0)
         return frontier_edges + frontier.size > self.switch_budget

@@ -352,17 +352,16 @@ def bottom_up_step(
     if unvisited.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
     # charge_cost=False: only the early-exit edge count below is charged.
-    src, dst = graph.expand(unvisited, charge_cost=False, workspace=ws)
-    # expand() lays each source's edges out together in adjacency
+    counts, dst = graph.expand_targets(unvisited, charge_cost=False, workspace=ws)
+    # The expansion lays each source's edges out together in adjacency
     # order, so the first hit per source is its earliest hit.
     hit_positions = ws.take(frontier_bitmap, dst).nonzero()[0]
-    counts = ws.take(graph.offsets, unvisited + 1) - ws.take(graph.offsets, unvisited)
     examined = int(counts.sum())
     if hit_positions.size == 0:
         winners = parents = np.zeros(0, dtype=np.int64)
     else:
         first_pos, winners = first_winner(
-            ws.take(src, hit_positions),
+            ws.take(unvisited.repeat(counts), hit_positions),
             workspace=ws,
             tracker=tracker,
             plan=plan,

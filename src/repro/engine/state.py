@@ -16,6 +16,11 @@ every BFS-shaped baseline:
 :class:`~repro.decomp.base.DecompState`, which lives with the
 decomposition machinery it owns.)
 
+Like that state, each resolves the active context once, when it is
+built: ``tracker``, ``plan`` (the armed fault plan), ``sanitizer`` and
+``workspace``.  Its rounds, and the direction policies, read those
+attributes, so a round performs no context-var reads.
+
 Cost-parity notes: the BFS states charge exactly what the pre-engine
 loops charged — no ``bfsPre`` seeding phase, no phase labels at all
 (profiles stay "unphased"), unit end-of-round barriers (see
@@ -85,7 +90,11 @@ class BFSTreeState(TraversalState):
         self.graph = graph
         self.source = source
         self.budget = budget
-        tracker = current_context().tracker
+        ctx = current_context()
+        self.tracker = tracker = ctx.tracker
+        self.plan = ctx.fault_plan
+        self.sanitizer = ctx.sanitizer
+        self.workspace = ctx.backend.workspace
         self.parents = np.full(n, UNVISITED, dtype=np.int64)
         self.distances = np.full(n, UNVISITED, dtype=np.int64)
         self.visited: Optional[np.ndarray] = (
@@ -99,7 +108,6 @@ class BFSTreeState(TraversalState):
             self.visited[source] = True
         self.num_visited = 1
         self.directions: List[str] = []
-        self.workspace = current_context().backend.workspace
         self._frontier = np.zeros(0, dtype=np.int64)
 
     @property
@@ -141,11 +149,11 @@ class BFSTreeState(TraversalState):
         self.num_visited += int(winners.size)
 
     def push_round(self, engine: TraversalEngine) -> np.ndarray:
-        tracker = current_context().tracker
-        plan = current_context().fault_plan
-        ws = self.workspace
+        tracker, ws = self.tracker, self.workspace
         self.directions.append("top-down")
-        src, dst = self.graph.expand(self.frontier, workspace=ws)
+        frontier = self._frontier
+        counts, dst = self.graph.expand_targets(frontier, workspace=ws, tracker=tracker)
+        src = frontier.repeat(counts)
         if self.visited is not None:
             fresh = ~ws.take(self.visited, dst)
         else:
@@ -156,7 +164,8 @@ class BFSTreeState(TraversalState):
             ws.compress(fresh, dst),
             workspace=ws,
             tracker=tracker,
-            plan=plan,
+            plan=self.plan,
+            sanitizer=self.sanitizer,
         )
         src_fresh = ws.compress(fresh, src)
         self.parents[winners] = src_fresh[win_pos]
@@ -166,7 +175,7 @@ class BFSTreeState(TraversalState):
         return winners
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
-        tracker = current_context().tracker
+        tracker = self.tracker
         self.directions.append("bottom-up")
         assert self.visited is not None, "pull requires track_visited=True"
         bitmap = np.zeros(self.n, dtype=bool)
@@ -174,7 +183,13 @@ class BFSTreeState(TraversalState):
         tracker.add("scatter", work=float(self._frontier.size), depth=1.0)
         unvisited = pack_index(~self.visited)
         winners, parent_of, _examined = bottom_up_step(
-            self.graph, bitmap, unvisited, workspace=self.workspace
+            self.graph,
+            bitmap,
+            unvisited,
+            self.workspace,
+            tracker=tracker,
+            plan=self.plan,
+            sanitizer=self.sanitizer,
         )
         if unvisited.size:
             # The parent scatter, charged even when nobody hit the frontier.
@@ -210,7 +225,11 @@ class ComponentLabelState(TraversalState):
         self.labels = labels
         self.label = np.int64(label)
         self.budget = budget
-        self.workspace = current_context().backend.workspace
+        ctx = current_context()
+        self.tracker = ctx.tracker
+        self.plan = ctx.fault_plan
+        self.sanitizer = ctx.sanitizer
+        self.workspace = ctx.backend.workspace
         labels[source] = self.label
         self.count = 1
         self._frontier = np.zeros(0, dtype=np.int64)
@@ -245,28 +264,30 @@ class ComponentLabelState(TraversalState):
 
     def _claim(self, winners: np.ndarray) -> None:
         self.labels[winners] = self.label
-        current_context().tracker.add("scatter", work=float(winners.size), depth=1.0)
+        self.tracker.add("scatter", work=float(winners.size), depth=1.0)
         self.count += int(winners.size)
 
     def push_round(self, engine: TraversalEngine) -> np.ndarray:
-        tracker = current_context().tracker
-        plan = current_context().fault_plan
-        ws = self.workspace
-        src, dst = self.graph.expand(self._frontier, workspace=ws)
+        tracker, ws = self.tracker, self.workspace
+        # Only the targets matter: a claim writes the one shared label.
+        _counts, dst = self.graph.expand_targets(
+            self._frontier, workspace=ws, tracker=tracker
+        )
         fresh = ws.take(self.labels, dst) == UNVISITED
         tracker.add("gather", work=float(dst.size), depth=1.0)
         _pos, winners = first_winner(
             ws.compress(fresh, dst),
             workspace=ws,
             tracker=tracker,
-            plan=plan,
+            plan=self.plan,
+            sanitizer=self.sanitizer,
         )
         self._claim(winners)
         end_round(packing="unit", tracker=tracker)
         return winners
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
-        tracker = current_context().tracker
+        tracker = self.tracker
         n = self.n
         # The visited test over all n vertices, then its pack.
         tracker.add("scan", work=float(n), depth=1.0)
@@ -277,7 +298,13 @@ class ComponentLabelState(TraversalState):
         bitmap = np.zeros(n, dtype=bool)
         bitmap[self._frontier] = True
         winners, _parents, _examined = bottom_up_step(
-            self.graph, bitmap, unvisited, workspace=self.workspace
+            self.graph,
+            bitmap,
+            unvisited,
+            self.workspace,
+            tracker=tracker,
+            plan=self.plan,
+            sanitizer=self.sanitizer,
         )
         if unvisited.size:
             # The sweep's own scatter; _claim charges the label stores.

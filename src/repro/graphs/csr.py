@@ -133,8 +133,19 @@ class CSRGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        """Out-degree of each vertex (the paper's D array, initial values)."""
-        return np.diff(self.offsets)
+        """Out-degree of each vertex (the paper's D array, initial values).
+
+        ``np.diff(offsets)``, computed once per instance, cached and
+        marked read-only (the offsets are immutable by contract), so
+        every traversal round reads its frontier's degrees with one
+        gather.  Host-side bookkeeping — charges nothing.
+        """
+        cached = getattr(self, "_degrees", None)
+        if cached is None:
+            cached = np.diff(self.offsets)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_degrees", cached)
+        return cached
 
     def neighbors(self, v: int) -> np.ndarray:
         """Targets of vertex *v*'s outgoing edges (a view, do not mutate)."""
@@ -190,8 +201,7 @@ class CSRGraph:
         if size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         starts = self.offsets.take(frontier)
-        counts = self.offsets.take(frontier + 1)
-        counts -= starts
+        counts = self.degrees.take(frontier)
         pos = ragged_positions(starts, counts)
         if charge_cost:
             if tracker is None:

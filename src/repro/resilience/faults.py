@@ -95,7 +95,10 @@ class FaultSpec:
         (another vertex's *current* label), keeping the corrupt label a
         live partition id.  ``None`` picks a random visited vertex.
     rounds:
-        Restrict firing to these BFS round indices (``None`` = any).
+        Restrict firing to these decomposition round indices (``None`` =
+        any).  A restricted spec never fires outside a round, so a
+        restricted ``cas_flip`` leaves contraction's hash table and the
+        BFS baselines alone.
     max_fires:
         Stop firing after this many triggers (targeted corruptions
         default to firing once so tests are exactly reproducible).
@@ -128,11 +131,15 @@ class FaultSpec:
             )
 
     def applies(self, round_index: Optional[int]) -> bool:
-        """Is this spec still live, and scheduled for *round_index*?"""
+        """Is this spec still live, and scheduled for *round_index*?
+
+        ``None`` means outside any round: a spec restricted to *rounds*
+        never applies there.
+        """
         if self._fires >= self.max_fires:
             return False
-        if self.rounds is not None and round_index is not None:
-            return round_index in self.rounds
+        if self.rounds is not None:
+            return round_index is not None and round_index in self.rounds
         return True
 
     def fired(self, times: int = 1) -> None:
@@ -167,6 +174,10 @@ class FaultPlan:
         self.fired: List[Dict[str, object]] = []
         self._rng = np.random.default_rng(self.seed)
         self._active_depth = 0
+        #: The decomposition round in progress: set at each round
+        #: boundary, ``None`` outside rounds (contraction, the BFS
+        #: baselines).  ``cas_flip`` reads it.
+        self.round_index: Optional[int] = None
 
     # -- construction ------------------------------------------------------
 
@@ -257,6 +268,7 @@ class FaultPlan:
         from repro.runtime.context import current_context
 
         self.run_index += 1
+        self.round_index = None
         self._rng = np.random.default_rng((self.seed, self.run_index))
         for s in self.specs:
             s.reset()
@@ -290,9 +302,11 @@ class FaultPlan:
         *idx* is the raw destination stream of the race; *positions*
         the first-occurrence winners :func:`first_winner` chose.  The
         flip stays within the set of legal contenders, so the result is
-        just a different arbitrary-CRCW schedule.
+        just a different arbitrary-CRCW schedule.  A spec restricted to
+        rounds fires only while :attr:`round_index` is one of them.
         """
-        specs = self._live("cas_flip")
+        round_index = self.round_index
+        specs = self._live("cas_flip", round_index)
         if not specs or dests.size == 0:
             return positions, dests
         # Last occurrence of each destination in the batch.
@@ -310,7 +324,7 @@ class FaultPlan:
                 s.fired(fired)
                 total += fired
         if total:
-            self._record("cas_flip", None, flips=total)
+            self._record("cas_flip", round_index, flips=total)
         return new_positions.astype(np.int64, copy=False), dests
 
     def filter_frontier(

@@ -233,10 +233,11 @@ class TestFlagValidation:
 
     def test_sanitize_detects_injected_cas_flip(self, capsys):
         # Without retries the resilient runner still recovers (clean
-        # re-run), but the sanitizer's catch must be visible.
+        # re-run), but the sanitizer's catch must be visible.  Round 6
+        # is the first with a contested race on this input.
         code = main(
             ["--sanitize", "--scale", "tiny", "run", "decomp-arb-CC", "line",
-             "--inject-fault", "cas_flip:p=1.0,round=2"]
+             "--inject-fault", "cas_flip:p=1.0,round=6"]
         )
         captured = capsys.readouterr()
         assert code == 0

@@ -29,6 +29,11 @@ from repro.graphs.generators import (
     random_kregular,
     star_graph,
 )
+from repro.graphs.ops import edges_as_undirected_pairs
+from repro.pram.cost import CostTracker, tracking
+from repro.runtime.context import current_context
+
+from tests.conftest import zoo_params
 
 
 class TestCanonicalizeLabels:
@@ -119,6 +124,23 @@ class TestPointerJumping:
         assert compress_all(parent) == 1
 
 
+def _profile(tracker) -> dict:
+    return {key: (b.work, b.depth) for key, b in tracker.buckets.items()}
+
+
+def _per_edge_serial_sf(graph):
+    """serial-SF as one ``union`` call per edge and one ``find`` per vertex."""
+    with tracking(CostTracker()) as sub:
+        src, dst = edges_as_undirected_pairs(graph)
+        uf = UnionFind(graph.num_vertices)
+    current_context().tracker.add("seq", work=sub.total_work(), depth=0.0)
+    forest = [(u, v) for u, v in zip(src.tolist(), dst.tolist()) if uf.union(u, v)]
+    uf.flush_costs()
+    labels = [uf.find(v) for v in range(graph.num_vertices)]
+    uf.flush_costs()
+    return forest, labels
+
+
 class TestSerialSF:
     def test_forest_size(self):
         g = random_kregular(300, 4, seed=1)
@@ -126,6 +148,20 @@ class TestSerialSF:
         labels = uf.components()
         n_components = len(set(labels.tolist()))
         assert len(forest) == 300 - n_components  # forest edges = n - c
+
+    @pytest.mark.parametrize("graph", zoo_params())
+    def test_matches_per_edge_reference(self, graph):
+        # The fused union loop against the per-edge sweep it replaced:
+        # same forest, labels and (phase, kind) -> (work, depth) profile.
+        with tracking() as ref_tracker:
+            ref_forest, ref_labels = _per_edge_serial_sf(graph)
+        with tracking() as tracker:
+            labels = serial_sf_cc(graph).labels
+        with tracking():
+            _, forest = serial_spanning_forest(graph)
+        assert forest == ref_forest
+        assert labels.tolist() == ref_labels
+        assert _profile(tracker) == _profile(ref_tracker)
 
     def test_result_metadata(self):
         res = serial_sf_cc(clique(5))

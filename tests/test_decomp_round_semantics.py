@@ -10,7 +10,8 @@ the same unvisited vertex in the same round.
   loser records an inter-component edge, and the winner's claiming
   edge is deleted.
 
-It also pins the rounds' fixed cost: a round reads no context var.
+It also pins the rounds' fixed cost: a round reads no context var, in
+the decompositions and in the BFS family alike.
 """
 
 import sys
@@ -20,6 +21,8 @@ import numpy as np
 import pytest
 
 import repro.runtime.context as context_module
+from repro.bfs import hybrid_bfs, parallel_bfs
+from repro.connectivity import hybrid_bfs_cc
 from repro.decomp import decomp_arb, decomp_min
 from repro.decomp.base import DecompState
 from repro.engine.backend import use_backend
@@ -264,3 +267,26 @@ class TestContextReadsPerRound:
             runs.append((reads, dec.num_rounds))
         (small, small_rounds), (large, large_rounds) = runs
         assert large - small <= 2 * (large_rounds - small_rounds)
+
+
+class TestBFSContextReadsPerTraversal:
+    """The BFS states resolve the context once, when they are built."""
+
+    @pytest.mark.parametrize(
+        "traverse",
+        [
+            pytest.param(hybrid_bfs_cc, id="hybrid_bfs_cc"),
+            pytest.param(lambda graph: parallel_bfs(graph, 0), id="parallel_bfs"),
+            pytest.param(lambda graph: hybrid_bfs(graph, 0), id="hybrid_bfs"),
+        ],
+    )
+    def test_reads_do_not_grow_with_rounds(self, traverse):
+        # One component, one traversal: 2,000 and 20,000 rounds.
+        reads = []
+        for n in (2_000, 20_000):
+            graph = line_graph(n)
+            with tracking():
+                count, _ = _count_context_reads(lambda: traverse(graph))
+            reads.append(count)
+        assert reads[0] == reads[1]
+        assert reads[0] <= CONTEXT_READS_PER_LEVEL

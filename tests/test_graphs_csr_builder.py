@@ -51,6 +51,26 @@ class TestCSRGraphAccessors:
     def test_degrees(self, g):
         assert g.degrees.tolist() == [2, 1, 1]
 
+    @pytest.mark.parametrize("trusted", [False, True], ids=["validated", "trusted"])
+    def test_degrees_cached_read_only(self, g, trusted):
+        if trusted:
+            g = CSRGraph.trusted(g.offsets.copy(), g.targets.copy())
+        degrees = g.degrees
+        assert np.array_equal(degrees, np.diff(g.offsets))
+        assert degrees.dtype == np.int64
+        assert g.degrees is degrees  # computed once per instance
+        assert not degrees.flags.writeable
+        with pytest.raises(ValueError):
+            degrees[0] = 7
+
+    def test_expand_targets_counts_are_the_degrees(self, g):
+        frontier = np.array([2, 0, 0], dtype=np.int64)
+        counts, targets = g.expand_targets(frontier)
+        assert counts.tolist() == g.degrees[frontier].tolist()
+        counts[0] = 9  # a fresh array, not a view of the cache
+        assert g.degrees.tolist() == [2, 1, 1]
+        assert targets.size == 5
+
     def test_neighbors(self, g):
         assert sorted(g.neighbors(0).tolist()) == [1, 2]
         assert g.neighbors(1).tolist() == [0]

@@ -18,6 +18,7 @@ from repro.analysis.verify import verify_labeling
 from repro.errors import FaultSpecError, VerificationError
 from repro.experiments.harness import profile_run
 from repro.graphs import disjoint_union_edges, line_graph
+from repro.pram.sanitizer import sanitizing
 from repro.resilience import FAULT_KINDS, FaultPlan, ResilientRunner, parse_fault_plan
 
 pytestmark = pytest.mark.faults
@@ -165,6 +166,42 @@ class TestDeterminism:
             return out
 
         assert firings() == firings()
+
+
+class TestCasFlipRounds:
+    """A ``cas_flip`` spec's ``round=`` restricts it to that round."""
+
+    @pytest.mark.parametrize("round_index", [6, 12])
+    def test_first_flip_is_in_the_named_round(self, round_index):
+        # Decomp-Arb on the unpermuted path has contested races in
+        # rounds 6 and 12 (and none before round 6).
+        plan = parse_fault_plan(f"cas_flip:p=1.0,round={round_index}", seed=0)
+        with sanitizing(halt_on_race=False) as sanitizer:
+            profile_run(
+                "decomp-arb-CC", _path(), verify=False, fault_plan=plan, seed=1
+            )
+        assert plan.fired
+        assert {f["round"] for f in plan.fired} == {round_index}
+        assert sanitizer.races[0].kind == "cas-order"
+        assert sanitizer.races[0].round_index == round_index
+
+    def test_round_restricted_spec_leaves_contraction_alone(self):
+        # Decomp-Min on a path never has a contested race in a round;
+        # its contested races are in contraction's hash-table dedup.
+        plan = parse_fault_plan("cas_flip:p=1.0,round=2", seed=0)
+        with sanitizing(halt_on_race=False) as sanitizer:
+            profile_run(
+                "decomp-min-CC", _path(), verify=False, fault_plan=plan, seed=1
+            )
+        assert plan.fired == []
+        assert sanitizer.races == []
+
+    def test_unrestricted_spec_still_flips_outside_rounds(self):
+        plan = parse_fault_plan("cas_flip:p=1.0,max_fires=1000000", seed=0)
+        profile_run("decomp-min-CC", _path(), verify=False, fault_plan=plan, seed=1)
+        assert plan.fired
+        assert {f["round"] for f in plan.fired} == {None}
+        assert plan.round_index is None
 
 
 class TestLabelCorruptLegality:

@@ -146,6 +146,22 @@ class TestVerifySpanningForest:
         with pytest.raises(VerificationError, match="not a graph edge"):
             verify_spanning_forest(g, np.array([0]), np.array([3]))
 
+    def test_out_of_range_endpoint_is_not_a_graph_edge(self):
+        # Packed as u * n + v, (0, 4) would read as the real edge (1, 0).
+        g = line_graph(4)
+        with pytest.raises(
+            VerificationError, match=r"forest edge \(0, 4\) is not a graph edge"
+        ):
+            verify_spanning_forest(g, np.array([0, 1, 0]), np.array([1, 2, 4]))
+
+    def test_rejects_cycle_naming_the_closing_edge(self):
+        # Right size (n - c = 3), real edges, but the third closes 0-1-2.
+        g = clique(4)
+        with pytest.raises(
+            VerificationError, match=r"forest edge \(2, 0\) closes a cycle"
+        ):
+            verify_spanning_forest(g, np.array([0, 1, 2]), np.array([1, 2, 0]))
+
     def test_rejects_wrong_size(self):
         g = line_graph(4)
         with pytest.raises(VerificationError, match="expected n - c"):
