@@ -27,7 +27,7 @@ Also exposes :func:`ground_truth_labels`, the reference labeling.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,49 +43,79 @@ __all__ = [
 
 
 def _edge_stream(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Every directed edge as ``(src, dst)``; ``dst`` is ``targets`` itself."""
+    """Each edge once as ``(src, dst)``, in CSR order.
+
+    A symmetric graph contributes the ``src < dst`` orientation of each
+    edge, picked by a position scan and two ``take`` gathers; any other
+    graph contributes every directed edge as stored.
+    """
     src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    return src, graph.targets
-
-
-def _one_orientation(
-    graph: CSRGraph, src: np.ndarray, dst: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Keep one orientation (``src < dst``) of each edge of a symmetric graph."""
+    dst = graph.targets
     if not graph.symmetric:
         return src, dst
-    keep = src < dst
-    return src[keep], dst[keep]
+    keep = (src < dst).nonzero()[0]
+    return src.take(keep), dst.take(keep)
 
 
-def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Each vertex's component root over the undirected edges ``(src, dst)``.
+def _ordered(
+    graph: CSRGraph, src: np.ndarray, dst: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The stream's edges as ``(lo, hi)`` pairs with ``lo <= hi``."""
+    if graph.symmetric:
+        return src, dst
+    return np.minimum(src, dst), np.maximum(src, dst)
 
-    Hook and shortcut.  Each round replaces every edge by the roots of
-    its endpoints and drops the edges whose endpoints share a root (they
-    never come back: roots only merge).  It hooks the larger root of
-    each remaining edge under the smallest root it is joined to
-    (``minimum.at``), then pointer-jumps until every vertex points at a
-    root.  ``parent[v] <= v`` always holds, so the pointers never form a
-    cycle; every round with a live edge removes at least one root, so
-    the loop terminates.  At exit no edge joins two roots, so each root
-    is its component's minimum vertex.
+
+def _component_roots(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each vertex's component root over the undirected edges ``(lo, hi)``.
+
+    Hook and shortcut, with ``lo <= hi`` for every edge on entry.
+    ``parent[v] <= v`` always holds, so the pointers never form a cycle
+    and ``v`` is a root iff ``parent[v] == v``.  At the start of a round
+    every edge joins two roots, the smaller one first.  The round hooks
+    each ``hi`` under the smallest ``lo`` it is joined to
+    (``minimum.at``); the first round does so on the input itself.
+    Every ``hi`` is hooked, so the roots hooked in the round are the
+    distinct ``hi``, and only they are shortcut: pointer jumps among
+    them until each points at a root.  One gather then maps every edge
+    to the roots of its endpoints; the edges whose endpoints share a
+    root are dropped (they never come back: roots only merge) and the
+    rest reordered.  Every round with a live edge removes at least one
+    root, so the loop terminates, and at exit no edge joins two roots,
+    so each root is its component's minimum vertex.
+
+    A vertex hooked in round ``r`` is left pointing at a root of the
+    end of round ``r``, which is either a final root or was hooked in a
+    later round.  So one pass over the rounds' hooked vertices, last
+    round first, sets each to its final root with one jump.
     """
     parent = np.arange(n, dtype=np.int64)
-    u, v = src, dst
-    while True:
-        live = u != v
-        if not live.all():
-            u, v = u[live], v[live]
-        if not u.size:
-            return parent
-        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-        u, v = parent[u], parent[v]
+    slot = np.empty(n, dtype=np.int64)
+    # Round 1: every vertex is a root and every edge ordered and live.
+    np.minimum.at(parent, hi, lo)
+    hooked = (parent != np.arange(n)).nonzero()[0]
+    rounds: List[np.ndarray] = []
+    while hooked.size:
+        rounds.append(hooked)
+        todo = hooked
+        while todo.size:
+            up = parent.take(todo)
+            jump = parent.take(up)
+            moved = (jump != up).nonzero()[0]
+            todo = todo.take(moved)
+            parent[todo] = jump.take(moved)
+        lo, hi = parent.take(lo), parent.take(hi)
+        live = (lo != hi).nonzero()[0]
+        lo, hi = lo.take(live), hi.take(live)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        np.minimum.at(parent, hi, lo)
+        # Each hooked root once: the one edge whose index its slot kept.
+        at = np.arange(hi.size, dtype=np.int64)
+        slot[hi] = at
+        hooked = hi.take((slot.take(hi) == at).nonzero()[0])
+    for hooked in reversed(rounds):
+        parent[hooked] = parent.take(parent.take(hooked))
+    return parent
 
 
 def ground_truth_labels(graph: CSRGraph) -> np.ndarray:
@@ -95,9 +125,9 @@ def ground_truth_labels(graph: CSRGraph) -> np.ndarray:
     sweep over the vertices in id order produces.
     """
     n = graph.num_vertices
-    root = _component_roots(n, *_one_orientation(graph, *_edge_stream(graph)))
+    root = _component_roots(n, *_ordered(graph, *_edge_stream(graph)))
     rank = np.cumsum(root == np.arange(n), dtype=np.int64) - 1
-    return rank[root]
+    return rank.take(root)
 
 
 def _canonical(labels: np.ndarray) -> np.ndarray:
@@ -140,8 +170,8 @@ def verify_labeling(
         )
     # On a symmetric graph the first crossing directed edge in CSR
     # order always has src < dst, so one orientation finds the same one.
-    src, dst = _one_orientation(graph, *_edge_stream(graph))
-    crossing = labels[src] != labels[dst]
+    src, dst = _edge_stream(graph)
+    crossing = labels.take(src) != labels.take(dst)
     if crossing.any():
         i = int(np.argmax(crossing))
         raise VerificationError(
@@ -151,10 +181,12 @@ def verify_labeling(
         )
     del crossing
     if reference is None:
-        roots = np.flatnonzero(_component_roots(n, src, dst) == np.arange(n))
+        root = _component_roots(n, *_ordered(graph, src, dst))
+        roots = (root == np.arange(n)).nonzero()[0]
         # No edge crosses labels, so each component carries one label:
         # the partitions differ iff two components share a label.
-        same = np.unique(labels[roots]).size == roots.size
+        named = np.sort(labels.take(roots))
+        same = not (named[1:] == named[:-1]).any()
         want = roots.size
     else:
         same = labelings_equivalent(labels, reference)
@@ -194,18 +226,22 @@ def verify_decomposition(
             "decomposition labels must be vertex ids", reason="label-range"
         )
     centers = np.unique(labels)
-    if not np.array_equal(labels[centers], centers):
+    if not np.array_equal(labels.take(centers), centers):
         bad = centers[labels[centers] != centers][0]
         raise VerificationError(
             f"center {int(bad)} is not in its own partition",
             reason="center-outside-partition",
         )
     src, dst = _edge_stream(graph)
-    intra = labels[src] == labels[dst]
-    inter = int(intra.size - np.count_nonzero(intra))
+    intra = (labels.take(src) == labels.take(dst)).nonzero()[0]
+    inter = src.size - intra.size
+    if graph.symmetric:
+        # The stream holds one of each mirrored pair of directed edges.
+        inter *= 2
     if check_connected:
-        root = _component_roots(n, *_one_orientation(graph, src[intra], dst[intra]))
-        stray = root != root[labels]
+        lo, hi = _ordered(graph, src.take(intra), dst.take(intra))
+        root = _component_roots(n, lo, hi)
+        stray = root != root.take(labels)
         if stray.any():
             bad = int(np.argmax(stray))
             raise VerificationError(

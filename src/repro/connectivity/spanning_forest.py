@@ -41,6 +41,7 @@ from repro.engine.core import TraversalEngine, TraversalState, end_round
 from repro.engine.direction import AlwaysPush
 from repro.errors import ParameterError, VerificationError
 from repro.graphs.csr import CSRGraph
+from repro.pram.cost import tracking
 from repro.primitives.atomics import first_winner
 from repro.runtime.context import current_context
 
@@ -189,9 +190,12 @@ def verify_spanning_forest(
 ) -> None:
     """Raise :class:`VerificationError` unless (src, dst) spans *graph*.
 
-    Checks: every forest edge is a real graph edge; the forest is
-    acyclic; its size is n - #components; and it connects exactly the
-    graph's components.
+    Checks, in order: every forest edge is a real graph edge; the
+    forest has n - c edges, c the graph's component count; and it is
+    acyclic.  Together these make it span the graph: n - c acyclic
+    edges form exactly c trees, and real edges keep each tree inside
+    one component, so every component holds exactly one tree.  Like
+    the labeling oracle it checks against, it charges no cost tracker.
     """
     from repro.analysis.verify import ground_truth_labels
 
@@ -203,9 +207,9 @@ def verify_spanning_forest(
     # Edges must exist in the graph, in either orientation: look the
     # packed (u, v) keys up among the graph's sorted keys.  Out-of-range
     # endpoints get key -1, which no graph edge has.
-    gsrc, gdst = graph.edge_array()
-    edge_keys = gsrc * n
-    edge_keys += gdst
+    edge_keys = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    edge_keys *= n
+    edge_keys += graph.targets
     edge_keys.sort()
     in_range = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
     real = _contains(edge_keys, np.where(in_range, src * n + dst, -1))
@@ -213,24 +217,16 @@ def verify_spanning_forest(
     if not real.all():
         i = int(np.argmin(real))
         raise VerificationError(f"forest edge ({src[i]}, {dst[i]}) is not a graph edge")
-    # acyclic + count
     labels = ground_truth_labels(graph)
-    num_components = int(np.unique(labels).size) if n else 0
+    num_components = int(labels.max()) + 1 if n else 0
     if src.size != n - num_components:
         raise VerificationError(
             f"forest has {src.size} edges; expected n - c = {n - num_components}"
         )
-    uf = UnionFind(n)
-    merged = uf.union_edges(src, dst)
+    # The union-find charges its allocation; a verifier's work is not
+    # the algorithm's, so it lands in a throwaway tracker.
+    with tracking():
+        merged = UnionFind(n).union_edges(src, dst)
     if not merged.all():
         i = int(np.argmin(merged))
         raise VerificationError(f"forest edge ({src[i]}, {dst[i]}) closes a cycle")
-    uf.flush_costs()
-    # spanning: same partition as the graph
-    forest_labels = uf.components()
-    from repro.connectivity.base import canonicalize_labels
-
-    if not np.array_equal(
-        canonicalize_labels(forest_labels), canonicalize_labels(labels)
-    ):
-        raise VerificationError("forest does not span the graph's components")

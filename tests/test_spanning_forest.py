@@ -23,6 +23,7 @@ from repro.graphs.generators import (
     grid3d,
     line_graph,
     random_kregular,
+    rmat,
     star_graph,
 )
 from repro.pram.cost import tracking
@@ -177,12 +178,59 @@ class TestVerifySpanningForest:
                 g, np.array([0, 1, 2]), np.array([1, 2, 0])
             )
 
+    @pytest.mark.parametrize(
+        "src, dst, message",
+        [
+            ([0, 1, 3], [1, 3, 4], "forest edge (1, 3) is not a graph edge"),
+            ([0, 1, 3], [1, 2, 5], "forest edge (3, 5) is not a graph edge"),
+            ([0, 1, 2], [1, 2, 0], "forest edge (2, 0) closes a cycle"),
+            ([0, 3], [1, 4], "forest has 2 edges; expected n - c = 3"),
+            ([0, 1, 0], [1, 2, 2], "forest edge (0, 2) closes a cycle"),
+        ],
+        ids=["non-edge", "out-of-range", "cycle", "edge-count", "misses-component"],
+    )
+    def test_rejects_each_corruption_with_its_message(self, src, dst, message):
+        # A triangle {0, 1, 2} and an edge {3, 4}: n - c = 3.  The last
+        # forest has the right size but spans only the triangle, so it
+        # must close a cycle there.
+        g = disjoint_union_edges([clique(3), line_graph(2)])
+        with pytest.raises(VerificationError) as exc:
+            verify_spanning_forest(g, np.array(src), np.array(dst))
+        assert str(exc.value) == message
+
     def test_accepts_serial_forest(self):
         g = disjoint_union_edges([clique(5), star_graph(4)])
         _, forest = serial_spanning_forest(g)
         src = np.array([u for u, _ in forest])
         dst = np.array([v for _, v in forest])
         verify_spanning_forest(g, src, dst)
+
+
+def _snapshot(tracker):
+    return (
+        tracker.total_work(),
+        tracker.total_depth(),
+        tracker.sync_count,
+        tracker.phase_kind_work(),
+        tracker.phase_kind_depth(),
+    )
+
+
+def test_forest_verification_leaves_the_enclosing_tracker_unchanged():
+    g = rmat(10, 3000, seed=1)
+    src, dst = decomp_spanning_forest(g, beta=0.2, seed=1)
+    with tracking() as outer:
+        with outer.phase("caller"):
+            outer.add("scan", work=7.0, depth=1.0)
+        before = _snapshot(outer)
+        verify_spanning_forest(g, src, dst)
+        # Edge 1 twice and edge 0 dropped: the right count, real edges,
+        # rejected by the union-find's cycle check.
+        cycle_src = np.append(src[1:], src[1])
+        cycle_dst = np.append(dst[1:], dst[1])
+        with pytest.raises(VerificationError, match="closes a cycle"):
+            verify_spanning_forest(g, cycle_src, cycle_dst)
+        assert _snapshot(outer) == before
 
 
 class TestRepresentativeEdges:

@@ -3,9 +3,12 @@
 ``ground_truth_labels`` must return exactly the array of a sequential
 BFS sweep (component ids in first-vertex order), which this file keeps
 as a test-local reference, and agree with scipy at benchmark-like
-scale.  Every rejection of ``verify_labeling`` / ``verify_decomposition``
-must still fire with its ``reason``, and verification must charge no
-cost tracker.
+scale.  ``_component_roots``, which shortcuts only the roots each round
+hooks, must return exactly the roots of the plain hook-and-shortcut
+that pointer-jumps every vertex each round, also kept here.  Every
+rejection of ``verify_labeling`` / ``verify_decomposition`` must still
+fire with its ``reason``, and verification must charge no cost
+tracker.
 """
 
 from typing import Optional
@@ -16,6 +19,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.verify import (
+    _component_roots,
+    _edge_stream,
+    _ordered,
     ground_truth_labels,
     labelings_equivalent,
     verify_decomposition,
@@ -96,6 +102,50 @@ def first_crossing(graph: CSRGraph, labels: np.ndarray) -> tuple:
     raise AssertionError("no crossing edge")
 
 
+def full_jump_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Hook and shortcut that pointer-jumps all *n* vertices every round.
+
+    Each round maps every live edge to the roots of its endpoints,
+    drops the edges whose endpoints share a root, hooks each larger
+    root under the smallest root joined to it, then jumps every vertex
+    until each points at a root.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    u, v = src, dst
+    while True:
+        live = u != v
+        if not live.all():
+            u, v = u[live], v[live]
+        if not u.size:
+            return parent
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        u, v = parent[u], parent[v]
+
+
+def stored_edges(graph: CSRGraph) -> tuple:
+    """Every directed edge as stored; ``src < dst`` only if symmetric."""
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    dst = graph.targets
+    if not graph.symmetric:
+        return src, dst
+    keep = src < dst
+    return src[keep], dst[keep]
+
+
+def directed_csr(n: int, src, dst) -> CSRGraph:
+    """A non-symmetric CSR holding exactly the directed edges given."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return CSRGraph(offsets, dst[order], symmetric=False)
+
+
 def bit_reversed_path(k: int) -> CSRGraph:
     """A path through 0..2^k-1 in bit-reversed order (hook loop's worst)."""
     idx = np.arange(1 << k, dtype=np.int64)
@@ -123,6 +173,18 @@ def random_edges(draw, max_vertices=40, max_edges=100):
     dst = np.array([b for _, b in edges], dtype=np.int64)
     keep_duplicates = draw(st.booleans())
     return from_edges(src, dst, num_vertices=n, remove_duplicates=not keep_duplicates)
+
+
+@st.composite
+def directed_graphs(draw, max_vertices=40, max_edges=100):
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_edges,
+        )
+    )
+    return directed_csr(n, [a for a, _ in edges], [b for _, b in edges])
 
 
 def shaped_graphs():
@@ -207,6 +269,67 @@ class TestGroundTruthAtScale:
         assert np.array_equal(ours, canonicalize_labels(theirs))
 
 
+# -- the shortcut-what-moved roots equal the full-jump roots --------------------
+
+
+def assert_same_roots(graph: CSRGraph) -> None:
+    n = graph.num_vertices
+    got = _component_roots(n, *_ordered(graph, *_edge_stream(graph)))
+    want = full_jump_roots(n, *stored_edges(graph))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestRootsEqualFullJumpRoots:
+    @settings(**COMMON)
+    @given(graph=symmetric_graphs())
+    def test_property_symmetric(self, graph):
+        assert_same_roots(graph)
+
+    @settings(**COMMON)
+    @given(graph=directed_graphs())
+    def test_property_non_symmetric(self, graph):
+        assert_same_roots(graph)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            bit_reversed_path(12),
+            star_graph(50),
+            from_edges(np.full(49, 49), np.arange(49), num_vertices=50),
+            empty_graph(0),
+            empty_graph(6),
+            directed_csr(6, [5, 4, 3, 3, 1, 2], [4, 0, 3, 1, 0, 2]),
+        ],
+        ids=[
+            "bitrev-path12",
+            "star",
+            "star-center-last",
+            "empty",
+            "isolated",
+            "directed",
+        ],
+    )
+    def test_named_shapes(self, graph):
+        assert_same_roots(graph)
+
+    def test_bit_reversed_path_is_one_component(self):
+        graph = bit_reversed_path(12)
+        assert not ground_truth_labels(graph).any()
+
+    def test_non_symmetric_graph_reads_as_undirected(self):
+        # 0 -> 2, 2 -> 1 and 3 -> 4 only: {0, 1, 2} and {3, 4}.
+        graph = directed_csr(5, [0, 2, 3], [2, 1, 4])
+        assert ground_truth_labels(graph).tolist() == [0, 0, 0, 1, 1]
+        labels = np.array([0, 0, 0, 1, 1])
+        verify_labeling(graph, labels)
+        with pytest.raises(VerificationError) as exc:
+            verify_labeling(graph, np.array([0, 2, 0, 1, 1]))
+        assert str(exc.value) == "edge (2, 1) crosses labels 0 != 2"
+        # Every stored directed edge counts once: 2 -> 1 crosses.
+        assert verify_decomposition(graph, np.array([0, 1, 0, 3, 3])) == 1
+
+
 # -- rejections still fire --------------------------------------------------------
 
 
@@ -258,6 +381,19 @@ class TestLabelingRejections:
         x, y = first_crossing(graph, labels)
         want = f"edge ({x}, {y}) crosses labels {labels[x]} != {labels[y]}"
         assert str(exc.value) == want
+
+
+def test_planted_crossing_names_the_first_crossing_edge():
+    graph = rmat(10, 3000, seed=1)
+    truth = ground_truth_labels(graph)
+    labels = truth.copy()
+    big = np.flatnonzero(truth == np.bincount(truth).argmax())
+    labels[big[big >= 700]] = truth.max() + 1
+    with pytest.raises(VerificationError) as exc:
+        verify_labeling(graph, labels)
+    assert exc.value.reason == "crossing-edge"
+    assert str(exc.value) == "edge (0, 768) crosses labels 0 != 53"
+    assert first_crossing(graph, labels) == (0, 768)
 
 
 class TestDecompositionRejections:
