@@ -54,6 +54,21 @@ if TYPE_CHECKING:
 __all__ = ["BFSTreeState", "ComponentLabelState"]
 
 
+def _declare_claims(
+    state: "BFSTreeState | ComponentLabelState", winners: np.ndarray
+) -> None:
+    """Declare a pull round's stores to the sanitizer, if one is armed.
+
+    Each vertex a pull sweep returns is written by its own processor
+    only, so the stores into every shared array at *winners* are
+    single-writer.  Without a race no ``first_winner`` sanctions them.
+    """
+    sanitizer = state.sanitizer
+    if sanitizer is not None:
+        for arr in state.shared_arrays().values():
+            sanitizer.record_write(arr, winners)
+
+
 def _check_source(source: int, n: int) -> None:
     """Reject a traversal source outside ``[0, n)``."""
     if not 0 <= source < n:
@@ -175,25 +190,24 @@ class BFSTreeState(TraversalState):
         return winners
 
     def pull_round(self, engine: TraversalEngine) -> np.ndarray:
+        if self.visited is None:
+            raise ParameterError(
+                "a pull round needs the visited bitmap: build the "
+                "BFSTreeState with track_visited=True"
+            )
         tracker = self.tracker
         self.directions.append("bottom-up")
-        assert self.visited is not None, "pull requires track_visited=True"
         bitmap = np.zeros(self.n, dtype=bool)
         bitmap[self._frontier] = True
         tracker.add("scatter", work=float(self._frontier.size), depth=1.0)
         unvisited = pack_index(~self.visited)
         winners, parent_of, _examined = bottom_up_step(
-            self.graph,
-            bitmap,
-            unvisited,
-            self.workspace,
-            tracker=tracker,
-            plan=self.plan,
-            sanitizer=self.sanitizer,
+            self.graph, bitmap, unvisited, self.workspace, tracker=tracker
         )
         if unvisited.size:
             # The parent scatter, charged even when nobody hit the frontier.
             tracker.add("scatter", work=float(winners.size), depth=1.0)
+        _declare_claims(self, winners)
         self.parents[winners] = parent_of
         self._absorb(winners)
         end_round(packing="unit", tracker=tracker)
@@ -298,17 +312,9 @@ class ComponentLabelState(TraversalState):
         bitmap = np.zeros(n, dtype=bool)
         bitmap[self._frontier] = True
         winners, _parents, _examined = bottom_up_step(
-            self.graph,
-            bitmap,
-            unvisited,
-            self.workspace,
-            tracker=tracker,
-            plan=self.plan,
-            sanitizer=self.sanitizer,
+            self.graph, bitmap, unvisited, self.workspace, tracker=tracker
         )
-        if unvisited.size:
-            # The sweep's own scatter; _claim charges the label stores.
-            tracker.add("scatter", work=float(winners.size), depth=1.0)
+        _declare_claims(self, winners)
         self._claim(winners)
         end_round(packing="unit", tracker=tracker)
         return winners

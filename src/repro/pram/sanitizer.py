@@ -19,7 +19,9 @@ registers the state's shared arrays (``shared_arrays``); the atomics
 report their access sets through the seams in
 :mod:`repro.primitives.atomics`; the kernels' sanctioned scatters are
 the winner sets :func:`~repro.primitives.atomics.first_winner` returns
-(distinct by construction) plus the explicitly recorded seeding writes.
+(distinct by construction) plus the explicitly recorded writes: the
+seeding writes and the pull rounds' stores (one writer per vertex, no
+CAS).
 At the end of each round the sanitizer diffs a shadow snapshot of every
 registered array against the recorded access sets: any mutation nobody
 sanctioned is a race.

@@ -8,10 +8,11 @@ The engine parity suite (``tests/test_engine_parity.py``) replays the
 same runs through the current implementations and asserts bit-identical
 results.
 
-The committed fixture was captured at the last pre-engine commit
+The fixture was first captured at the last pre-engine commit
 (``cbcddb5``, the per-variant hand-rolled round loops), so the suite
 proves the :mod:`repro.engine` rewrite is seed-for-seed identical to
-the original implementations.  Regenerate only when an *intentional*
+the original implementations; every output (labels, inter-edges,
+rounds, frontier sizes) still is.  Regenerate only when an *intentional*
 output or cost-model change is being made, and record the reason here:
 
 * dense-round barrier depth: the pre-engine ``dense_round`` charged
@@ -20,6 +21,16 @@ output or cost-model change is being made, and record the reason here:
   through ``end_round`` (satellite fix), so the fixture's *depth*
   numbers for the hybrid's ``bfsDense`` phase are compared with a
   tolerance instead of exactly (see the parity test).
+* pull rounds charge no atomics: the pull sweep stops each unvisited
+  vertex at its first frontier hit, one writer per vertex, and charges
+  one ``scan`` only; it used to race every hit through ``first_winner``
+  and charge one ``atomic`` per hit.  Each pull caller now charges its
+  stores as one ``scatter`` of the winners (``ComponentLabelState``
+  charged it twice).  The regeneration moved the pull rounds'
+  ``atomic`` buckets, ``hybrid_bfs_cc``'s ``scatter`` buckets, the
+  totals that sum them, and, since this regeneration re-captured it
+  from the engine, the ``bfsDense|scan`` depth, still within the parity
+  test's slack of the pre-engine value.  Outputs did not move.
 
 Usage::
 

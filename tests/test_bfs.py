@@ -8,7 +8,8 @@ from repro.bfs.parallel_bfs import parallel_bfs
 from repro.connectivity.hybrid_bfs_cc import bfs_from_source, hybrid_bfs_cc
 from repro.connectivity.multistep import multistep_cc
 from repro.decomp import decomp_arb_hybrid, decomp_min_hybrid
-from repro.engine.direction import FractionHybrid, LigraEdgeHybrid
+from repro.engine import BFSTreeState, TraversalEngine
+from repro.engine.direction import AlwaysPull, FractionHybrid, LigraEdgeHybrid
 from repro.engine.kernels import bottom_up_step
 from repro.errors import ParameterError
 from repro.graphs.generators import (
@@ -100,6 +101,18 @@ class TestSourceRange:
         with pytest.raises(ParameterError, match="out of range") as err:
             bfs(line_graph(6), source)
         assert isinstance(err.value, ValueError)
+
+
+def test_pull_without_visited_bitmap_rejects_before_writing():
+    # A pull sweeps the visited bitmap, which an untracked state lacks;
+    # the refusal is a typed error (not an assert, which ``python -O``
+    # strips), raised before the round writes anything.
+    state = BFSTreeState(line_graph(6), 0, track_visited=False)
+    parents, distances = state.parents.copy(), state.distances.copy()
+    with pytest.raises(ParameterError, match="track_visited"):
+        TraversalEngine(state, direction=AlwaysPull()).run()
+    assert np.array_equal(state.parents, parents)
+    assert np.array_equal(state.distances, distances)
 
 
 class TestDenseThreshold:

@@ -1,18 +1,22 @@
-"""Pinned charges of the read-based sweep where its callers' conventions differ.
+"""Pinned charges of the read-based sweep and its three callers' stores.
 
-Three callers share one pull sweep, and each charges its own winner
-scatter differently:
+Every pull round charges the sweep (:func:`~repro.engine.kernels.bottom_up_step`)
+as one ``scan`` and no atomic: each unvisited vertex is read and written
+by its own processor, so nothing races.  Each caller then charges its
+stores as its state's push round does, one ``scatter`` of the winners,
+whether or not any vertex hit the frontier:
 
-* ``dense_round`` (the decomposition hybrids) charges the scatter only
-  when some unvisited vertex hit the frontier;
-* ``BFSTreeState`` (``hybrid_bfs``) charges it on every pull round that
-  has unvisited vertices, winners or not;
-* ``ComponentLabelState`` (hybrid-BFS-CC, multistep-CC) charges it
-  twice, once for the sweep and once for the label claim.
+* ``dense_round`` (the decomposition hybrids) charges the adoption
+  scatter;
+* ``BFSTreeState`` (``hybrid_bfs``) charges the parent scatter, in every
+  pull round that has unvisited vertices;
+* ``ComponentLabelState`` (hybrid-BFS-CC, multistep-CC) charges the
+  label claim once.
 
 Each case below drives a pull round that has unvisited vertices but no
-frontier hit, where the three conventions give different depths.  The
-snapshots are exact and identical under both backends.
+frontier hit, where a convention that skips the empty scatter would
+give a different depth.  The snapshots are exact and identical under
+both backends.
 """
 
 from __future__ import annotations
@@ -54,13 +58,12 @@ def test_forced_bottom_up_bfs_charges_empty_scatter(backend):
         ("unphased", "alloc"): (21.0, 1.0),
         ("unphased", "scatter"): (7.0, 8.0),
         ("unphased", "scan"): (77.0, 20.0),
-        ("unphased", "atomic"): (3.0, 3.0),
     }
     assert tracker.sync_count == 4
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_component_label_bfs_charges_scatter_twice(backend):
+def test_component_label_bfs_charges_claim_once(backend):
     # dense_threshold=0 makes every round pull; the last one exhausts
     # the path's component while the triangle stays unvisited.
     graph = _path_and_triangle()
@@ -71,14 +74,13 @@ def test_component_label_bfs_charges_scatter_twice(backend):
     assert labels.tolist() == [0, 0, 0, 0, -1, -1, -1]
     assert tracker.snapshot() == {
         ("unphased", "scan"): (109.0, 28.0),
-        ("unphased", "atomic"): (3.0, 3.0),
-        ("unphased", "scatter"): (6.0, 8.0),
+        ("unphased", "scatter"): (3.0, 4.0),
     }
     assert tracker.sync_count == 4
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_dense_decomposition_round_without_hits_skips_scatter(backend):
+def test_dense_decomposition_round_without_hits_charges_scatter(backend):
     # A star plus four isolated vertices: round 1 runs dense over the
     # star's three claimed leaves, whose neighbors are all visited,
     # while three isolated vertices have not started yet.
@@ -98,7 +100,7 @@ def test_dense_decomposition_round_without_hits_skips_scatter(backend):
         ("bfsSparse", "scan"): (6.0, 14.0),
         ("bfsSparse", "atomic"): (3.0, 1.0),
         ("bfsSparse", "scatter"): (3.0, 1.0),
-        ("bfsDense", "scatter"): (3.0, 1.0),
+        ("bfsDense", "scatter"): (3.0, 2.0),
         ("bfsDense", "scan"): (12.0, 6.0),
         ("filterEdges", "gather"): (6.0, 1.0),
         ("filterEdges", "scan"): (9.0, 5.0),

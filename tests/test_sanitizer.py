@@ -20,11 +20,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.decomp import DECOMP_VARIANTS
+import repro.decomp.base as decomp_base
+from repro.bfs import hybrid_bfs
+from repro.cli import main
+from repro.connectivity.hybrid_bfs_cc import bfs_from_source
+from repro.decomp import DECOMP_VARIANTS, decomp_arb_hybrid
+from repro.engine import BFSTreeState, ComponentLabelState
 from repro.engine.backend import use_backend
+from repro.engine.kernels import dense_round
 from repro.errors import SanitizerError
 from repro.experiments.harness import profile_run
-from repro.graphs import disjoint_union_edges, line_graph
+from repro.graphs import disjoint_union_edges, empty_graph, line_graph, star_graph
 from repro.pram.sanitizer import PramSanitizer, sanitizing
 from repro.resilience import parse_fault_plan
 from repro.runtime.context import current_context
@@ -114,6 +120,88 @@ class TestFaultCrossValidation:
                 )
         assert "cas-order" in str(excinfo.value)
         assert excinfo.value.report is not None
+
+
+def _plant_store(real, array_of):
+    """Wrap pull round *real* to also write one non-winner's cell."""
+
+    def planted(state, *args):
+        winners = real(state, *args)
+        arr = array_of(state)
+        won = set(winners.tolist())
+        v = next(u for u in range(arr.size) if u not in won)
+        arr[v] += 1
+        return winners
+
+    return planted
+
+
+class TestPullRoundStores:
+    """A pull round declares its single-writer stores, and only those.
+
+    No CAS runs in a pull round, so nothing sanctions its stores but
+    the caller's own declaration; a store to any other vertex is an
+    unsanctioned write.
+    """
+
+    def test_dense_round(self, monkeypatch):
+        monkeypatch.setattr(
+            decomp_base, "dense_round", _plant_store(dense_round, lambda s: s.C)
+        )
+        graph = disjoint_union_edges([star_graph(5), empty_graph(4)])
+        with pytest.raises(SanitizerError) as excinfo:
+            with sanitizing():
+                decomp_arb_hybrid(graph, 0.2, seed=5, dense_threshold=0.0)
+        report = excinfo.value.report
+        assert (report.kind, report.array, report.round_index) == (
+            "unsanctioned-write",
+            "C",
+            1,
+        )
+
+    def test_bfs_tree_pull(self, monkeypatch):
+        real = BFSTreeState.pull_round
+        monkeypatch.setattr(
+            BFSTreeState, "pull_round", _plant_store(real, lambda s: s.parents)
+        )
+        with pytest.raises(SanitizerError) as excinfo:
+            with sanitizing():
+                hybrid_bfs(line_graph(6), 0, force_direction="bottom-up")
+        report = excinfo.value.report
+        assert (report.kind, report.array) == ("unsanctioned-write", "parents")
+
+    def test_component_label_pull(self, monkeypatch):
+        real = ComponentLabelState.pull_round
+        monkeypatch.setattr(
+            ComponentLabelState,
+            "pull_round",
+            _plant_store(real, lambda s: s.labels),
+        )
+        labels = np.full(6, -1, dtype=np.int64)
+        with pytest.raises(SanitizerError) as excinfo:
+            with sanitizing():
+                bfs_from_source(line_graph(6), 0, labels, 0, dense_threshold=0.0)
+        report = excinfo.value.report
+        assert (report.kind, report.array) == ("unsanctioned-write", "labels")
+
+    def test_cli_sanitize_reports_planted_store(self, monkeypatch, capsys):
+        # decomp-min-hybrid-CC pulls in rounds 3-5 on tiny rMat.
+        monkeypatch.setattr(
+            decomp_base, "dense_round", _plant_store(dense_round, lambda s: s.C)
+        )
+        code = main(
+            ["--sanitize", "--scale", "tiny", "run", "decomp-min-hybrid-CC", "rMat"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unsanctioned-write on 'C' (round 3)" in err
+
+    def test_cli_sanitize_passes_declared_stores(self, capsys):
+        code = main(
+            ["--sanitize", "--scale", "tiny", "run", "decomp-min-hybrid-CC", "rMat"]
+        )
+        assert code == 0
+        assert "sanitizer: 0 race(s)" in capsys.readouterr().err
 
 
 class TestPrimitiveChecks:
