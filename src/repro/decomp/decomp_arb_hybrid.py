@@ -11,9 +11,12 @@ low-diameter graphs (about 2x on rMat2 / com-Orkut in Table 2) even
 though connectivity, unlike plain BFS, cannot *skip* edge inspections:
 the edges a dense round leaves unclassified must be revisited in a
 post-processing **filterEdges** phase that classifies them by the final
-labels (the paper marks already-relabeled edges with a sign bit; we
-track the deferred set as "the out-edges of vertices whose frontier
-round ran dense", which is the same set).
+labels.  The paper marks already-relabeled edges with a sign bit and
+streams its edge array once; we track the deferred set as "the
+out-edges of vertices whose frontier round ran dense", which is the
+same set, and likewise stream the CSR once in storage order, comparing
+endpoint labels and gathering only the deferred vertices' differing
+edges.
 
 Classification by final labels is exact, not an approximation: a
 vertex's component label never changes once assigned, so an edge's

@@ -5,8 +5,11 @@ written once.  The decomposition kernels (:func:`arb_round`,
 :func:`min_round`, :func:`dense_round`, :func:`filter_edges`) operate
 on a :class:`~repro.decomp.base.DecompState`; :func:`bottom_up_step`
 is the read-based sweep every pull round runs, the decomposition's
-dense round and the BFS family's alike.  The engine's policy
-objects dispatch to them.
+dense round and the BFS family's alike.  The push rounds expand their
+frontier through the ragged gather; the hybrids' post-loop
+:func:`filter_edges` instead streams the whole CSR once in storage
+order, as the paper's sign-bit pass streams its edge array.  The
+engine's policy objects dispatch to them.
 
 Execution-backend note: the gathers, compressions and CAS races go
 through the state's :mod:`~repro.engine.workspace`, whose class is the
@@ -33,6 +36,7 @@ import numpy as np
 
 from repro.engine.core import UNVISITED, end_round
 from repro.engine.workspace import NULL_WORKSPACE
+from repro.graphs.csr import charge_expansion, ragged_positions
 from repro.primitives.atomics import (
     PAIR_SHIFT,
     encode_pair,
@@ -97,8 +101,10 @@ def _edge_sources(
     :meth:`~repro.graphs.csr.CSRGraph.expand_targets` lays each frontier
     vertex's ``counts[i]`` edges out in turn, so the owner of position
     ``p`` is the first vertex whose inclusive-cumsum end is ``> p``.
-    One binary search per position: the kernels call this on the few
-    edges they keep, never on the whole expansion.
+    One binary search per position.  :func:`arb_round` calls this on the
+    edges it keeps, which are usually few but not always: one
+    ``decomp-arb-CC`` run (seed 39) on ``rmat(18, 3.7·2^18, seed=39)``
+    resolves 125,786 kept edges over 28 calls, 73,811 of them in one.
     """
     return frontier[np.searchsorted(np.cumsum(counts), pos, side="right")]
 
@@ -320,28 +326,63 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     """The post-processing phase: classify every deferred edge.
 
     *deferred* holds the frontiers of the dense rounds; their out-edges
-    were never inspected write-based, so we stream over them once,
-    keeping those whose endpoint labels differ (already relabeled to
-    component ids, as everywhere else).  As in :func:`arb_round`, the
-    source labels are repeated from the frontier and the source
-    vertices recovered for the kept edges only.
+    were never inspected write-based.  The paper finds them by a sign
+    bit on the edge array and streams that array once; so does this
+    pass.  It compares the two endpoint labels of every edge of the
+    CSR in storage order (labels narrowed to the smallest signed type
+    that holds ``UNVISITED`` and every vertex id, so the two label
+    streams cost a few bytes per edge), counts each vertex's differing
+    edges by one binary search of the vertex offsets into the differing
+    positions, and gathers the differing edges of the deferred vertices
+    only, in deferred order and adjacency order within each vertex.
+
+    It keeps exactly the edges, in exactly the order, that expanding
+    the concatenated frontiers and comparing labels per edge would, and
+    charges what that expansion plus a two-label scan of its *E* edges
+    costs on the PRAM: the deferred vertices' ragged gather
+    (:func:`~repro.graphs.csr.charge_expansion`), a ``scan`` of ``2E``
+    labels and the ``log2(E + 1)`` barrier.  The scan of the
+    non-deferred edges is host execution, not charged: the paper's pass
+    skips them by their sign bit.
     """
     if not deferred:
         return
     vertices = np.concatenate(deferred)
-    if vertices.size == 0:
+    size = vertices.size
+    if size == 0:
         return
     C, tracker, ws = state.C, state.tracker, state.workspace
-    counts, dst = state.graph.expand_targets(vertices, workspace=ws, tracker=tracker)
-    edges = int(dst.size)
+    graph = state.graph
+    degrees, targets = graph.degrees, graph.targets
+    edges = int(ws.take(degrees, vertices).sum())
     state.edges_inspected += edges
-    cu = np.repeat(ws.take(C, vertices), counts)
-    cw = ws.take(C, dst)
+    charge_expansion(tracker, size, edges)
     tracker.add("scan", work=float(2 * edges), depth=1.0)
-    keep = (cu != cw).nonzero()[0]
-    if keep.size:
+    if edges:
+        # Every entry of C is UNVISITED or a vertex id (a corrupted
+        # label is copied from another vertex), so the narrowing is exact.
+        labels = C.astype(np.min_scalar_type(-state.n))
+        differ = (ws.take(labels, targets) != labels.repeat(degrees)).nonzero()[0]
+        # first[v]: index in *differ* of vertex v's first differing edge.
+        first = differ.searchsorted(graph.offsets)
+        counts = np.diff(first)
+        kept = ws.take(counts, vertices)
+        owners = kept.nonzero()[0]
+        sources = vertices.take(owners)
+        kept = kept.take(owners)
+        at = ws.take(differ, ragged_positions(ws.take(first, sources), kept))
+        # Free the temporaries before the kept arrays, which outlive the
+        # level, are allocated: over 300 orkut-hybrid runs in one
+        # process this left the peak RSS 1 % above the ragged pass's,
+        # against 3 % when they were freed on return.
+        del differ, first, counts
+        dst = ws.take(targets, at)
+        del at
         state.keep_inter(
-            cu[keep], cw[keep], _edge_sources(vertices, counts, keep), dst[keep]
+            ws.take(C, sources).repeat(kept),
+            ws.take(C, dst),
+            sources.repeat(kept),
+            dst,
         )
     end_round(edges, tracker=tracker)
 

@@ -28,7 +28,7 @@ from repro.errors import GraphFormatError
 from repro.pram.cost import CostTracker, log_depth
 from repro.runtime.context import current_context
 
-__all__ = ["CSRGraph", "ragged_positions"]
+__all__ = ["CSRGraph", "charge_expansion", "ragged_positions"]
 
 
 def ragged_positions(
@@ -49,6 +49,19 @@ def ragged_positions(
     pos = base.repeat(counts)
     pos += np.arange(total, dtype=np.int64)
     return pos
+
+
+def charge_expansion(tracker: CostTracker, vertices: int, edges: int) -> None:
+    """Charge the PRAM cost of gathering *edges* out-edges of *vertices*.
+
+    The frontier expansion's two steps: one gather of every edge target
+    plus one degree read per vertex (unit depth), and the prefix sum
+    over the vertices that lays out each one's output slice.  The
+    frontier expansion and the filterEdges pass both charge through
+    here, whatever NumPy execution they choose.
+    """
+    tracker.add("gather", work=float(edges + vertices), depth=1.0)
+    tracker.add("scan", work=float(vertices), depth=log_depth(vertices))
 
 
 @dataclass(frozen=True)
@@ -206,9 +219,7 @@ class CSRGraph:
         if charge_cost:
             if tracker is None:
                 tracker = current_context().tracker
-            tracker.add("gather", work=float(pos.size + size), depth=1.0)
-            # offset computation = prefix sum over the frontier
-            tracker.add("scan", work=float(size), depth=log_depth(size))
+            charge_expansion(tracker, size, pos.size)
         if workspace is None:
             edge_targets = self.targets[pos]
         else:

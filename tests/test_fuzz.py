@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
+from repro.decomp import base as decomp_base
 from repro.errors import ParameterError
 from repro.fuzz import (
     CaseConfig,
@@ -191,6 +192,39 @@ class TestCorpusReplay:
         assert outcome.passed, (
             f"{path.name}: {[str(f) for f in outcome.findings]}"
         )
+
+    @pytest.mark.parametrize(
+        "algorithm", ["decomp-arb-hybrid-CC", "decomp-min-hybrid-CC"]
+    )
+    def test_each_hybrid_replays_a_pull_round(self, algorithm, monkeypatch):
+        # Some sanitized case of each hybrid must run a dense round and
+        # keep a deferred edge in filterEdges, so the replay checks the
+        # pull sweep's stores and a non-empty filter_edges on every
+        # backend.
+        seen = {"dense": 0, "kept": 0}
+        dense_round, filter_edges = decomp_base.dense_round, decomp_base.filter_edges
+
+        def counting_dense_round(state):
+            seen["dense"] += 1
+            return dense_round(state)
+
+        def counting_filter_edges(state, deferred):
+            before = sum(c.size for c in state.inter_src_chunks)
+            filter_edges(state, deferred)
+            seen["kept"] += sum(c.size for c in state.inter_src_chunks) - before
+
+        monkeypatch.setattr(decomp_base, "dense_round", counting_dense_round)
+        monkeypatch.setattr(decomp_base, "filter_edges", counting_filter_edges)
+        pulled = []
+        for path, case in _iter_checked_in():
+            config = case.config
+            if config.algorithm != algorithm or not config.sanitize or config.fault:
+                continue
+            seen.update(dense=0, kept=0)
+            assert run_case(case).passed, path.name
+            if seen["dense"] and seen["kept"]:
+                pulled.append(path.name)
+        assert pulled, f"no sanitized {algorithm} corpus case pulls"
 
     def test_one_case_is_fault_injected(self):
         faults = [c.config.fault for _, c in _iter_checked_in()]
