@@ -115,7 +115,14 @@ class FractionHybrid(DirectionPolicy):
     20%": the claimed frontier is compared with all n vertices, not
     with the unvisited ones, guarded by "someone is left to pull" —
     once every vertex is visited the remaining drain rounds run
-    (cheap) write-based.  A NaN or negative *threshold* raises
+    write-based.  They race nothing, but a push round still expands
+    every frontier edge to classify it: on ``orkut_like(30_000,
+    76.0)`` one drain round expanded up to 48 % of the 2.09M directed
+    edges, and drain rounds took 8-12 % of the host time of 160
+    Decomp-Arb-Hybrid runs.  A Decomp-Arb drain round on a level that
+    ends in one partition skips that expansion
+    (:func:`~repro.engine.kernels.arb_round`); on other levels it
+    stays.  A NaN or negative *threshold* raises
     :class:`~repro.errors.ParameterError`.
     """
 

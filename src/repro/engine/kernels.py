@@ -8,8 +8,11 @@ is the read-based sweep every pull round runs, the decomposition's
 dense round and the BFS family's alike.  The push rounds expand their
 frontier through the ragged gather; the hybrids' post-loop
 :func:`filter_edges` instead streams the whole CSR once in storage
-order, as the paper's sign-bit pass streams its edge array.  The
-engine's policy objects dispatch to them.
+order, as the paper's sign-bit pass streams its edge array.  On a
+level that ends in one partition neither :func:`filter_edges` nor a
+push round run after every vertex is visited has an edge to find, and
+both skip the host work while charging the same.  The engine's policy
+objects dispatch to them.
 
 Execution-backend note: the gathers, compressions and CAS races go
 through the state's :mod:`~repro.engine.workspace`, whose class is the
@@ -109,6 +112,22 @@ def _edge_sources(
     return frontier[np.searchsorted(np.cumsum(counts), pos, side="right")]
 
 
+def _one_partition(C: np.ndarray) -> bool:
+    """Whether every entry of *C* holds one label, other than ``UNVISITED``.
+
+    Then every vertex is visited and every edge joins two vertices of
+    one partition: a push round races nothing and keeps no edge, and
+    :func:`filter_edges` keeps none.  That follows from *C* alone, read
+    as the kernels read it, so it holds under a ``label_corrupt`` fault
+    too (which copies a visited vertex's label, never ``UNVISITED``).
+    One min and one max pass over *C*.
+    """
+    if C.size == 0:
+        return False
+    low = C.min()
+    return bool(low != UNVISITED and low == C.max())
+
+
 def arb_round(state: "DecompState") -> np.ndarray:
     """One Decomp-Arb BFS round over the current frontier.
 
@@ -124,9 +143,33 @@ def arb_round(state: "DecompState") -> np.ndarray:
     The source labels come from the frontier (``repeat`` of one label
     per frontier vertex); the source vertices are recovered for the
     kept edges only.
+
+    A round that runs once every vertex is visited, with one label
+    everywhere (:func:`_one_partition`, the level ends in one
+    partition), races nothing and keeps nothing.  It reads the
+    frontier's degrees instead of expanding it, and charges what the
+    full round charges with no unvisited target and no winner.
     """
     tracker, ws = state.tracker, state.workspace
     graph, C, frontier = state.graph, state.C, state.frontier
+    if state.visited >= state.n and _one_partition(C):
+        edges = int(ws.take(graph.degrees, frontier).sum())
+        state.edges_inspected += edges
+        if frontier.size:
+            charge_expansion(tracker, frontier.size, edges)
+        if edges:
+            tracker.add("gather", work=float(2 * edges), depth=1.0)
+            first_winner(
+                frontier[:0],
+                workspace=ws,
+                tracker=tracker,
+                plan=state.plan,
+                sanitizer=state.sanitizer,
+            )
+            tracker.add("scatter", work=0.0, depth=1.0)
+            tracker.add("gather", work=float(edges), depth=1.0)
+        end_round(edges, tracker=tracker)
+        return np.zeros(0, dtype=np.int64)
     counts, dst = graph.expand_targets(frontier, workspace=ws, tracker=tracker)
     edges = int(dst.size)
     state.edges_inspected += edges
@@ -344,6 +387,11 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     labels and the ``log2(E + 1)`` barrier.  The scan of the
     non-deferred edges is host execution, not charged: the paper's pass
     skips them by their sign bit.
+
+    So the pass reads every edge of the CSR whatever *E* is, except on
+    a level that ends in one partition (:func:`_one_partition`): no
+    edge's two labels differ there, and it streams nothing but charges
+    the same.
     """
     if not deferred:
         return
@@ -358,7 +406,7 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     state.edges_inspected += edges
     charge_expansion(tracker, size, edges)
     tracker.add("scan", work=float(2 * edges), depth=1.0)
-    if edges:
+    if edges and not _one_partition(C):
         # Every entry of C is UNVISITED or a vertex id (a corrupted
         # label is copied from another vertex), so the narrowing is exact.
         labels = C.astype(np.min_scalar_type(-state.n))

@@ -235,14 +235,17 @@ def test_random_deferred_sets_match_ragged_filter(case, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pass_allocates_no_edge_sized_positions(backend):
-    # Every vertex deferred and no inter edge: the ragged pass would
-    # build an int64 position per deferred edge (8 bytes each, and more
-    # for the gathered targets and labels).  The storage-order pass
-    # holds two int16 label streams and a mask, about 5 bytes per edge.
+    # Every vertex deferred and almost no inter edge: the ragged pass
+    # would build an int64 position per deferred edge (8 bytes each,
+    # and more for the gathered targets and labels).  The storage-order
+    # pass holds two int16 label streams and a mask, about 5 bytes per
+    # edge.  Vertex 0 gets a label of its own: with one label everywhere
+    # the pass would stream nothing.
     graph = orkut_like(2000, 20.0, seed=3)
     m = graph.targets.size
     assert np.min_scalar_type(-graph.num_vertices) == np.int16
     labels = np.zeros(graph.num_vertices, dtype=np.int64)
+    labels[0] = 1
     deferred = [np.arange(graph.num_vertices, dtype=np.int64)]
 
     def peak(fn):

@@ -9,12 +9,14 @@ together.
 
 import itertools
 import json
+import sys
 from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.decomp import base as decomp_base
+from repro.engine import kernels
 from repro.errors import ParameterError
 from repro.fuzz import (
     CaseConfig,
@@ -225,6 +227,25 @@ class TestCorpusReplay:
             if seen["dense"] and seen["kept"]:
                 pulled.append(path.name)
         assert pulled, f"no sanitized {algorithm} corpus case pulls"
+
+    def test_corpus_replays_both_one_partition_early_outs(self, monkeypatch):
+        # Some case must end a level in one partition both after a pull
+        # round (filter_edges skips its stream) and in a push round run
+        # once every vertex is visited (arb_round skips its expansion).
+        taken = set()
+        one_partition = kernels._one_partition
+
+        def recording(C):
+            hit = one_partition(C)
+            if hit:
+                taken.add(sys._getframe(1).f_code.co_name)
+            return hit
+
+        monkeypatch.setattr(kernels, "_one_partition", recording)
+        for path, case in _iter_checked_in():
+            if case.config.fault is None:
+                assert run_case(case).passed, path.name
+        assert taken == {"arb_round", "filter_edges"}
 
     def test_one_case_is_fault_injected(self):
         faults = [c.config.fault for _, c in _iter_checked_in()]
