@@ -20,7 +20,7 @@ under the variant's two policies and assembles the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -181,6 +181,10 @@ class DecompState(TraversalState):
         #: Frontiers of the read-based rounds, whose out-edges await
         #: the post-loop filterEdges classification.
         self.deferred: List[np.ndarray] = []
+        #: The level's storage-order label stream (narrowed labels,
+        #: differing positions, per-vertex firsts), once a drain round
+        #: or filterEdges has run it; see ``engine.kernels._label_stream``.
+        self.label_stream: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def n(self) -> int:

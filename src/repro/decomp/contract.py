@@ -8,7 +8,11 @@ this module:
    dense range ``[0, k)`` with a prefix sum (the paper's relabeling);
 2. removes duplicate inter-component edges with the parallel hash
    table (paper §4: "we use a parallel hash table [55] to remove
-   duplicate edges between components");
+   duplicate edges between components").  The table probes once per
+   distinct label pair and charges per kept edge, so the host work of
+   a level whose few partitions share a million kept edges follows
+   its few pairs; the grouping it probes by is also the sorted
+   representative index;
 3. drops singleton components (no incident inter-edges) — "singleton
    vertices are then removed, but their labels are kept" — renaming
    the ``k'`` survivors to ``[0, k')``;
@@ -28,7 +32,7 @@ from repro.decomp.base import Decomposition
 from repro.errors import GraphFormatError
 from repro.graphs.builder import from_directed_edges
 from repro.graphs.csr import CSRGraph
-from repro.primitives.hashing import HashTable
+from repro.primitives.hashing import HashTable, group_keys
 from repro.primitives.scan import exclusive_scan
 from repro.primitives.sort import packed_argsort
 from repro.runtime.context import current_context
@@ -123,7 +127,9 @@ def contract(
         without it; the ablation bench measures the difference.
 
     Work O(n + m') expected, depth O(log n) w.h.p., where m' is the
-    number of surviving directed edges.
+    number of surviving directed edges.  The charge is per surviving
+    edge; the hash table's host work is per distinct component pair
+    (:meth:`~repro.primitives.hashing.HashTable.insert`).
     """
     labels = decomposition.labels
     if labels.shape != (num_vertices,):
@@ -151,35 +157,42 @@ def contract(
     # --- 2. duplicate-edge removal (parallel hash table). ------------
     # The table's first-inserter-per-key is the representative original
     # edge for that component adjacency (paper footnote 1's converse
-    # needs it to pull contracted tree edges back to real edges).
+    # needs it to pull contracted tree edges back to real edges).  The
+    # grouping the table probes by is the sorted representative index
+    # for O(log) pair lookups: the distinct keys in ascending order.
     if src.size and remove_duplicates:
         keys = src * np.int64(k) + dst
+        groups = group_keys(keys, max_key=k * k - 1)
         table = HashTable(capacity=keys.size, seed=dedup_seed)
-        inserted = table.insert(keys)
+        inserted = table.insert(keys, groups)
+        # Each pair went in once, at its first copy or, when a cas_flip
+        # handed the race to the last contender, at its last.
+        won = groups.first
+        if groups.by_first is not None:
+            won = np.where(inserted[won], won, groups.last)
+        edge_pairs = groups.keys
+        rep_src = orig_src[won] if orig_src.size else orig_src
+        rep_dst = orig_dst[won] if orig_dst.size else orig_dst
+        # The contracted graph takes the deduplicated edges in stream
+        # order: the graph build keeps it within a source, and the next
+        # level's races read it.
         keys = keys[inserted]
-        orig_src = orig_src[inserted]
-        orig_dst = orig_dst[inserted]
         src = keys // k
         dst = keys % k
         tracker.add("scan", work=float(keys.size), depth=1.0)
-    elif src.size:
+    else:
         keys = src * np.int64(k) + dst
-    else:
-        keys = np.zeros(0, dtype=np.int64)
-
-    # Sorted representative index for O(log) pair lookups.  Equal keys
-    # survive only with remove_duplicates=False, where stability keeps
-    # the first-recorded edge the representative.  The fast backend
-    # runs the sort as one packed-word value sort; the permutation is
-    # the same.
-    optimized = current_context().backend.optimized
-    if optimized:
-        order = packed_argsort(keys, max_key=k * k - 1)
-    else:
-        order = np.argsort(keys, kind="stable")
-    edge_pairs = keys[order]
-    rep_src = orig_src[order] if orig_src.size else orig_src
-    rep_dst = orig_dst[order] if orig_dst.size else orig_dst
+        # Without the dedup equal keys survive, and stability keeps the
+        # first-recorded edge the representative.  The fast backend runs
+        # the sort as one packed-word value sort; the permutation is the
+        # same.
+        if current_context().backend.optimized:
+            order = packed_argsort(keys, max_key=k * k - 1)
+        else:
+            order = np.argsort(keys, kind="stable")
+        edge_pairs = keys[order]
+        rep_src = orig_src[order] if orig_src.size else orig_src
+        rep_dst = orig_dst[order] if orig_dst.size else orig_dst
     tracker.add("sort", work=float(keys.size), depth=1.0)
 
     # --- 3. drop singletons, rename survivors to [0, k'). ------------
@@ -204,7 +217,7 @@ def contract(
         component_to_sub[dst],
         k_prime,
         symmetric=True,
-        validate=not optimized,
+        validate=not current_context().backend.optimized,
     )
     return Contraction(
         graph=sub_graph,

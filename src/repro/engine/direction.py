@@ -119,10 +119,12 @@ class FractionHybrid(DirectionPolicy):
     every frontier edge to classify it: on ``orkut_like(30_000,
     76.0)`` one drain round expanded up to 48 % of the 2.09M directed
     edges, and drain rounds took 8-12 % of the host time of 160
-    Decomp-Arb-Hybrid runs.  A Decomp-Arb drain round on a level that
-    ends in one partition skips that expansion
-    (:func:`~repro.engine.kernels.arb_round`); on other levels it
-    stays.  A NaN or negative *threshold* raises
+    Decomp-Arb-Hybrid runs.  A Decomp-Arb drain round skips that
+    expansion (:func:`~repro.engine.kernels.arb_round`) on a level that
+    ends in one partition, where it keeps nothing, and on a level that
+    ran a dense round, where it classifies its frontier off the CSR
+    stream that level's filterEdges pass reads; on a level with neither
+    it expands.  A NaN or negative *threshold* raises
     :class:`~repro.errors.ParameterError`.
     """
 

@@ -8,11 +8,13 @@ is the read-based sweep every pull round runs, the decomposition's
 dense round and the BFS family's alike.  The push rounds expand their
 frontier through the ragged gather; the hybrids' post-loop
 :func:`filter_edges` instead streams the whole CSR once in storage
-order, as the paper's sign-bit pass streams its edge array.  On a
-level that ends in one partition neither :func:`filter_edges` nor a
-push round run after every vertex is visited has an edge to find, and
-both skip the host work while charging the same.  The engine's policy
-objects dispatch to them.
+order, as the paper's sign-bit pass streams its edge array.  A
+Decomp-Arb push round run after every vertex is visited (a drain
+round) on a level that ran a dense round reads that same stream, a
+round early, and :func:`filter_edges` reuses it.  On a level that ends
+in one partition neither the pass nor the drain round has an edge to
+find, and both skip the host work while charging the same.  The
+engine's policy objects dispatch to them.
 
 Execution-backend note: the gathers, compressions and CAS races go
 through the state's :mod:`~repro.engine.workspace`, whose class is the
@@ -128,6 +130,19 @@ def _one_partition(C: np.ndarray) -> bool:
     return bool(low != UNVISITED and low == C.max())
 
 
+def _drain_reads_stream(state: "DecompState") -> bool:
+    """Whether this push round is a drain round that reads the level's stream.
+
+    A drain round runs once every vertex is visited.  On a level that
+    ran a dense round, :func:`filter_edges` streams the whole CSR at
+    level end (:func:`_label_stream`), so the drain classifies its
+    frontier off that stream instead of expanding it.  On a level with
+    no dense round the stream would read all ``m`` edges for a frontier
+    that holds a few percent of them, and the drain expands instead.
+    """
+    return state.visited >= state.n and bool(state.deferred)
+
+
 def arb_round(state: "DecompState") -> np.ndarray:
     """One Decomp-Arb BFS round over the current frontier.
 
@@ -144,20 +159,28 @@ def arb_round(state: "DecompState") -> np.ndarray:
     per frontier vertex); the source vertices are recovered for the
     kept edges only.
 
-    A round that runs once every vertex is visited, with one label
-    everywhere (:func:`_one_partition`, the level ends in one
-    partition), races nothing and keeps nothing.  It reads the
-    frontier's degrees instead of expanding it, and charges what the
-    full round charges with no unvisited target and no winner.
+    A round that runs once every vertex is visited (a drain round)
+    races nothing: it only classifies its frontier's edges.  It does
+    not expand its frontier when the level ends in one partition
+    (:func:`_one_partition`), where it keeps nothing, or when the level
+    ran a dense round, whose :func:`filter_edges` streams the whole CSR
+    at level end anyway: the drain runs that stream now
+    (:func:`_label_stream`), keeps its frontier's differing edges, and
+    leaves the stream for :func:`filter_edges`.  Either way it reads
+    ``E`` from the degree array and charges what the full round
+    charges with no unvisited target and no winner.
     """
     tracker, ws = state.tracker, state.workspace
     graph, C, frontier = state.graph, state.C, state.frontier
-    if state.visited >= state.n and _one_partition(C):
+    one_partition = state.visited >= state.n and _one_partition(C)
+    if one_partition or _drain_reads_stream(state):
         edges = int(ws.take(graph.degrees, frontier).sum())
         state.edges_inspected += edges
         if frontier.size:
             charge_expansion(tracker, frontier.size, edges)
         if edges:
+            if not one_partition:
+                _keep_differing(state, frontier, keep_stream=True)
             tracker.add("gather", work=float(2 * edges), depth=1.0)
             first_winner(
                 frontier[:0],
@@ -365,19 +388,82 @@ def dense_round(state: "DecompState") -> np.ndarray:
     return winners
 
 
+def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
+    """The storage-order label stream of the level: ``(differ, first)``.
+
+    Compares the two endpoint labels of every edge of the CSR in storage
+    order, with the labels narrowed to the smallest signed type that
+    holds ``UNVISITED`` and every vertex id, so the two label streams
+    cost a few bytes per edge.  ``differ`` lists the positions of the
+    edges whose labels differ, ascending; ``first[v]`` is the index in
+    ``differ`` of vertex ``v``'s first such edge (``first[n]`` is
+    ``differ.size``), one binary search of the vertex offsets each.
+
+    A level's drain round and its :func:`filter_edges` both read the
+    stream, with labels that nothing writes in between unless a
+    ``label_corrupt`` fault fires at the round boundary.  So the stream
+    is kept on the state with the narrowed labels it read, and reused
+    while they are unchanged.
+    """
+    # Every entry of C is UNVISITED or a vertex id (a corrupted label is
+    # copied from another vertex), so the narrowing is exact.
+    labels = state.C.astype(np.min_scalar_type(-state.n))
+    cached = state.label_stream
+    if cached is not None and np.array_equal(cached[0], labels):
+        return cached[1], cached[2]
+    graph, ws = state.graph, state.workspace
+    sources = labels.repeat(graph.degrees)
+    differ = (ws.take(labels, graph.targets) != sources).nonzero()[0]
+    del sources
+    first = differ.searchsorted(graph.offsets)
+    state.label_stream = (labels, differ, first)
+    return differ, first
+
+
+def _keep_differing(
+    state: "DecompState", vertices: np.ndarray, keep_stream: bool
+) -> None:
+    """Keep the differing edges of *vertices*, read off :func:`_label_stream`.
+
+    In *vertices* order and adjacency order within each vertex: the
+    edges, in the order, that expanding *vertices* and comparing the
+    labels per edge would keep.  The stream stays on the state for a
+    later reader only if *keep_stream*; otherwise it is freed before
+    the kept arrays, which outlive the level, are allocated.
+    Uncharged: the callers charge the classification their PRAM step
+    runs.
+    """
+    differ, first = _label_stream(state)
+    if not keep_stream:
+        state.label_stream = None
+    C, ws, targets = state.C, state.workspace, state.graph.targets
+    starts = ws.take(first, vertices)
+    kept = ws.take(first, vertices + 1) - starts
+    owners = kept.nonzero()[0]
+    sources = vertices.take(owners)
+    kept = kept.take(owners)
+    at = ws.take(differ, ragged_positions(starts.take(owners), kept))
+    del differ, first, starts
+    dst = ws.take(targets, at)
+    del at
+    state.keep_inter(
+        ws.take(C, sources).repeat(kept),
+        ws.take(C, dst),
+        sources.repeat(kept),
+        dst,
+    )
+
+
 def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     """The post-processing phase: classify every deferred edge.
 
     *deferred* holds the frontiers of the dense rounds; their out-edges
     were never inspected write-based.  The paper finds them by a sign
     bit on the edge array and streams that array once; so does this
-    pass.  It compares the two endpoint labels of every edge of the
-    CSR in storage order (labels narrowed to the smallest signed type
-    that holds ``UNVISITED`` and every vertex id, so the two label
-    streams cost a few bytes per edge), counts each vertex's differing
-    edges by one binary search of the vertex offsets into the differing
-    positions, and gathers the differing edges of the deferred vertices
-    only, in deferred order and adjacency order within each vertex.
+    pass (:func:`_label_stream`, which the level's drain round may
+    have run already), then gathers the differing edges of the
+    deferred vertices only, in deferred order and adjacency order
+    within each vertex.
 
     It keeps exactly the edges, in exactly the order, that expanding
     the concatenated frontiers and comparing labels per edge would, and
@@ -388,10 +474,10 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     non-deferred edges is host execution, not charged: the paper's pass
     skips them by their sign bit.
 
-    So the pass reads every edge of the CSR whatever *E* is, except on
-    a level that ends in one partition (:func:`_one_partition`): no
-    edge's two labels differ there, and it streams nothing but charges
-    the same.
+    So the host reads every edge of the CSR once per level whatever
+    *E* is, except on a level that ends in one partition
+    (:func:`_one_partition`): no edge's two labels differ there, and
+    nothing is streamed but the charge is the same.
     """
     if not deferred:
         return
@@ -400,38 +486,12 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     if size == 0:
         return
     C, tracker, ws = state.C, state.tracker, state.workspace
-    graph = state.graph
-    degrees, targets = graph.degrees, graph.targets
-    edges = int(ws.take(degrees, vertices).sum())
+    edges = int(ws.take(state.graph.degrees, vertices).sum())
     state.edges_inspected += edges
     charge_expansion(tracker, size, edges)
     tracker.add("scan", work=float(2 * edges), depth=1.0)
     if edges and not _one_partition(C):
-        # Every entry of C is UNVISITED or a vertex id (a corrupted
-        # label is copied from another vertex), so the narrowing is exact.
-        labels = C.astype(np.min_scalar_type(-state.n))
-        differ = (ws.take(labels, targets) != labels.repeat(degrees)).nonzero()[0]
-        # first[v]: index in *differ* of vertex v's first differing edge.
-        first = differ.searchsorted(graph.offsets)
-        counts = np.diff(first)
-        kept = ws.take(counts, vertices)
-        owners = kept.nonzero()[0]
-        sources = vertices.take(owners)
-        kept = kept.take(owners)
-        at = ws.take(differ, ragged_positions(ws.take(first, sources), kept))
-        # Free the temporaries before the kept arrays, which outlive the
-        # level, are allocated: over 300 orkut-hybrid runs in one
-        # process this left the peak RSS 1 % above the ragged pass's,
-        # against 3 % when they were freed on return.
-        del differ, first, counts
-        dst = ws.take(targets, at)
-        del at
-        state.keep_inter(
-            ws.take(C, sources).repeat(kept),
-            ws.take(C, dst),
-            sources.repeat(kept),
-            dst,
-        )
+        _keep_differing(state, vertices, keep_stream=False)
     end_round(edges, tracker=tracker)
 
 

@@ -13,13 +13,21 @@ a key finding a different value moves to the next slot (linear probe).
 With a table at most half full, the expected number of rounds is O(1)
 and O(log n) w.h.p. — mirroring the real table's probe-length bounds.
 
+The copies of one key probe in lockstep: they hash to one slot, see
+one occupant and so move, claim and retire together.  The simulation
+therefore probes once per *distinct* key (:func:`group_keys` finds
+them) and charges per copy, as the PRAM runs one processor per copy.
+Contraction's inter-edges repeat a few label pairs up to millions of
+times, so the host work follows the distinct pairs, not the kept edges.
+
 Only the operations the reproduction needs are exposed: bulk
-deduplication of non-negative int64 keys (:func:`dedup`) and the
-underlying :class:`HashTable` for tests and reuse.
+deduplication of non-negative int64 keys (:func:`dedup`), the
+underlying :class:`HashTable` and the grouping it probes by.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,14 +35,22 @@ from repro.errors import ConvergenceError
 from repro.pram.cost import log_depth
 from repro.primitives.atomics import first_winner
 from repro.primitives.rand import splitmix64
+from repro.primitives.sort import packed_argsort
 from repro.runtime.context import current_context
 
-__all__ = ["HashTable", "dedup"]
+__all__ = ["HashTable", "KeyGroups", "dedup", "group_keys"]
 
-_EMPTY = np.int64(-1)
 #: Probe-round budget: linear probing in a <=50%-loaded table finishes in
 #: O(log n) rounds w.h.p.; this is far above that for any feasible n.
 _MAX_ROUNDS_FACTOR = 64
+
+#: :func:`group_keys` histograms a stream whose key domain ``[0,
+#: max_key]`` is at most 1/this of its length, and sorts it otherwise.
+#: Timed on uniform keys (2-core x86-64 VM, numpy 2.4): over 675k keys
+#: the histogram took 8-17 ms at domains of 1/64 to 1/4 of the stream
+#: against 25-37 ms sorted, 35 against 45 ms at 1/2, and 58 against
+#: 55 ms at 1; at 40k and 4k keys it crossed over between 1/2 and 1.
+_HISTOGRAM_RATIO = 2
 
 
 def _table_size(n: int) -> int:
@@ -44,14 +60,92 @@ def _table_size(n: int) -> int:
     return 1 << (2 * n - 1).bit_length()
 
 
+class KeyGroups(NamedTuple):
+    """The distinct values of a key stream and where their copies sit.
+
+    ``keys`` ascending; ``first`` / ``last`` the stream index of each
+    one's first and last copy; ``copies`` how many it has.  ``by_first``
+    lists the groups in order of ``first`` (the stream order of their
+    first copies), or is None when every key is distinct: then that
+    order is the stream itself.
+    """
+
+    keys: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    copies: np.ndarray
+    by_first: Optional[np.ndarray]
+
+
+def group_keys(keys: np.ndarray, max_key: int) -> KeyGroups:
+    """Group non-negative int64 *keys* ``<= max_key`` by value.
+
+    One pass over the stream.  A domain small next to the stream
+    (:data:`_HISTOGRAM_RATIO`) is histogrammed: a count per value and
+    two last-write-wins scatters of the stream positions, reversed for
+    the first copy.  Otherwise the stream is sorted stably (the fast
+    backend's :func:`~repro.primitives.sort.packed_argsort`, the
+    reference's ``np.argsort``; the permutation is the same) and each
+    run of equal keys is one group, whose first and last members are
+    its first and last copies.  Uncharged host execution: the caller
+    charges what the PRAM does with the groups.
+    """
+    n = keys.shape[0]
+    if (max_key + 1) * _HISTOGRAM_RATIO <= n:
+        counts = np.bincount(keys, minlength=max_key + 1)
+        distinct = counts.nonzero()[0]
+        positions = np.arange(n, dtype=np.int64)
+        first = np.empty(max_key + 1, dtype=np.int64)
+        first[keys[::-1]] = positions[::-1]
+        last = np.empty(max_key + 1, dtype=np.int64)
+        last[keys] = positions
+        first = first.take(distinct)
+        return KeyGroups(
+            distinct,
+            first,
+            last.take(distinct),
+            counts.take(distinct),
+            first.argsort(),
+        )
+    if current_context().backend.optimized:
+        order = packed_argsort(keys, max_key=max_key)
+    else:
+        order = np.argsort(keys, kind="stable")
+    ordered = keys.take(order)
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    if head.all():
+        ones = np.broadcast_to(np.int64(1), (n,))
+        return KeyGroups(ordered, order, order, ones, None)
+    starts = head.nonzero()[0]
+    ends = np.append(starts[1:], n)
+    first = order.take(starts)
+    # Mark each group's first copy in the stream; reading the marks in
+    # stream order lists the groups by first copy.
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[first] = np.arange(starts.size, dtype=np.int64)
+    return KeyGroups(
+        ordered.take(starts),
+        first,
+        order.take(ends - 1),
+        ends - starts,
+        rank[rank >= 0],
+    )
+
+
 class HashTable:
     """Insert-only phase-concurrent hash table over non-negative int64 keys.
+
+    A cell holds its key plus one, so an empty cell reads zero: the
+    table is a zeroed allocation whose pages the host touches only
+    where a key probes.
 
     Parameters
     ----------
     capacity:
-        Maximum number of distinct keys that will be inserted.  The
-        backing array is sized to keep load factor <= 0.5.
+        Maximum number of keys that will be inserted, copies counted.
+        The backing array is sized to keep load factor <= 0.5.
     seed:
         Seed for the (splitmix64) hash function.
     """
@@ -63,7 +157,7 @@ class HashTable:
         self.size = _table_size(max(capacity, 1))
         self._mask = np.uint64(self.size - 1)
         self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        self.slots = np.full(self.size, _EMPTY, dtype=np.int64)
+        self.slots = np.zeros(self.size, dtype=np.int64)
         current_context().tracker.add("alloc", work=float(self.size), depth=1.0)
         self._workspace = current_context().backend.workspace
 
@@ -72,22 +166,60 @@ class HashTable:
         h = splitmix64(keys.astype(np.uint64) ^ self._seed)
         return (h & self._mask).astype(np.int64)
 
-    def insert(self, keys: np.ndarray) -> np.ndarray:
+    def insert(
+        self, keys: np.ndarray, groups: Optional[KeyGroups] = None
+    ) -> np.ndarray:
         """Insert *keys*; returns a bool mask of which were newly inserted.
 
         Duplicate keys (within the batch or against prior inserts) get
-        ``False``.  All keys must be non-negative (``-1`` is the empty
-        sentinel).
+        ``False``.  All keys must be non-negative and below the int64
+        maximum.  *groups* is :func:`group_keys` of *keys*, for callers
+        that grouped them already; otherwise the insert groups them.
+
+        Each round probes once per distinct pending key and charges a
+        ``hash`` per pending copy and an ``atomic`` per copy claiming an
+        empty slot, the full stream's charge.  The race runs on a stream
+        that holds each claiming key's first copy, and its last copy
+        when it has more than one, in stream order.  Those are the
+        first and last contenders for each slot in the full stream, so
+        :func:`~repro.primitives.atomics.first_winner` picks the same
+        winners, a ``cas_flip`` flips to the same last contenders, and
+        the sanitizer sees the same schedule.  A key's copies that lost
+        to another key's copy probe on together; a winner's other
+        copies find it in the slot next round and retire.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
+        n = keys.shape[0]
+        if n == 0:
             return np.zeros(0, dtype=bool)
         if keys.min() < 0:
             raise ValueError("hash table keys must be non-negative")
+        if groups is None:
+            high = int(keys.max())
+            if high == np.iinfo(np.int64).max:
+                raise ValueError("hash table keys must be below the int64 maximum")
+            groups = group_keys(keys, high)
 
-        inserted = np.zeros(keys.shape[0], dtype=bool)
-        pending = np.arange(keys.shape[0], dtype=np.int64)
-        slot = self._hash(keys)
+        # The distinct keys in stream order of their first copies: the
+        # order their claims appear in on the full stream.  Without
+        # repeats that is the stream, and each key is its own copy.
+        order = groups.by_first
+        runs: Optional[KeyGroups] = None
+        if order is None:
+            key = keys
+        else:
+            runs = KeyGroups(
+                groups.keys.take(order),
+                groups.first.take(order),
+                groups.last.take(order),
+                groups.copies.take(order),
+                None,
+            )
+            key = runs.keys
+        cell = key + 1
+        slot = self._hash(key)
+        inserted = np.zeros(n, dtype=bool)
+        pending = np.arange(key.shape[0], dtype=np.int64)
         max_rounds = _MAX_ROUNDS_FACTOR * int(log_depth(self.size))
         # Context lookups cached once per insert (round granularity);
         # the probe loop passes them straight into the primitives.
@@ -97,30 +229,57 @@ class HashTable:
         for _ in range(max_rounds):
             if pending.size == 0:
                 return inserted
-            cur_slot = slot[pending]
-            occupant = self.slots[cur_slot]
-            tracker.add("hash", work=float(pending.size), depth=1.0)
+            cur_slot = slot.take(pending)
+            occupant = self.slots.take(cur_slot)
+            if runs is None:
+                probing = pending.size
+            else:
+                probing = int(runs.copies.take(pending).sum())
+            tracker.add("hash", work=float(probing), depth=1.0)
 
             # Keys whose slot already holds their value retire (duplicate).
-            dup = occupant == keys[pending]
+            dup = occupant == cell.take(pending)
             # Keys whose slot is empty race to claim it.
-            empty = occupant == _EMPTY
+            empty = occupant == 0
             claimers = pending[empty]
             if claimers.size:
+                if runs is None:
+                    owner, index = claimers, claimers
+                    race = cur_slot[empty]
+                else:
+                    claiming = runs.copies.take(claimers)
+                    claim_copies = int(claiming.sum())
+                    many = claimers[claiming > 1]
+                    owner, index = claimers, runs.first.take(claimers)
+                    if many.size:
+                        index = np.concatenate((index, runs.last.take(many)))
+                        owner = np.concatenate((claimers, many))
+                        merged = index.argsort()
+                        index, owner = index.take(merged), owner.take(merged)
+                    race = slot.take(owner)
                 win_pos, win_slots = first_winner(
-                    cur_slot[empty], workspace=ws, tracker=tracker, plan=plan
+                    race, workspace=ws, tracker=tracker, plan=plan
                 )
-                winners = claimers[win_pos]
-                self.slots[win_slots] = keys[winners]
-                inserted[winners] = True
-                won = np.zeros(keys.shape[0], dtype=bool)
-                won[winners] = True
+                if runs is not None and claim_copies > race.size:
+                    # The copies the race stream stands for claim too.
+                    tracker.add(
+                        "atomic", work=float(claim_copies - race.size), depth=0.0
+                    )
+                winners = owner.take(win_pos)
+                self.slots[win_slots] = cell.take(winners)
+                inserted[index.take(win_pos)] = True
                 # Losers of the race re-read the slot next round: if the
                 # winner holds their key they will retire as duplicates,
                 # otherwise they probe onward.  Keeping them at the same
                 # slot for one more round reproduces the CAS-failure
                 # retry of the real table.
-                retry_same = empty & ~won[pending]
+                if runs is None:
+                    won = np.zeros(key.shape[0], dtype=bool)
+                    won[winners] = True
+                    retry_same = empty & ~won.take(pending)
+                else:
+                    runs.copies[winners] -= 1
+                    retry_same = empty & (runs.copies.take(pending) > 0)
             else:
                 retry_same = np.zeros(pending.size, dtype=bool)
 
@@ -138,7 +297,7 @@ class HashTable:
     def contents(self) -> np.ndarray:
         """All stored keys, in arbitrary (slot) order."""
         current_context().tracker.add("scan", work=float(self.size), depth=1.0)
-        return self.slots[self.slots != _EMPTY]
+        return self.slots[self.slots != 0] - 1
 
 
 def dedup(keys: np.ndarray, seed: int = 0x5EED) -> np.ndarray:

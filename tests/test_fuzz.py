@@ -247,6 +247,44 @@ class TestCorpusReplay:
                 assert run_case(case).passed, path.name
         assert taken == {"arb_round", "filter_edges"}
 
+    def test_corpus_replays_a_drain_off_the_shared_stream(self, monkeypatch):
+        # Some sanitized Decomp-Arb-Hybrid case must run a drain round
+        # off filterEdges' stream on a level of three or more partitions
+        # and keep a drain edge there, so the replay checks the shared
+        # stream's gather beyond a single bridge.
+        gate, keep_differing = kernels._drain_reads_stream, kernels._keep_differing
+        seen = []
+
+        def recording_gate(state):
+            shared = gate(state)
+            if shared and len(set(state.C.tolist())) >= 3:
+                seen.append("drain")
+            return shared
+
+        def recording_keep(state, vertices, keep_stream):
+            before = sum(c.size for c in state.inter_src_chunks)
+            keep_differing(state, vertices, keep_stream)
+            if keep_stream and seen and seen[-1] == "drain":
+                kept = sum(c.size for c in state.inter_src_chunks) - before
+                seen.append("kept" if kept else "none")
+
+        monkeypatch.setattr(kernels, "_drain_reads_stream", recording_gate)
+        monkeypatch.setattr(kernels, "_keep_differing", recording_keep)
+        shared = []
+        for path, case in _iter_checked_in():
+            config = case.config
+            if (
+                config.algorithm != "decomp-arb-hybrid-CC"
+                or not config.sanitize
+                or config.fault
+            ):
+                continue
+            seen.clear()
+            assert run_case(case).passed, path.name
+            if "kept" in seen:
+                shared.append(path.name)
+        assert shared, "no sanitized case drains off the shared stream"
+
     def test_one_case_is_fault_injected(self):
         faults = [c.config.fault for _, c in _iter_checked_in()]
         assert any(f is not None for f in faults)
