@@ -78,8 +78,11 @@ def hybrid_bfs_cc(
     cursor = 0
     visited_total = 0
     labels_list_charge = 0
+    # One test per vertex: against a NumPy scalar of the labels' type,
+    # which compares faster than the plain-int sentinel.
+    unvisited = labels.dtype.type(UNVISITED)
     while visited_total < n:
-        while cursor < n and labels[cursor] != UNVISITED:
+        while cursor < n and labels[cursor] != unvisited:
             cursor += 1
             labels_list_charge += 1
         if cursor >= n:

@@ -25,7 +25,13 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 import numpy as np
 
 from repro.decomp.shifts import ShiftSchedule
-from repro.engine.core import UNVISITED, TraversalEngine, TraversalState, end_round
+from repro.engine.core import (
+    UNVISITED,
+    TraversalEngine,
+    TraversalState,
+    end_round,
+    label_dtype,
+)
 from repro.engine.kernels import dense_round, filter_edges
 from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
@@ -120,7 +126,12 @@ class DecompState(TraversalState):
     """Mutable per-run state shared by the decomposition main loops.
 
     Owns the component array ``C`` (the paper's C / C2), the schedule,
-    the shared frontier, and the growing inter-edge output lists.  As a
+    the shared frontier, and the growing inter-edge output lists.
+    ``C`` holds only ``UNVISITED`` and vertex ids, so it is kept in
+    :func:`~repro.engine.core.label_dtype` (``n``), the smallest signed
+    type that holds them, and every round streams its labels in that
+    type.  Labels are widened to int64 where they leave the state: in
+    :meth:`keep_inter` and in :meth:`finish`.  As a
     :class:`~repro.engine.core.TraversalState` it plugs into the
     :class:`~repro.engine.core.TraversalEngine`: ``begin_round`` is the
     center-seeding / resilience boundary (:meth:`start_new_centers`),
@@ -165,7 +176,7 @@ class DecompState(TraversalState):
             self.schedule = ShiftSchedule(
                 n=n, beta=beta, seed=seed, mode=mode  # type: ignore[arg-type]
             )
-            self.C = np.full(n, UNVISITED, dtype=np.int64)
+            self.C = np.full(n, UNVISITED, dtype=label_dtype(n))
             tracker.add("alloc", work=float(n), depth=1.0)
         self.frontier = np.zeros(0, dtype=np.int64)
         self.consumed = 0
@@ -181,9 +192,10 @@ class DecompState(TraversalState):
         #: Frontiers of the read-based rounds, whose out-edges await
         #: the post-loop filterEdges classification.
         self.deferred: List[np.ndarray] = []
-        #: The level's storage-order label stream (narrowed labels,
-        #: differing positions, per-vertex firsts), once a drain round
-        #: or filterEdges has run it; see ``engine.kernels._label_stream``.
+        #: The level's storage-order label stream (a copy of the labels
+        #: it read, differing positions, per-vertex firsts), once a
+        #: drain round or filterEdges has run it; see
+        #: ``engine.kernels._label_stream``.
         self.label_stream: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
@@ -264,14 +276,15 @@ class DecompState(TraversalState):
                         # single writer each — declared, so the shadow
                         # check knows these cells changed legally.
                         self.sanitizer.record_write(self.C, fresh)
-                    self.C[fresh] = fresh
+                    # Stored in C's type: a casting store costs more.
+                    self.C[fresh] = fresh.astype(self.C.dtype)
                     tracker.add("scatter", work=float(fresh.size), depth=1.0)
                     self.visited += int(fresh.size)
                     frontier = np.concatenate((next_frontier, fresh))
             self.consumed = cum
             if plan is not None:
                 frontier = plan.filter_frontier(frontier, self.round)
-                plan.corrupt_labels(self.C, self.round, int(UNVISITED))
+                plan.corrupt_labels(self.C, self.round, UNVISITED)
             self.frontier = frontier
             self.frontier_sizes.append(int(frontier.size))
             end_round(packing="unit", tracker=tracker)
@@ -286,12 +299,13 @@ class DecompState(TraversalState):
         """Record surviving (inter-component) directed edges.
 
         *src_labels*/*dst_labels* are the relabeled (component-id)
-        endpoints; *orig_src*/*orig_dst* the original vertex pair, kept
-        so contraction can nominate representative real edges.
+        endpoints, in ``C``'s type, and are widened to int64 here;
+        *orig_src*/*orig_dst* the original vertex pair, kept so
+        contraction can nominate representative real edges.
         """
         if src_labels.size:
-            self.inter_src_chunks.append(src_labels)
-            self.inter_dst_chunks.append(dst_labels)
+            self.inter_src_chunks.append(src_labels.astype(np.int64, copy=False))
+            self.inter_dst_chunks.append(dst_labels.astype(np.int64, copy=False))
             self.orig_src_chunks.append(orig_src)
             self.orig_dst_chunks.append(orig_dst)
 
@@ -308,7 +322,7 @@ class DecompState(TraversalState):
             orig_src = np.zeros(0, dtype=np.int64)
             orig_dst = np.zeros(0, dtype=np.int64)
         return Decomposition(
-            labels=self.C.copy(),
+            labels=self.C.astype(np.int64),
             inter_src=inter_src,
             inter_dst=inter_dst,
             orig_src=orig_src,

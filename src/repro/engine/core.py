@@ -42,12 +42,30 @@ if TYPE_CHECKING:  # policies import the engine's types, not vice versa
     from repro.engine.direction import DirectionPolicy
     from repro.engine.tiebreak import TiebreakPolicy
 
-__all__ = ["UNVISITED", "TraversalState", "TraversalEngine", "end_round"]
+__all__ = [
+    "UNVISITED",
+    "label_dtype",
+    "TraversalState",
+    "TraversalEngine",
+    "end_round",
+]
 
 #: Sentinel for "no label / not yet visited" in every per-vertex state
 #: array (component labels, BFS parents, BFS distances).  The single
 #: definition; :mod:`repro.decomp.base` and :mod:`repro.bfs` re-export.
-UNVISITED = np.int64(-1)
+#: A plain ``int``, so a comparison against a narrow label array stays
+#: in the array's type (a NumPy scalar would promote it to int64).
+UNVISITED = -1
+
+
+def label_dtype(n: int) -> np.dtype:
+    """The smallest signed type that holds ``UNVISITED`` and ids ``[0, n)``.
+
+    The decomposition's component array ``C`` is kept in this type.
+    ``n = 0`` gets the type of ``n = 1`` (``int8``): the unguarded
+    ``np.min_scalar_type(0)`` is ``uint8``, which cannot hold ``-1``.
+    """
+    return np.min_scalar_type(-max(n, 1))
 
 
 def end_round(

@@ -157,7 +157,12 @@ def arb_round(state: "DecompState") -> np.ndarray:
     inter-component edges are exactly those whose two labels differ.
     The source labels come from the frontier (``repeat`` of one label
     per frontier vertex); the source vertices are recovered for the
-    kept edges only.
+    kept edges only.  Every label stream is in ``C``'s narrow type
+    (:func:`~repro.engine.core.label_dtype`), so each per-edge gather
+    and compare moves a few bytes per edge; the winners' labels are
+    read through two ``take``s (position of the raced edge, then its
+    source label), and only the kept labels are widened, by
+    :meth:`~repro.decomp.base.DecompState.keep_inter`.
 
     A round that runs once every vertex is visited (a drain round)
     races nothing: it only classifies its frontier's edges.  It does
@@ -213,7 +218,7 @@ def arb_round(state: "DecompState") -> np.ndarray:
         plan=state.plan,
         sanitizer=state.sanitizer,
     )
-    C[winners] = cu[unvis_pos[win_local]]
+    C[winners] = ws.take(cu, ws.take(unvis_pos, win_local))
     tracker.add("scatter", work=float(winners.size), depth=1.0)
     state.visited += int(winners.size)
 
@@ -250,6 +255,11 @@ def min_round(
     order; phase 2 takes the losers' edges from the unvisited arrays.
     The gathers of kept and lost edges are skipped when there are none.
 
+    The label streams are in ``C``'s narrow type, as in
+    :func:`arb_round`; the raced edges' centers are widened to int64
+    once, for the ``frac`` gather, the pair encoding and the payload
+    compare.
+
     Unlike :func:`arb_round`, the kernel keeps the whole source stream:
     most of its rounds keep or lose some edge, and one ``repeat`` of the
     frontier plus gathers from it costs less there than a binary search
@@ -280,8 +290,11 @@ def min_round(
         # writeMin((delta'_{C[u]}, C[u])) onto every unvisited target.
         cu_unvis = ws.take(cu, unvis_pos)
         dst_unvis = ws.take(dst, unvis_pos)
-        keys = ws.take(frac, cu_unvis)
-        keys = encode_pair(keys, cu_unvis, check=not trusted_keys, out=keys)
+        # The raced edges' centers in int64: they index frac, enter the
+        # int64 pair encoding and are compared with its payloads.
+        centers = cu_unvis.astype(np.int64)
+        keys = ws.take(frac, centers)
+        keys = encode_pair(keys, centers, check=not trusted_keys, out=keys)
         write_min(
             pair,
             dst_unvis,
@@ -318,7 +331,7 @@ def min_round(
             return np.zeros(0, dtype=np.int64)
         winner_center = ws.take(pair, dst_unvis)
         winner_center &= _PAIR_PAYLOAD_MASK
-        won = winner_center == cu_unvis
+        won = winner_center == centers
 
         # Winning component's vertices race one CAS to add w once.
         won_pos = won.nonzero()[0]
@@ -329,7 +342,8 @@ def min_round(
             plan=state.plan,
             sanitizer=state.sanitizer,
         )
-        C[new_vertices] = winner_center.take(won_pos.take(first_pos))
+        # A won edge's source label is its target's winning center.
+        C[new_vertices] = cu_unvis.take(won_pos.take(first_pos))
         # Mark claimed cells so later writeMins cannot touch them
         # (the paper sets C1[w] = -1; our pair array is per-DECOMP and
         # claimed vertices are excluded by C[w] != UNVISITED instead).
@@ -342,7 +356,7 @@ def min_round(
             lost = (~won).nonzero()[0]
             lose_dst = dst_unvis.take(lost)
             state.keep_inter(
-                cu_unvis.take(lost),
+                centers.take(lost),
                 C.take(lose_dst),
                 src.take(unvis_pos.take(lost)),
                 lose_dst,
@@ -380,7 +394,7 @@ def dense_round(state: "DecompState") -> np.ndarray:
     )
     if state.sanitizer is not None:
         state.sanitizer.record_write(C, winners)
-    C[winners] = C[adopted_from]
+    C[winners] = state.workspace.take(C, adopted_from)
     tracker.add("scatter", work=float(winners.size), depth=1.0)
     state.visited += int(winners.size)
     state.edges_inspected += examined
@@ -392,8 +406,8 @@ def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
     """The storage-order label stream of the level: ``(differ, first)``.
 
     Compares the two endpoint labels of every edge of the CSR in storage
-    order, with the labels narrowed to the smallest signed type that
-    holds ``UNVISITED`` and every vertex id, so the two label streams
+    order, reading ``C`` in its own narrow type
+    (:func:`~repro.engine.core.label_dtype`), so the two label streams
     cost a few bytes per edge.  ``differ`` lists the positions of the
     edges whose labels differ, ascending; ``first[v]`` is the index in
     ``differ`` of vertex ``v``'s first such edge (``first[n]`` is
@@ -402,12 +416,10 @@ def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
     A level's drain round and its :func:`filter_edges` both read the
     stream, with labels that nothing writes in between unless a
     ``label_corrupt`` fault fires at the round boundary.  So the stream
-    is kept on the state with the narrowed labels it read, and reused
+    is kept on the state with a copy of the labels it read, and reused
     while they are unchanged.
     """
-    # Every entry of C is UNVISITED or a vertex id (a corrupted label is
-    # copied from another vertex), so the narrowing is exact.
-    labels = state.C.astype(np.min_scalar_type(-state.n))
+    labels = state.C
     cached = state.label_stream
     if cached is not None and np.array_equal(cached[0], labels):
         return cached[1], cached[2]
@@ -416,7 +428,7 @@ def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
     differ = (ws.take(labels, graph.targets) != sources).nonzero()[0]
     del sources
     first = differ.searchsorted(graph.offsets)
-    state.label_stream = (labels, differ, first)
+    state.label_stream = (labels.copy(), differ, first)
     return differ, first
 
 

@@ -10,8 +10,8 @@ stateless implementations exist, one shared instance each:
 * :class:`Workspace` (:data:`FAST_WORKSPACE`) — the ``fast``
   execution: unchecked ``mode="clip"`` gathers (every index stream
   here is generated in range by the kernels themselves), and the CAS
-  race resolved by an O(n) reverse-order scatter or, for a sparse
-  race, one packed-word sort.
+  race resolved by an O(n) reverse-order scatter into int32 slots or,
+  for a sparse race, one packed-word sort.
 
 Every method returns a fresh array.  Holding no state, one instance
 serves any number of runs, concurrent ones included; a run reaches
@@ -100,14 +100,14 @@ class Workspace(NullWorkspace):
         A dense race scatters: a last-write-wins scatter of descending
         positions over the reversed stream leaves each destination
         holding its *first* position on the original stream, in
-        O(n + max).  A sparse race (fewer contenders than half the
-        largest id, over more than a cache-sized id range) sorts
-        instead, which then costs less than scanning ``max`` cells: it
-        packs each destination with its position into one int64 word,
-        sorts the words by value and keeps the head of each run of
-        equal destinations.  Both give the winner schedule
-        ``np.unique(idx, return_index=True)`` produces.  A single
-        contender wins without either.
+        O(n + max), with the positions held in int32 slots.  A sparse
+        race (fewer contenders than half the largest id, over more than
+        a cache-sized id range) sorts instead, which then costs less
+        than scanning ``max`` cells: it packs each destination with its
+        position into one int64 word, sorts the words by value and
+        keeps the head of each run of equal destinations.  Both give the winner schedule
+        ``np.unique(idx, return_index=True)`` produces, with int64
+        positions.  A single contender wins without either.
         """
         m = idx.shape[0]
         if m == 1:
@@ -119,14 +119,21 @@ class Workspace(NullWorkspace):
 
 
 def _scatter_race(idx: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense race: reverse-order scatter over ids ``[0, bound)``."""
+    """Dense race: reverse-order scatter over ids ``[0, bound)``.
+
+    The slots hold positions in int32 while the stream is short enough
+    (int64 past ``2^31`` contenders), and the scatter reads a
+    contiguous reversed copy of *idx*: a negative-stride index is the
+    slow path of NumPy's fancy assignment.  Only the winners'
+    positions are widened back to int64.
+    """
     m = idx.shape[0]
-    slots = np.empty(bound, dtype=np.int64)
+    slots = np.empty(bound, dtype=np.int32 if m <= 1 << 31 else np.int64)
     mask = np.zeros(bound, dtype=bool)
-    slots[idx[::-1]] = np.arange(m - 1, -1, -1, dtype=np.int64)
+    slots[idx[::-1].copy()] = np.arange(m - 1, -1, -1, dtype=slots.dtype)
     mask[idx] = True
     dests = mask.nonzero()[0]
-    return slots[dests], dests
+    return slots.take(dests).astype(np.int64), dests
 
 
 def _sort_race(idx: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
