@@ -60,9 +60,7 @@ def bfs_from_source(
     return state.count
 
 
-def hybrid_bfs_cc(
-    graph: CSRGraph, dense_threshold: float = DENSE_THRESHOLD
-) -> ConnectivityResult:
+def hybrid_bfs_cc(graph: CSRGraph) -> ConnectivityResult:
     """Connected components by repeated direction-optimizing BFS.
 
     Components are discovered in vertex-id order; the next source is
@@ -87,9 +85,7 @@ def hybrid_bfs_cc(
             labels_list_charge += 1
         if cursor >= n:
             break
-        size = bfs_from_source(
-            graph, cursor, labels, num_components, dense_threshold
-        )
+        size = bfs_from_source(graph, cursor, labels, num_components)
         component_sizes.append(size)
         visited_total += size
         num_components += 1

@@ -18,16 +18,13 @@ from repro.connectivity.base import ConnectivityResult
 from repro.connectivity.hybrid_bfs_cc import bfs_from_source
 from repro.connectivity.label_prop import propagate_labels
 from repro.engine.core import UNVISITED
-from repro.engine.direction import DENSE_THRESHOLD
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import current_context
 
 __all__ = ["multistep_cc"]
 
 
-def multistep_cc(
-    graph: CSRGraph, dense_threshold: float = DENSE_THRESHOLD
-) -> ConnectivityResult:
+def multistep_cc(graph: CSRGraph) -> ConnectivityResult:
     """Connected components via BFS for the first component + label prop.
 
     The BFS source is the maximum-degree vertex (Slota et al.'s
@@ -48,9 +45,7 @@ def multistep_cc(
     # Use a label outside the vertex-id space so stage 2's min-labels
     # (vertex ids) can never swallow the giant component.
     giant_label = n
-    giant_size = bfs_from_source(
-        graph, source, labels, giant_label, dense_threshold
-    )
+    giant_size = bfs_from_source(graph, source, labels, giant_label)
 
     # Stage 2: min-label propagation over everything the BFS missed.
     rest = labels == UNVISITED

@@ -1,8 +1,8 @@
 """The unified level-synchronous traversal engine.
 
 Every traversal in this reproduction — the three paper decomposition
-variants, Decomp-Min-Hybrid, parallel BFS, direction-optimizing BFS,
-and hybrid-BFS-CC — is one configuration of a single round loop:
+variants, Decomp-Min-Hybrid, and the per-component BFS of hybrid-BFS-CC
+and multistep-CC — is one configuration of a single round loop:
 
     ``TraversalEngine(state, direction=..., tiebreak=...).run()``
 
@@ -17,8 +17,8 @@ pluggable policies:
 * :mod:`~repro.engine.tiebreak` — who wins concurrent claims
   (``arb`` = CAS race, ``min`` = writeMin over (delta', id) pairs);
 * :mod:`~repro.engine.direction` — push vs. pull per round
-  (always-push, always-pull, the paper's 20 % fraction rule, Ligra's
-  edge-count rule);
+  (always-push, the paper's 20 % fraction rule, Ligra's edge-count
+  rule);
 
 plus a :class:`TraversalState` subclass holding the algorithm's arrays
 and round kernels.  Policies are plain classes passed in as instances;
@@ -41,7 +41,6 @@ from repro.engine.core import (
 )
 from repro.engine.direction import (
     DENSE_THRESHOLD,
-    AlwaysPull,
     AlwaysPush,
     DirectionPolicy,
     FractionHybrid,
@@ -53,7 +52,7 @@ from repro.engine.kernels import (
     filter_edges,
     min_round,
 )
-from repro.engine.state import BFSTreeState, ComponentLabelState
+from repro.engine.state import ComponentLabelState
 from repro.engine.tiebreak import ArbTiebreak, MinTiebreak, TiebreakPolicy
 from repro.engine.workspace import (
     FAST_WORKSPACE,
@@ -83,10 +82,8 @@ __all__ = [
     "MinTiebreak",
     "DirectionPolicy",
     "AlwaysPush",
-    "AlwaysPull",
     "FractionHybrid",
     "LigraEdgeHybrid",
-    "BFSTreeState",
     "ComponentLabelState",
     "arb_round",
     "min_round",

@@ -1,9 +1,9 @@
 """The unified level-synchronous traversal engine.
 
 Every BFS-shaped algorithm in the repository — the three paper
-decomposition variants, their new Decomp-Min-Hybrid combination, plain
-parallel BFS, direction-optimizing BFS, and the per-component BFS of
-hybrid-BFS-CC — is one *round loop* around three pluggable pieces:
+decomposition variants, their new Decomp-Min-Hybrid combination, and
+the per-component BFS of hybrid-BFS-CC and multistep-CC — is one
+*round loop* around three pluggable pieces:
 
 * a :class:`TraversalState` — the per-run mutable state (who is
   visited, what the frontier is, what a claim writes) plus the round
@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 #: Sentinel for "no label / not yet visited" in every per-vertex state
-#: array (component labels, BFS parents, BFS distances).  The single
-#: definition; :mod:`repro.decomp.base` and :mod:`repro.bfs` re-export.
+#: array (the decomposition's ``C``, the BFS family's component
+#: labels).  The single definition; :mod:`repro.decomp.base` re-exports.
 #: A plain ``int``, so a comparison against a narrow label array stays
 #: in the array's type (a NumPy scalar would promote it to int64).
 UNVISITED = -1
@@ -106,7 +106,6 @@ class TraversalState:
     """Base class for the engine's per-run mutable state.
 
     Concrete states (:class:`~repro.decomp.base.DecompState`,
-    :class:`~repro.engine.state.BFSTreeState`,
     :class:`~repro.engine.state.ComponentLabelState`) hold the
     per-vertex arrays and implement the round kernels; the engine only
     talks to this interface.
@@ -183,8 +182,8 @@ class TraversalEngine:
     tiebreak:
         A :class:`~repro.engine.tiebreak.TiebreakPolicy` resolving
         concurrent claims; states whose push kernel delegates to it
-        (the decomposition family) require one, the BFS states resolve
-        with the arbitrary-CRCW race directly and may omit it.
+        (the decomposition family) require one, the BFS family's state
+        resolves with the arbitrary-CRCW race directly and may omit it.
     """
 
     def __init__(

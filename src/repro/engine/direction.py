@@ -7,12 +7,11 @@ to expand the frontier's out-edges.  The engine makes the decision a
 pluggable per-round policy:
 
 * :class:`AlwaysPush` — classic level-synchronous traversal.
-* :class:`AlwaysPull` — every round read-based (BFS ablations; also a
-  legal, if eccentric, decomposition configuration).
 * :class:`FractionHybrid` — the paper's 20 %-of-vertices rule, used by
-  Decomp-Arb-Hybrid, Decomp-Min-Hybrid, and direction-optimizing BFS.
+  Decomp-Arb-Hybrid and Decomp-Min-Hybrid.
 * :class:`LigraEdgeHybrid` — Ligra's edge-count heuristic
-  (frontier out-degree + size vs. (m + n)/20), used by hybrid-BFS-CC.
+  (frontier out-degree + size vs. (m + n)/20), used by hybrid-BFS-CC
+  and multistep-CC.
 
 Both hybrids take their threshold from :data:`DENSE_THRESHOLD`, the
 paper's 20 %, unless a caller passes another.
@@ -41,7 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DirectionPolicy",
     "AlwaysPush",
-    "AlwaysPull",
     "FractionHybrid",
     "LigraEdgeHybrid",
     "DENSE_THRESHOLD",
@@ -91,21 +89,6 @@ class AlwaysPush(DirectionPolicy):
         claimed: int,
     ) -> bool:
         return False
-
-
-class AlwaysPull(DirectionPolicy):
-    """Every round read-based (the forced bottom-up ablation)."""
-
-    def __init__(self, sparse_phase: Optional[str] = None) -> None:
-        self.sparse_phase = sparse_phase
-
-    def go_dense(
-        self,
-        engine: "TraversalEngine",
-        state: "TraversalState",
-        claimed: int,
-    ) -> bool:
-        return True
 
 
 class FractionHybrid(DirectionPolicy):

@@ -133,7 +133,7 @@ class _RunFrame:
         self.atomics: Dict[int, List[np.ndarray]] = {}
         #: Winner sets sanctioned for this round (array-agnostic: a
         #: first_winner claim may legally fan out over several of the
-        #: state's arrays — parents, distances, visited).
+        #: state's arrays — the spanning forest's parents and reached).
         self.sanctioned: List[np.ndarray] = []
 
 
@@ -289,8 +289,8 @@ class PramSanitizer:
 
         ``first_winner`` returns distinct destinations, so sanctioned
         sets cannot self-conflict; they are array-agnostic because one
-        claim legally writes several state arrays (parents, distances,
-        visited) at the same winner indices.
+        claim legally writes several state arrays (the spanning forest's
+        parents and reached) at the same winner indices.
         """
         self.cas_checked += 1
         frame = self._current_frame()

@@ -31,6 +31,10 @@ output or cost-model change is being made, and record the reason here:
   totals that sum them, and, since this regeneration re-captured it
   from the engine, the ``bfsDense|scan`` depth, still within the parity
   test's slack of the pre-engine value.  Outputs did not move.
+* the BFS-tree layer (``parallel_bfs``, ``hybrid_bfs``) was deleted:
+  no Table 2 row ran it.  The ``bfs/*`` entries lost their
+  ``parallel_bfs`` and ``hybrid_bfs`` keys; every other key and entry
+  is byte-identical.
 
 Usage::
 
@@ -48,7 +52,6 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 
-from repro.bfs import hybrid_bfs, parallel_bfs  # noqa: E402
 from repro.connectivity import hybrid_bfs_cc  # noqa: E402
 from repro.decomp import DECOMP_VARIANTS  # noqa: E402
 from repro.pram.cost import tracking  # noqa: E402
@@ -114,36 +117,17 @@ def _profile_dict(t) -> dict:
 
 
 def capture_bfs(graph) -> dict:
-    """Pin the BFS family: outputs and cost profiles must not drift."""
-    out = {}
-    with tracking() as t:
-        res = parallel_bfs(graph, 0)
-    out["parallel_bfs"] = {
-        "parents_sha256": _digest(res.parents),
-        "distances_sha256": _digest(res.distances),
-        "num_rounds": res.num_rounds,
-        "num_visited": res.num_visited,
-        **_profile_dict(t),
-    }
-    with tracking() as t:
-        res = hybrid_bfs(graph, 0)
-    out["hybrid_bfs"] = {
-        "parents_sha256": _digest(res.parents),
-        "distances_sha256": _digest(res.distances),
-        "num_rounds": res.num_rounds,
-        "num_visited": res.num_visited,
-        "directions": res.directions,
-        **_profile_dict(t),
-    }
+    """Pin hybrid-BFS-CC: its outputs and cost profile must not drift."""
     with tracking() as t:
         res = hybrid_bfs_cc(graph)
-    out["hybrid_bfs_cc"] = {
-        "labels_sha256": _digest(res.labels),
-        "num_components": res.num_components,
-        "iterations": res.iterations,
-        **_profile_dict(t),
+    return {
+        "hybrid_bfs_cc": {
+            "labels_sha256": _digest(res.labels),
+            "num_components": res.num_components,
+            "iterations": res.iterations,
+            **_profile_dict(t),
+        }
     }
-    return out
 
 
 def main() -> None:

@@ -1,88 +1,19 @@
-"""Unit tests for the pull sweep, parallel BFS and direction-optimizing BFS."""
+"""Unit tests for the pull sweep and the BFS family's entry points."""
 
 import numpy as np
 import pytest
 
-from repro.bfs.hybrid_bfs import hybrid_bfs
-from repro.bfs.parallel_bfs import parallel_bfs
-from repro.connectivity.hybrid_bfs_cc import bfs_from_source, hybrid_bfs_cc
-from repro.connectivity.multistep import multistep_cc
+from repro.connectivity.hybrid_bfs_cc import bfs_from_source
 from repro.decomp import decomp_arb_hybrid, decomp_min_hybrid
-from repro.engine import BFSTreeState, TraversalEngine
-from repro.engine.direction import AlwaysPull, FractionHybrid, LigraEdgeHybrid
+from repro.engine.direction import FractionHybrid, LigraEdgeHybrid
 from repro.engine.kernels import bottom_up_step
 from repro.errors import ParameterError
-from repro.graphs.generators import (
-    binary_tree,
-    clique,
-    grid3d,
-    line_graph,
-    random_kregular,
-    star_graph,
-)
+from repro.graphs.generators import clique, line_graph, random_kregular, star_graph
 from repro.pram.cost import tracking
 
 
-def nx_distances(g, source):
-    """Reference BFS distances via networkx."""
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(range(g.num_vertices))
-    s, d = g.edge_array()
-    G.add_edges_from(zip(s.tolist(), d.tolist()))
-    dist = nx.single_source_shortest_path_length(G, source)
-    out = np.full(g.num_vertices, -1, dtype=np.int64)
-    for v, dv in dist.items():
-        out[v] = dv
-    return out
-
-
-class TestParallelBFS:
-    @pytest.mark.parametrize(
-        "graph",
-        [
-            line_graph(30),
-            star_graph(10),
-            clique(8),
-            grid3d(4),
-            binary_tree(4),
-            random_kregular(300, 3, seed=1),
-        ],
-        ids=["line", "star", "clique", "grid", "tree", "random"],
-    )
-    def test_distances_match_networkx(self, graph):
-        got = parallel_bfs(graph, 0).distances
-        assert np.array_equal(got, nx_distances(graph, 0))
-
-    def test_parents_form_valid_tree(self):
-        g = grid3d(4)
-        res = parallel_bfs(g, 0)
-        # every non-source visited vertex's parent is one hop closer
-        for v in range(1, g.num_vertices):
-            p = res.parents[v]
-            assert p >= 0
-            assert res.distances[v] == res.distances[p] + 1
-
-    def test_unreached_vertices_marked(self):
-        from repro.graphs.generators import disjoint_union_edges
-
-        g = disjoint_union_edges([line_graph(5), line_graph(5)])
-        res = parallel_bfs(g, 0)
-        assert (res.distances[5:] == -1).all()
-        assert res.num_visited == 5
-
-    def test_num_rounds_is_eccentricity_plus_one(self):
-        res = parallel_bfs(line_graph(20), 0)
-        assert res.num_rounds == 20  # last round discovers nothing
-
-    def test_bad_source(self):
-        with pytest.raises(ValueError):
-            parallel_bfs(line_graph(3), 5)
-
-
 class TestSourceRange:
-    """Both BFS states reject a source outside [0, n) before any write."""
+    """The BFS state rejects a source outside [0, n) before any write."""
 
     @pytest.mark.parametrize("source", [-1, 6])
     def test_component_labeling_rejects_without_writing(self, source):
@@ -94,25 +25,6 @@ class TestSourceRange:
             bfs_from_source(g, source, labels, 4)
         assert isinstance(err.value, ValueError)
         assert np.array_equal(labels, before)
-
-    @pytest.mark.parametrize("source", [-1, 6])
-    @pytest.mark.parametrize("bfs", [parallel_bfs, hybrid_bfs])
-    def test_bfs_tree_rejects(self, bfs, source):
-        with pytest.raises(ParameterError, match="out of range") as err:
-            bfs(line_graph(6), source)
-        assert isinstance(err.value, ValueError)
-
-
-def test_pull_without_visited_bitmap_rejects_before_writing():
-    # A pull sweeps the visited bitmap, which an untracked state lacks;
-    # the refusal is a typed error (not an assert, which ``python -O``
-    # strips), raised before the round writes anything.
-    state = BFSTreeState(line_graph(6), 0, track_visited=False)
-    parents, distances = state.parents.copy(), state.distances.copy()
-    with pytest.raises(ParameterError, match="track_visited"):
-        TraversalEngine(state, direction=AlwaysPull()).run()
-    assert np.array_equal(state.parents, parents)
-    assert np.array_equal(state.distances, distances)
 
 
 class TestDenseThreshold:
@@ -130,12 +42,6 @@ class TestDenseThreshold:
     @pytest.mark.parametrize("threshold", BAD)
     def test_entry_points_reject(self, threshold):
         g = clique(5)
-        with pytest.raises(ParameterError):
-            hybrid_bfs(g, 0, dense_threshold=threshold)
-        with pytest.raises(ParameterError):
-            hybrid_bfs_cc(g, dense_threshold=threshold)
-        with pytest.raises(ParameterError):
-            multistep_cc(g, dense_threshold=threshold)
         for decomp in (decomp_arb_hybrid, decomp_min_hybrid):
             with pytest.raises(ParameterError):
                 decomp(g, 0.2, dense_threshold=threshold)
@@ -148,63 +54,9 @@ class TestDenseThreshold:
 
     def test_above_one_never_pulls(self):
         g = random_kregular(300, 10, seed=7)
-        res = hybrid_bfs(g, 0, dense_threshold=2.0)
-        assert set(res.directions) == {"top-down"}
         with tracking():
             dec = decomp_arb_hybrid(g, 0.2, dense_threshold=2.0)
         assert dec.dense_rounds == []
-
-
-class TestHybridBFS:
-    @pytest.mark.parametrize(
-        "graph",
-        [
-            line_graph(30),
-            clique(12),
-            grid3d(4),
-            random_kregular(400, 4, seed=2),
-            star_graph(50),
-        ],
-        ids=["line", "clique", "grid", "random", "star"],
-    )
-    def test_distances_match_plain_bfs(self, graph):
-        plain = parallel_bfs(graph, 0).distances
-        hybrid = hybrid_bfs(graph, 0).distances
-        assert np.array_equal(plain, hybrid)
-
-    def test_dense_rounds_triggered_on_dense_graph(self):
-        # needs a graph whose mid-BFS frontier is >20% of the remaining
-        # unvisited vertices while some remain — a dense random graph
-        g = random_kregular(300, 10, seed=7)
-        res = hybrid_bfs(g, 0)
-        assert "bottom-up" in res.directions
-
-    def test_line_never_goes_dense(self):
-        res = hybrid_bfs(line_graph(100), 0)
-        assert set(res.directions) == {"top-down"}
-
-    def test_force_direction_top_down(self):
-        g = clique(20)
-        res = hybrid_bfs(g, 0, force_direction="top-down")
-        assert set(res.directions) == {"top-down"}
-        assert np.array_equal(res.distances, parallel_bfs(g, 0).distances)
-
-    def test_force_direction_bottom_up(self):
-        g = clique(20)
-        res = hybrid_bfs(g, 0, force_direction="bottom-up")
-        assert set(res.directions) == {"bottom-up"}
-        assert np.array_equal(res.distances, parallel_bfs(g, 0).distances)
-
-    def test_bad_force_direction(self):
-        with pytest.raises(ParameterError, match="force_direction"):
-            hybrid_bfs(clique(3), 0, force_direction="sideways")
-
-    def test_parents_consistent(self):
-        g = random_kregular(200, 5, seed=3)
-        res = hybrid_bfs(g, 0)
-        for v in range(g.num_vertices):
-            if v != 0 and res.distances[v] > 0:
-                assert res.distances[res.parents[v]] == res.distances[v] - 1
 
 
 class TestBottomUpStep:

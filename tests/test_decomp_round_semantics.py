@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 import repro.runtime.context as context_module
-from repro.bfs import hybrid_bfs, parallel_bfs
 from repro.connectivity import hybrid_bfs_cc
 from repro.decomp import decomp_arb, decomp_min
 from repro.decomp.base import DecompState
@@ -270,16 +269,9 @@ class TestContextReadsPerRound:
 
 
 class TestBFSContextReadsPerTraversal:
-    """The BFS states resolve the context once, when they are built."""
+    """The BFS state resolves the context once, when it is built."""
 
-    @pytest.mark.parametrize(
-        "traverse",
-        [
-            pytest.param(hybrid_bfs_cc, id="hybrid_bfs_cc"),
-            pytest.param(lambda graph: parallel_bfs(graph, 0), id="parallel_bfs"),
-            pytest.param(lambda graph: hybrid_bfs(graph, 0), id="hybrid_bfs"),
-        ],
-    )
+    @pytest.mark.parametrize("traverse", [hybrid_bfs_cc], ids=["hybrid_bfs_cc"])
     def test_reads_do_not_grow_with_rounds(self, traverse):
         # One component, one traversal: 2,000 and 20,000 rounds.
         reads = []

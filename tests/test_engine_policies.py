@@ -3,12 +3,12 @@
 Two families of guarantees:
 
 * **Combination validity** — every built-in tie-break x direction
-  combination (including configurations no named variant uses, like a
-  pull-only writeMin decomposition) produces a *valid* decomposition on
-  every test graph: fully labeled, centers own their partitions,
-  partitions connected, the recorded inter-edge count matching a
-  from-scratch recount, one frontier appearance per vertex, and
-  deterministic under a fixed seed.
+  combination, plus a test-local always-pull rule (configurations no
+  named variant uses, like a pull-only writeMin decomposition),
+  produces a *valid* decomposition on every test graph: fully labeled,
+  centers own their partitions, partitions connected, the recorded
+  inter-edge count matching a from-scratch recount, one frontier
+  appearance per vertex, and deterministic under a fixed seed.
 * **Extension points** — a custom direction rule, a plain subclass
   passed in as an instance, is actually consulted, and the Decomp-Min-Hybrid
   variant behaves as its policy table says (collapses to Decomp-Min
@@ -27,7 +27,6 @@ from repro.connectivity import decomp_cc
 from repro.decomp import DECOMP_VARIANTS, decomp_min, decomp_min_hybrid
 from repro.decomp.base import DecompState
 from repro.engine import (
-    AlwaysPull,
     AlwaysPush,
     ArbTiebreak,
     DirectionPolicy,
@@ -68,7 +67,15 @@ def zoo():
     return _zoo()
 
 
-#: Name -> factory from the input graph, for every built-in policy.
+class AlwaysPull(DirectionPolicy):
+    """Every round read-based: no library caller wants it, but it is legal."""
+
+    def go_dense(self, engine, state, claimed):
+        return True
+
+
+#: Name -> factory from the input graph, for every built-in policy and
+#: the test-local always-pull rule.
 DIRECTIONS = {
     "fraction": lambda graph: FractionHybrid(),
     "ligra-edges": LigraEdgeHybrid,

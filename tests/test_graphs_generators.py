@@ -22,6 +22,8 @@ from repro.graphs.generators import (
     star_graph,
 )
 
+from .bfs_reference import bfs_distances
+
 
 class TestRandomKRegular:
     def test_sizes(self):
@@ -80,11 +82,8 @@ class TestRMat:
         g = rmat2_paper(scale=8, seed=1)
         assert g.num_edges > 10 * g.num_vertices
         # giant component reachable in few hops from a hub
-        from repro.bfs.parallel_bfs import parallel_bfs
-
         hub = int(np.argmax(g.degrees))
-        res = parallel_bfs(g, hub)
-        assert res.num_rounds <= 8
+        assert bfs_distances(g, hub).max() <= 7
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ParameterError):
@@ -140,11 +139,7 @@ class TestLineAndCycle:
         assert g.num_vertices == 100 and g.num_edges == 99
 
     def test_line_diameter_is_n_minus_1(self):
-        from repro.bfs.parallel_bfs import parallel_bfs
-
-        g = line_graph(50)
-        res = parallel_bfs(g, 0)
-        assert res.distances.max() == 49
+        assert bfs_distances(line_graph(50), 0).max() == 49
 
     def test_line_endpoint_degrees(self):
         g = line_graph(10)

@@ -1,14 +1,14 @@
-"""Property-based tests for graph construction and BFS."""
+"""Property-based tests for graph construction and relabeling."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bfs.hybrid_bfs import hybrid_bfs
-from repro.bfs.parallel_bfs import parallel_bfs
 from repro.graphs.builder import from_edges
 from repro.graphs.ops import edges_as_undirected_pairs, relabel_graph
 from repro.primitives.rand import random_permutation
+
+from .bfs_reference import bfs_distances
 
 COMMON = dict(
     max_examples=40,
@@ -69,38 +69,8 @@ def test_relabeling_preserves_bfs_distances_multiset(data, seed):
     g = from_edges(src, dst, num_vertices=n)
     perm = random_permutation(n, seed)
     h = relabel_graph(g, perm)
-    d_g = parallel_bfs(g, 0).distances
-    d_h = parallel_bfs(h, int(perm[0])).distances
+    d_g = bfs_distances(g, 0)
+    d_h = bfs_distances(h, int(perm[0]))
     # distances from the (relabeled) same source: same multiset, and
     # pointwise equal after permuting
     assert np.array_equal(d_h[perm], d_g)
-
-
-@settings(**COMMON)
-@given(data=edge_lists(), source=st.integers(min_value=0, max_value=29))
-def test_hybrid_bfs_equals_plain_bfs(data, source):
-    n, edges = data
-    if source >= n:
-        source = source % n
-    src = np.array([a for a, _ in edges], dtype=np.int64)
-    dst = np.array([b for _, b in edges], dtype=np.int64)
-    g = from_edges(src, dst, num_vertices=n)
-    assert np.array_equal(
-        parallel_bfs(g, source).distances, hybrid_bfs(g, source).distances
-    )
-
-
-@settings(**COMMON)
-@given(data=edge_lists())
-def test_bfs_distances_satisfy_triangle_on_edges(data):
-    """BFS distances of adjacent vertices differ by at most 1."""
-    n, edges = data
-    src = np.array([a for a, _ in edges], dtype=np.int64)
-    dst = np.array([b for _, b in edges], dtype=np.int64)
-    g = from_edges(src, dst, num_vertices=n)
-    dist = parallel_bfs(g, 0).distances
-    s, d = g.edge_array()
-    both = (dist[s] >= 0) & (dist[d] >= 0)
-    assert np.all(np.abs(dist[s[both]] - dist[d[both]]) <= 1)
-    # reachability is symmetric along edges
-    assert np.all((dist[s] >= 0) == (dist[d] >= 0))

@@ -1,4 +1,4 @@
-"""Pinned charges of the read-based sweep and its three callers' stores.
+"""Pinned charges of the read-based sweep and its two callers' stores.
 
 Every pull round charges the sweep (:func:`~repro.engine.kernels.bottom_up_step`)
 as one ``scan`` and no atomic: each unvisited vertex is read and written
@@ -8,8 +8,6 @@ whether or not any vertex hit the frontier:
 
 * ``dense_round`` (the decomposition hybrids) charges the adoption
   scatter;
-* ``BFSTreeState`` (``hybrid_bfs``) charges the parent scatter, in every
-  pull round that has unvisited vertices;
 * ``ComponentLabelState`` (hybrid-BFS-CC, multistep-CC) charges the
   label claim once.
 
@@ -24,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bfs import hybrid_bfs
 from repro.connectivity.hybrid_bfs_cc import bfs_from_source
 from repro.decomp import decomp_arb_hybrid
 from repro.engine.backend import use_backend
@@ -43,23 +40,6 @@ BACKENDS = ["reference", "fast"]
 def _path_and_triangle():
     # Vertices 0-3 form a path, 4-6 a triangle the BFS from 0 never reaches.
     return disjoint_union_edges([line_graph(4), clique(3)])
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_forced_bottom_up_bfs_charges_empty_scatter(backend):
-    # Round 3 sweeps from {3}: the triangle is unvisited but unreachable,
-    # so the round has no winners and still charges its scatter.
-    graph = _path_and_triangle()
-    with use_backend(backend), tracking() as tracker:
-        res = hybrid_bfs(graph, 0, force_direction="bottom-up")
-    assert res.directions == ["bottom-up"] * 4
-    assert res.distances.tolist() == [0, 1, 2, 3, -1, -1, -1]
-    assert tracker.snapshot() == {
-        ("unphased", "alloc"): (21.0, 1.0),
-        ("unphased", "scatter"): (7.0, 8.0),
-        ("unphased", "scan"): (77.0, 20.0),
-    }
-    assert tracker.sync_count == 4
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -21,16 +21,21 @@ import numpy as np
 import pytest
 
 import repro.decomp.base as decomp_base
-from repro.bfs import hybrid_bfs
 from repro.cli import main
 from repro.connectivity.hybrid_bfs_cc import bfs_from_source
 from repro.decomp import DECOMP_VARIANTS, decomp_arb_hybrid
-from repro.engine import BFSTreeState, ComponentLabelState
+from repro.engine import ComponentLabelState
 from repro.engine.backend import use_backend
 from repro.engine.kernels import dense_round
 from repro.errors import SanitizerError
 from repro.experiments.harness import profile_run
-from repro.graphs import disjoint_union_edges, empty_graph, line_graph, star_graph
+from repro.graphs import (
+    disjoint_union_edges,
+    empty_graph,
+    grid3d,
+    line_graph,
+    star_graph,
+)
 from repro.pram.sanitizer import PramSanitizer, sanitizing
 from repro.resilience import parse_fault_plan
 from repro.runtime.context import current_context
@@ -80,15 +85,22 @@ class TestGoldenFixturesRaceFree:
 class TestFaultCrossValidation:
     """The sanitizer catches what the fault framework injects."""
 
-    def test_cas_flip_detected_as_cas_order_race(self):
+    @pytest.mark.parametrize(
+        "algorithm, make_graph, kwargs",
+        [
+            ("decomp-arb-CC", lambda: line_graph(200), {"seed": 1}),
+            # The BFS family's push rounds race through first_winner
+            # too, so the flip reaches them; they take no seed.
+            ("hybrid-BFS-CC", lambda: grid3d(5), {}),
+            ("multistep-CC", lambda: grid3d(5), {}),
+        ],
+        ids=["decomp-arb", "hybrid-BFS", "multistep"],
+    )
+    def test_cas_flip_detected_as_cas_order_race(self, algorithm, make_graph, kwargs):
         plan = parse_fault_plan("cas_flip:p=1.0,max_fires=1000000", seed=0)
         with sanitizing(halt_on_race=False) as sanitizer:
             profile_run(
-                "decomp-arb-CC",
-                line_graph(200),
-                verify=False,
-                fault_plan=plan,
-                seed=1,
+                algorithm, make_graph(), verify=False, fault_plan=plan, **kwargs
             )
         assert plan.fired
         assert sanitizer.races
@@ -158,17 +170,6 @@ class TestPullRoundStores:
             "C",
             1,
         )
-
-    def test_bfs_tree_pull(self, monkeypatch):
-        real = BFSTreeState.pull_round
-        monkeypatch.setattr(
-            BFSTreeState, "pull_round", _plant_store(real, lambda s: s.parents)
-        )
-        with pytest.raises(SanitizerError) as excinfo:
-            with sanitizing():
-                hybrid_bfs(line_graph(6), 0, force_direction="bottom-up")
-        report = excinfo.value.report
-        assert (report.kind, report.array) == ("unsanctioned-write", "parents")
 
     def test_component_label_pull(self, monkeypatch):
         real = ComponentLabelState.pull_round
