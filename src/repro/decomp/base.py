@@ -19,7 +19,7 @@ under the variant's two policies and assembles the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -61,7 +61,12 @@ def validate_beta(beta: float) -> None:
         raise ParameterError(f"beta must be in (0,1), got {beta}")
 
 
-@dataclass(eq=False)
+#: ``(inter_src, inter_dst, orig_src, orig_dst)`` chunk lists, aligned.
+KeptChunks = Tuple[
+    List[np.ndarray], List[np.ndarray], List[np.ndarray], List[np.ndarray]
+]
+
+
 class Decomposition:
     """Result of one low-diameter decomposition.
 
@@ -92,22 +97,74 @@ class Decomposition:
         the breakdown figures visualise.
     dense_rounds:
         Round indices the hybrid ran read-based (empty for min/arb).
+
+    The four inter-edge arrays are int64 and are built on first read.
+    A decomposition run keeps its surviving edges as the chunks its
+    rounds recorded them in (:attr:`kept`: the labels in the level's
+    narrow label type, the endpoints in int64), and contraction forms
+    its pair keys from those chunks and reads the endpoint arrays only
+    at its representatives.  Built from plain arrays, the decomposition
+    holds them as one chunk.
     """
 
-    labels: np.ndarray
-    inter_src: np.ndarray
-    inter_dst: np.ndarray
-    orig_src: np.ndarray
-    orig_dst: np.ndarray
-    num_rounds: int
-    frontier_sizes: List[int] = field(default_factory=list)
-    edges_inspected: int = 0
-    dense_rounds: List[int] = field(default_factory=list)
+    def __init__(
+        self,
+        labels: np.ndarray,
+        inter_src: np.ndarray,
+        inter_dst: np.ndarray,
+        orig_src: np.ndarray,
+        orig_dst: np.ndarray,
+        num_rounds: int,
+        frontier_sizes: Optional[List[int]] = None,
+        edges_inspected: int = 0,
+        dense_rounds: Optional[List[int]] = None,
+    ) -> None:
+        self.labels = labels
+        self.kept: KeptChunks = ([inter_src], [inter_dst], [orig_src], [orig_dst])
+        self.num_rounds = num_rounds
+        self.frontier_sizes = frontier_sizes if frontier_sizes is not None else []
+        self.edges_inspected = edges_inspected
+        self.dense_rounds = dense_rounds if dense_rounds is not None else []
+
+    @classmethod
+    def from_chunks(
+        cls,
+        labels: np.ndarray,
+        kept: KeptChunks,
+        num_rounds: int,
+        frontier_sizes: List[int],
+        edges_inspected: int,
+        dense_rounds: List[int],
+    ) -> "Decomposition":
+        """A decomposition over the chunk lists a :class:`DecompState` kept."""
+        empty = np.zeros(0, dtype=np.int64)
+        dec = cls(
+            labels, empty, empty, empty, empty, num_rounds,
+            frontier_sizes, edges_inspected, dense_rounds,
+        )  # fmt: skip
+        dec.kept = kept
+        return dec
+
+    @cached_property
+    def inter_src(self) -> np.ndarray:
+        return joined(self.kept[0])
+
+    @cached_property
+    def inter_dst(self) -> np.ndarray:
+        return joined(self.kept[1])
+
+    @cached_property
+    def orig_src(self) -> np.ndarray:
+        return joined(self.kept[2])
+
+    @cached_property
+    def orig_dst(self) -> np.ndarray:
+        return joined(self.kept[3])
 
     @property
     def num_inter_directed(self) -> int:
         """Directed inter-component edge count (2x the undirected count)."""
-        return int(self.inter_src.size)
+        return sum(int(chunk.size) for chunk in self.kept[0])
 
     @property
     def num_components(self) -> int:
@@ -122,6 +179,15 @@ class Decomposition:
         ]
 
 
+def joined(chunks: List[np.ndarray]) -> np.ndarray:
+    """The concatenation of *chunks*, in int64 (a lone int64 chunk as is)."""
+    if len(chunks) == 1:
+        return chunks[0].astype(np.int64, copy=False)
+    if not chunks:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(chunks, dtype=np.int64)
+
+
 class DecompState(TraversalState):
     """Mutable per-run state shared by the decomposition main loops.
 
@@ -130,8 +196,9 @@ class DecompState(TraversalState):
     ``C`` holds only ``UNVISITED`` and vertex ids, so it is kept in
     :func:`~repro.engine.core.label_dtype` (``n``), the smallest signed
     type that holds them, and every round streams its labels in that
-    type.  Labels are widened to int64 where they leave the state: in
-    :meth:`keep_inter` and in :meth:`finish`.  As a
+    type.  The kept edges' labels stay in that type too
+    (:meth:`keep_inter`); only the labels :meth:`finish` returns are
+    widened to int64.  As a
     :class:`~repro.engine.core.TraversalState` it plugs into the
     :class:`~repro.engine.core.TraversalEngine`: ``begin_round`` is the
     center-seeding / resilience boundary (:meth:`start_new_centers`),
@@ -296,37 +363,33 @@ class DecompState(TraversalState):
         orig_src: np.ndarray,
         orig_dst: np.ndarray,
     ) -> None:
-        """Record surviving (inter-component) directed edges.
+        """Record surviving (inter-component) directed edges, as one chunk.
 
         *src_labels*/*dst_labels* are the relabeled (component-id)
-        endpoints, in ``C``'s type, and are widened to int64 here;
-        *orig_src*/*orig_dst* the original vertex pair, kept so
-        contraction can nominate representative real edges.
+        endpoints, kept in ``C``'s type; *orig_src*/*orig_dst* the
+        original vertex pair, kept so contraction can nominate
+        representative real edges.
         """
         if src_labels.size:
-            self.inter_src_chunks.append(src_labels.astype(np.int64, copy=False))
-            self.inter_dst_chunks.append(dst_labels.astype(np.int64, copy=False))
+            self.inter_src_chunks.append(src_labels)
+            self.inter_dst_chunks.append(dst_labels)
             self.orig_src_chunks.append(orig_src)
             self.orig_dst_chunks.append(orig_dst)
 
     def finish(self) -> Decomposition:
-        """Assemble the result after the main loop drains."""
-        if self.inter_src_chunks:
-            inter_src = np.concatenate(self.inter_src_chunks)
-            inter_dst = np.concatenate(self.inter_dst_chunks)
-            orig_src = np.concatenate(self.orig_src_chunks)
-            orig_dst = np.concatenate(self.orig_dst_chunks)
-        else:
-            inter_src = np.zeros(0, dtype=np.int64)
-            inter_dst = np.zeros(0, dtype=np.int64)
-            orig_src = np.zeros(0, dtype=np.int64)
-            orig_dst = np.zeros(0, dtype=np.int64)
-        return Decomposition(
-            labels=self.C.astype(np.int64),
-            inter_src=inter_src,
-            inter_dst=inter_dst,
-            orig_src=orig_src,
-            orig_dst=orig_dst,
+        """Assemble the result after the main loop drains.
+
+        The kept chunks pass to the result as they are; its int64
+        inter-edge arrays are built only when read.
+        """
+        return Decomposition.from_chunks(
+            self.C.astype(np.int64),
+            (
+                self.inter_src_chunks,
+                self.inter_dst_chunks,
+                self.orig_src_chunks,
+                self.orig_dst_chunks,
+            ),
             num_rounds=self.round,
             frontier_sizes=self.frontier_sizes,
             edges_inspected=self.edges_inspected,

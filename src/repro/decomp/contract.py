@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.decomp.base import Decomposition
+from repro.decomp.base import Decomposition, joined
 from repro.errors import GraphFormatError
 from repro.graphs.builder import from_directed_edges
 from repro.graphs.csr import CSRGraph
@@ -148,11 +148,8 @@ def contract(
     vertex_to_component = component_of_center[labels]
     tracker.add("gather", work=float(num_vertices), depth=1.0)
 
-    src = component_of_center[decomposition.inter_src]
-    dst = component_of_center[decomposition.inter_dst]
-    orig_src = decomposition.orig_src
-    orig_dst = decomposition.orig_dst
-    tracker.add("gather", work=float(2 * src.size), depth=1.0)
+    kept = decomposition.num_inter_directed
+    tracker.add("gather", work=float(2 * kept), depth=1.0)
 
     # --- 2. duplicate-edge removal (parallel hash table). ------------
     # The table's first-inserter-per-key is the representative original
@@ -160,28 +157,27 @@ def contract(
     # needs it to pull contracted tree edges back to real edges).  The
     # grouping the table probes by is the sorted representative index
     # for O(log) pair lookups: the distinct keys in ascending order.
-    if src.size and remove_duplicates:
-        keys = src * np.int64(k) + dst
+    keys = _pair_keys(decomposition, component_of_center, k)
+    if kept and remove_duplicates:
         groups = group_keys(keys, max_key=k * k - 1)
-        table = HashTable(capacity=keys.size, seed=dedup_seed)
+        table = HashTable(capacity=kept, seed=dedup_seed)
         inserted = table.insert(keys, groups)
+        edge_pairs = groups.keys
         # Each pair went in once, at its first copy or, when a cas_flip
-        # handed the race to the last contender, at its last.
+        # handed the race to the last contender, at its last.  Only
+        # these representatives' endpoints are gathered.
         won = groups.first
         if groups.by_first is not None:
-            won = np.where(inserted[won], won, groups.last)
-        edge_pairs = groups.keys
-        rep_src = orig_src[won] if orig_src.size else orig_src
-        rep_dst = orig_dst[won] if orig_dst.size else orig_dst
-        # The contracted graph takes the deduplicated edges in stream
-        # order: the graph build keeps it within a source, and the next
-        # level's races read it.
-        keys = keys[inserted]
-        src = keys // k
-        dst = keys % k
+            won = np.where(inserted.take(won), won, groups.last)
+            # The contracted graph takes the deduplicated edges in
+            # stream order (with every key distinct, that is the stream
+            # itself): the graph build keeps it within a source, and
+            # the next level's races read it.
+            keys = edge_pairs.take(won.argsort())
+        rep_src = decomposition.orig_src.take(won)
+        rep_dst = decomposition.orig_dst.take(won)
         tracker.add("scan", work=float(keys.size), depth=1.0)
     else:
-        keys = src * np.int64(k) + dst
         # Without the dedup equal keys survive, and stability keeps the
         # first-recorded edge the representative.  The fast backend runs
         # the sort as one packed-word value sort; the permutation is the
@@ -191,9 +187,11 @@ def contract(
         else:
             order = np.argsort(keys, kind="stable")
         edge_pairs = keys[order]
-        rep_src = orig_src[order] if orig_src.size else orig_src
-        rep_dst = orig_dst[order] if orig_dst.size else orig_dst
+        rep_src = decomposition.orig_src[order]
+        rep_dst = decomposition.orig_dst[order]
     tracker.add("sort", work=float(keys.size), depth=1.0)
+    src = keys // k
+    dst = keys % k
 
     # --- 3. drop singletons, rename survivors to [0, k'). ------------
     touched = np.zeros(k, dtype=bool)
@@ -229,3 +227,20 @@ def contract(
         rep_src=rep_src,
         rep_dst=rep_dst,
     )
+
+
+def _pair_keys(
+    decomposition: Decomposition, component_of_center: np.ndarray, k: int
+) -> np.ndarray:
+    """The component-pair key ``src * k + dst`` of every surviving edge.
+
+    Formed straight from the label chunks the rounds kept.  Each side is
+    joined into an int64 index only for its gather, and dropped:
+    ``take`` through a narrow index converts it element by element,
+    about four times slower.
+    """
+    src, dst = decomposition.kept[:2]
+    keys = component_of_center.take(joined(src))
+    keys *= k
+    keys += component_of_center.take(joined(dst))
+    return keys

@@ -161,8 +161,8 @@ def arb_round(state: "DecompState") -> np.ndarray:
     (:func:`~repro.engine.core.label_dtype`), so each per-edge gather
     and compare moves a few bytes per edge; the winners' labels are
     read through two ``take``s (position of the raced edge, then its
-    source label), and only the kept labels are widened, by
-    :meth:`~repro.decomp.base.DecompState.keep_inter`.
+    source label), and the kept labels stay narrow
+    (:meth:`~repro.decomp.base.DecompState.keep_inter`).
 
     A round that runs once every vertex is visited (a drain round)
     races nothing: it only classifies its frontier's edges.  It does
@@ -256,9 +256,9 @@ def min_round(
     The gathers of kept and lost edges are skipped when there are none.
 
     The label streams are in ``C``'s narrow type, as in
-    :func:`arb_round`; the raced edges' centers are widened to int64
-    once, for the ``frac`` gather, the pair encoding and the payload
-    compare.
+    :func:`arb_round`, and so are the labels it keeps; the raced edges'
+    centers are widened to int64 once, for the ``frac`` gather, the
+    pair encoding and the payload compare.
 
     Unlike :func:`arb_round`, the kernel keeps the whole source stream:
     most of its rounds keep or lose some edge, and one ``repeat`` of the
@@ -356,7 +356,7 @@ def min_round(
             lost = (~won).nonzero()[0]
             lose_dst = dst_unvis.take(lost)
             state.keep_inter(
-                centers.take(lost),
+                cu_unvis.take(lost),
                 C.take(lose_dst),
                 src.take(unvis_pos.take(lost)),
                 lose_dst,
@@ -402,16 +402,31 @@ def dense_round(state: "DecompState") -> np.ndarray:
     return winners
 
 
+#: :func:`_label_stream` gathers one byte per edge and compares the
+#: minor vertices' edges apart while those edges are at most 1/this of
+#: the stream, and compares both labels of every edge past that: on
+#: ``orkut_like(30_000, 76.0)`` the two cost the same near 1/16
+#: (docs/performance.md).
+_MINOR_EDGE_SHARE = 16
+
+
 def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
     """The storage-order label stream of the level: ``(differ, first)``.
 
-    Compares the two endpoint labels of every edge of the CSR in storage
-    order, reading ``C`` in its own narrow type
-    (:func:`~repro.engine.core.label_dtype`), so the two label streams
-    cost a few bytes per edge.  ``differ`` lists the positions of the
-    edges whose labels differ, ascending; ``first[v]`` is the index in
-    ``differ`` of vertex ``v``'s first such edge (``first[n]`` is
+    ``differ`` lists the positions, ascending, of the CSR's edges whose
+    two endpoint labels differ; ``first[v]`` is the index in ``differ``
+    of vertex ``v``'s first such edge (``first[n]`` is
     ``differ.size``), one binary search of the vertex offsets each.
+
+    A multi-partition level usually ends with one partition holding
+    most vertices.  An edge whose source carries that *major* label
+    differs exactly where its target does not.  So while the *minor*
+    vertices' own edges are few (:data:`_MINOR_EDGE_SHARE`), the stream
+    gathers one byte per edge, whether its target is minor, and
+    overwrites the minor vertices' edges with a compare of both labels.
+    Otherwise it compares both labels of every edge, read in ``C``'s
+    narrow type (:func:`~repro.engine.core.label_dtype`).  Either way
+    the positions are the same.
 
     A level's drain round and its :func:`filter_edges` both read the
     stream, with labels that nothing writes in between unless a
@@ -424,9 +439,21 @@ def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
     if cached is not None and np.array_equal(cached[0], labels):
         return cached[1], cached[2]
     graph, ws = state.graph, state.workspace
-    sources = labels.repeat(graph.degrees)
-    differ = (ws.take(labels, graph.targets) != sources).nonzero()[0]
-    del sources
+    # Shifted by one so that an UNVISITED label is counted too.
+    major = np.bincount(labels.astype(np.intp) + 1).argmax() - 1
+    minor = labels != major
+    sources = minor.nonzero()[0]
+    counts = ws.take(graph.degrees, sources)
+    if int(counts.sum()) * _MINOR_EDGE_SHARE <= graph.targets.size:
+        differ = ws.take(minor.view(np.uint8), graph.targets)
+        at = ragged_positions(ws.take(graph.offsets, sources), counts)
+        differ[at] = ws.take(labels, ws.take(graph.targets, at)) != (
+            labels.take(sources).repeat(counts)
+        )
+        differ = differ.view(bool)
+    else:
+        differ = ws.take(labels, graph.targets) != labels.repeat(graph.degrees)
+    differ = differ.nonzero()[0]
     first = differ.searchsorted(graph.offsets)
     state.label_stream = (labels.copy(), differ, first)
     return differ, first

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.connectivity.decomp_cc import decomp_cc
 from repro.decomp import base as decomp_base
 from repro.decomp.base import DecompState
+from repro.engine import kernels
 from repro.engine.backend import use_backend
 from repro.engine.core import end_round
 from repro.engine.kernels import _edge_sources, filter_edges
@@ -106,15 +107,8 @@ def _state(graph, labels, backend):
 def _run(fn, graph, labels, deferred, backend):
     state = _state(graph, labels, backend)
     fn(state, [np.asarray(d, dtype=np.int64) for d in deferred])
-    arrays = [
-        np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        for chunks in (
-            state.inter_src_chunks,
-            state.inter_dst_chunks,
-            state.orig_src_chunks,
-            state.orig_dst_chunks,
-        )
-    ]
+    dec = state.finish()
+    arrays = [dec.inter_src, dec.inter_dst, dec.orig_src, dec.orig_dst]
     return arrays, state.edges_inspected, state.tracker
 
 
@@ -169,16 +163,37 @@ def _named_cases():
     wide_labels = np.arange(40_006, dtype=np.int64)
     wide_labels[40_000:40_003] = 40_005
     yield "labels-above-2^15", wide, wide_labels, [[40_001, 40_004], [7, 40_005]]
+    # Most vertices read UNVISITED (-1), so the stream's major label is
+    # -1; the other labels sit on both sides of it.
+    star = star_graph(9)
+    unvisited = np.full(9, -1, dtype=np.int64)
+    unvisited[[0, 3, 5]] = [4, 0, 4]
+    yield "unvisited-major", star, unvisited, [[0, 3], [5, 1]]
 
 
 _CASES = list(_named_cases())
 _BY_NAME = {case[0]: case for case in _CASES}
 
 
+#: ``_MINOR_EDGE_SHARE`` values that send every label stream down one
+#: of its two ways: the byte gather with the minor vertices' edges
+#: compared apart (1), or both labels of every edge compared.
+STREAM_WAYS = {"minor-gather": 1, "both-labels": 1 << 62}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
 def test_named_case_matches_ragged_filter(case, backend):
     _name, graph, labels, deferred = case
+    _assert_matches_reference(graph, labels, deferred, backend)
+
+
+@pytest.mark.parametrize("way", list(STREAM_WAYS))
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+def test_named_case_either_stream_way(case, backend, way, monkeypatch):
+    _name, graph, labels, deferred = case
+    monkeypatch.setattr(kernels, "_MINOR_EDGE_SHARE", STREAM_WAYS[way])
     _assert_matches_reference(graph, labels, deferred, backend)
 
 
@@ -233,14 +248,25 @@ def test_random_deferred_sets_match_ragged_filter(case, backend):
     _assert_matches_reference(graph, labels, deferred, backend)
 
 
+@pytest.mark.parametrize("way", list(STREAM_WAYS))
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(**COMMON)
+@given(case=filter_inputs())
+def test_random_deferred_sets_either_stream_way(case, backend, way):
+    graph, labels, deferred = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_MINOR_EDGE_SHARE", STREAM_WAYS[way])
+        _assert_matches_reference(graph, labels, deferred, backend)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pass_allocates_no_edge_sized_positions(backend):
     # Every vertex deferred and almost no inter edge: the ragged pass
     # would build an int64 position per deferred edge (8 bytes each,
     # and more for the gathered targets and labels).  The storage-order
-    # pass holds two int16 label streams and a mask, about 5 bytes per
-    # edge.  Vertex 0 gets a label of its own: with one label everywhere
-    # the pass would stream nothing.
+    # pass holds one byte per edge, whether its target's label is a
+    # minor one, plus vertex 0's own edges.  Vertex 0 gets a label of
+    # its own: with one label everywhere the pass would stream nothing.
     graph = orkut_like(2000, 20.0, seed=3)
     m = graph.targets.size
     assert np.min_scalar_type(-graph.num_vertices) == np.int16

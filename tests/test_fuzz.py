@@ -31,6 +31,8 @@ from repro.fuzz import (
     save_case,
     shrink_case,
 )
+from repro.primitives.hashing import HashTable
+from repro.resilience.faults import FaultPlan
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +287,36 @@ class TestCorpusReplay:
                 shared.append(path.name)
         assert shared, "no sanitized case drains off the shared stream"
 
+    def test_corpus_replays_a_contraction_flip_to_a_last_copy(self, monkeypatch):
+        # Some sanitized case must keep several copies of one label pair
+        # on a level under an unrestricted cas_flip, so that contraction's
+        # hash-table race hands the pair to its last copy: the flipped
+        # winner of a slot is another copy of the first contender's pair.
+        perturb = FaultPlan.perturb_cas
+        handed = []
+
+        def recording(plan, idx, positions, dests):
+            flipped, dests = perturb(plan, idx, positions, dests)
+            caller = sys._getframe(2)
+            if caller.f_code is HashTable.insert.__code__:
+                owner = caller.f_locals["owner"]
+                moved = flipped != positions
+                same = owner.take(flipped[moved]) == owner.take(positions[moved])
+                handed.append(int(same.sum()))
+            return flipped, dests
+
+        monkeypatch.setattr(FaultPlan, "perturb_cas", recording)
+        flipped_cases = []
+        for path, case in _iter_checked_in():
+            config = case.config
+            if not config.sanitize or config.fault is None:
+                continue
+            handed.clear()
+            assert run_case(case).passed, path.name
+            if any(handed):
+                flipped_cases.append(path.name)
+        assert flipped_cases, "no sanitized case flips a pair to its last copy"
+
     def test_one_case_is_fault_injected(self):
         faults = [c.config.fault for _, c in _iter_checked_in()]
         assert any(f is not None for f in faults)
@@ -294,7 +326,12 @@ class TestCorpusReplay:
             if case.config.fault is None:
                 continue
             outcome = run_case(case)
-            assert outcome.detected and outcome.detected_by == "verifier"
+            # A corrupting fault reaches the verifier; a cas_flip is a
+            # legal schedule, which the armed sanitizer reports.
+            layer = "sanitizer" if case.config.fault.startswith("cas_flip") else (
+                "verifier"
+            )
+            assert outcome.detected and outcome.detected_by == layer
 
     def test_corpus_files_are_canonical_json(self):
         for path, case in _iter_checked_in():

@@ -216,11 +216,13 @@ def test_contract_matches_the_full_stream_dedup(backend, fault, monkeypatch):
 
 
 #: Bytes a contraction of duplicate-heavy inter-edges may allocate per
-#: kept edge, at its peak.  The grouped dedup peaks near 57 (the table's
-#: 2^ceil(log2 2K) cells are 16-32 of them, allocated but left unwritten
-#: where no key probes); the full-stream insert's per-copy probe arrays
-#: took it to 124-133.
-MAX_BYTES_PER_KEPT_EDGE = 80
+#: kept edge, at its peak.  The grouped dedup peaks near 41: the pair
+#: keys formed once from the kept labels (8) and the table's
+#: 2^ceil(log2 2K) cells (16-32, allocated but left unwritten where no
+#: key probes).  Gathering both endpoints' component ids into arrays of
+#: their own before keying took it to 57, and the full-stream insert's
+#: per-copy probe arrays to 124-133.
+MAX_BYTES_PER_KEPT_EDGE = 48
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
