@@ -23,14 +23,16 @@ Simulated-machine timing (the paper's 40-core experiments)::
 
 Experiment harness (regenerates every table and figure)::
 
-    from repro.experiments import run_table2, run_figure2
+    from repro.experiments import run_table2, fig2_thread_sweep
+    table = run_table2(scale="tiny", verify=True)  # a wrong cell raises
 
-Runtime sessions (load a graph once, run and query many times)::
+One profiled run (what the CLI, the fuzz oracle and the bench share)::
 
-    from repro.runtime import Session
-    s = Session("rMat", scale="small")
-    s.connected(0, 1)               # memoized after the first labeling
-    sizes = s.component_sizes()     # {component label: vertex count}
+    from repro.experiments import build_graph
+    from repro.runtime import execute_profiled
+    prof = execute_profiled("decomp-arb-CC", build_graph("rMat", "small"),
+                            graph_name="rMat", beta=0.2, seed=1)
+    labels = prof.result.labels     # verified; VerificationError if wrong
 """
 
 __version__ = "1.0.0"

@@ -47,11 +47,12 @@ command into ``head`` exits 1 cleanly (never a ``BrokenPipeError``
 traceback) — the dispatcher owns that contract for stdout *and*
 stderr.
 
-``run`` and ``table2`` additionally take the resilience options
-(``--retries``, ``--inject-fault``; ``table2`` also ``--checkpoint`` /
-``--resume``) — see docs/robustness.md.  Any :class:`~repro.errors.
-ReproError` surfaces as a one-line ``error: ...`` on stderr and exit
-code 2, never a traceback.
+``run`` also takes ``--inject-fault SPEC``, a deterministic mid-run
+fault (see docs/robustness.md).  Any :class:`~repro.errors.ReproError`
+— a bad flag, a labeling that fails verification, a race the sanitizer
+catches — surfaces as a one-line ``error: ...`` on stderr and exit
+code 2, never a traceback; nothing is retried or replaced by another
+algorithm's result.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
+from repro.resilience.faults import parse_fault_plan
 
 __all__ = ["main", "build_parser"]
 
@@ -142,8 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="thread counts to report (e.g. 1 8 40h)",
     )
     run.add_argument("--no-verify", action="store_true")
+    run.add_argument(
+        "--inject-fault",
+        metavar="SPEC",
+        help="deterministic mid-run fault injection, e.g. "
+        "'drop_frontier:vertices=10|11' or 'cas_flip:p=0.5'; a detected "
+        "fault exits 2 (see docs/robustness.md for the grammar)",
+    )
     _add_output_options(run)
-    _add_resilience_options(run)
 
     dec = sub.add_parser("decompose", help="low-diameter decomposition quality")
     dec.add_argument("graph", choices=sorted(GRAPHS))
@@ -184,18 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     t2 = sub.add_parser("table2", help="regenerate Table 2")
     t2.add_argument("--beta", type=float, default=0.2)
     t2.add_argument("--seed", type=int, default=1)
-    _add_resilience_options(t2)
-    t2.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="record each finished cell to PATH (atomic JSON checkpoint)",
-    )
-    t2.add_argument(
-        "--resume",
-        action="store_true",
-        help="load PATH first and skip already-recorded cells "
-        "(requires --checkpoint)",
-    )
 
     fig = sub.add_parser("figure", help="regenerate a figure's series")
     fig.add_argument("number", type=int, choices=[2, 3, 4, 5, 6, 7, 8])
@@ -312,39 +308,6 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
         print(rendered)
 
 
-def _add_resilience_options(sub: argparse.ArgumentParser) -> None:
-    """The flags shared by the resilient commands (run, table2)."""
-    sub.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        help="retry failing runs up to N times per implementation, "
-        "rotating the seed each attempt (enables the resilient runner)",
-    )
-    sub.add_argument(
-        "--inject-fault",
-        metavar="SPEC",
-        help="deterministic mid-run fault injection, e.g. "
-        "'drop_frontier:vertices=10|11' or 'cas_flip:p=0.5' "
-        "(see docs/robustness.md for the grammar)",
-    )
-
-
-def _resilient_runner(args, checkpoint=None, verify: bool = True):
-    """Build a ResilientRunner from the parsed resilience flags."""
-    from repro.resilience import ResilientRunner, RetryPolicy, parse_fault_plan
-
-    retry = None
-    if args.retries is not None:
-        retry = RetryPolicy(max_attempts=args.retries + 1)
-    plan = None
-    if args.inject_fault:
-        plan = parse_fault_plan(args.inject_fault, seed=getattr(args, "seed", 1))
-    return ResilientRunner(
-        retry=retry, checkpoint=checkpoint, verify=verify, fault_plan=plan
-    )
-
-
 def _cmd_list(args) -> int:
     print("graphs:")
     for name in PAPER_GRAPH_ORDER:
@@ -359,25 +322,19 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     graph = build_graph(args.graph, args.scale)
-    resilient = args.retries is not None or args.inject_fault is not None
-    outcome = None
-    if resilient:
-        runner = _resilient_runner(args, verify=not args.no_verify)
-        outcome = runner.run_cell(
-            args.algorithm, graph, graph_name=args.graph,
-            beta=args.beta, seed=args.seed,
-        )
-        prof = outcome.profile
-    else:
-        kwargs = (
-            {"beta": args.beta, "seed": args.seed}
-            if args.algorithm.startswith("decomp-")
-            else {}
-        )
-        prof = profile_run(
-            args.algorithm, graph, graph_name=args.graph,
-            verify=not args.no_verify, **kwargs,
-        )
+    kwargs = (
+        {"beta": args.beta, "seed": args.seed}
+        if args.algorithm.startswith("decomp-")
+        else {}
+    )
+    prof = profile_run(
+        args.algorithm,
+        graph,
+        graph_name=args.graph,
+        verify=not args.no_verify,
+        fault_plan=parse_fault_plan(args.inject_fault, seed=args.seed),
+        **kwargs,
+    )
     res = prof.result
     lines = [
         f"{args.graph} [{args.scale}]: {graph}",
@@ -404,18 +361,6 @@ def _cmd_run(args) -> int:
         "depth": prof.tracker.total_depth(),
         "verified": not args.no_verify,
     }
-    if outcome is not None:
-        lines.append(f"attempts   : {outcome.attempts}")
-        if outcome.degraded:
-            lines.append(f"degraded   : {outcome.requested} -> {outcome.algorithm}")
-        for record in outcome.failures:
-            lines.append(
-                f"failure    : attempt {record.attempt} of {record.algorithm} "
-                f"({record.error_type}: {record.message}) -> {record.action}"
-            )
-        payload["attempts"] = outcome.attempts
-        payload["algorithm_used"] = outcome.algorithm
-        payload["failures"] = [r.to_dict() for r in outcome.failures]
     _emit(args, payload, lines)
     return 0
 
@@ -523,49 +468,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    resilient = (
-        args.retries is not None
-        or args.inject_fault is not None
-        or args.checkpoint is not None
-        or args.resume
-    )
-    if not resilient:
-        print(format_table2(run_table2(scale=args.scale, beta=args.beta)))
-        return 0
-
-    from repro.resilience import SweepCheckpoint
-
-    checkpoint = None
-    if args.resume and not args.checkpoint:
-        raise ParameterError("--resume requires --checkpoint PATH")
-    if args.checkpoint:
-        meta = {"scale": args.scale, "beta": args.beta, "seed": args.seed}
-        if args.resume:
-            checkpoint = SweepCheckpoint.load(args.checkpoint, meta=meta)
-        else:
-            checkpoint = SweepCheckpoint(args.checkpoint, meta=meta)
-    runner = _resilient_runner(args, checkpoint=checkpoint)
-    sweep = runner.run_table2(scale=args.scale, beta=args.beta, seed=args.seed)
-    print(format_table2(sweep["table"]))
-    resumed = sum(
-        1
-        for row in sweep["table"].values()
-        for _ in row
-    ) - runner.cells_computed
-    print(
-        f"cells      : {runner.cells_computed} computed, "
-        f"{resumed} from checkpoint"
-    )
-    degraded = [
-        f"{algo}/{gname}->{used}"
-        for algo, row in sweep["resolved"].items()
-        for gname, used in row.items()
-        if used != algo
-    ]
-    if degraded:
-        print(f"degraded   : {', '.join(degraded)}")
-    if sweep["failures"]:
-        print(f"failures   : {len(sweep['failures'])} recorded attempts failed")
+    table = run_table2(scale=args.scale, beta=args.beta, seed=args.seed)
+    print(format_table2(table))
     return 0
 
 

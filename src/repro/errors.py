@@ -5,10 +5,11 @@ user errors (bad graph input, bad parameters) from internal invariant
 violations without string-matching messages.
 
 The operational errors carry structured fields (see
-:class:`ConvergenceError` and :class:`VerificationError`) so the
-resilience layer (:mod:`repro.resilience`) can log, classify and react
-to failures programmatically; message-only construction remains
-supported for backward compatibility.
+:class:`ConvergenceError` and :class:`VerificationError`) so callers
+can classify failures programmatically; message-only construction
+remains supported.  Every one of them derives from :class:`ReproError`,
+which the CLI reports as a one-line ``error: ...`` with exit code 2:
+a wrong labeling, a caught race or a runaway loop stops the command.
 """
 
 from __future__ import annotations
@@ -93,23 +94,14 @@ class VerificationError(ReproError):
     """Raised by :mod:`repro.analysis.verify` when a labeling is invalid.
 
     :attr:`reason` is a short machine-readable code (``"shape"``,
-    ``"crossing-edge"``, ``"partition-mismatch"``, ...) the resilience
-    layer records in its failure log; ``None`` for message-only
+    ``"crossing-edge"``, ``"partition-mismatch"``, ...) that the fuzz
+    oracle records in its findings; ``None`` for message-only
     construction.
     """
 
     def __init__(self, message: str = "", *, reason: Optional[str] = None) -> None:
         super().__init__(message)
         self.reason = reason
-
-
-class CheckpointError(ReproError):
-    """Raised when a sweep checkpoint file cannot be used.
-
-    Examples: unreadable/corrupt JSON, a checkpoint format version this
-    code does not understand, or resuming with sweep parameters that do
-    not match the ones the checkpoint was recorded under.
-    """
 
 
 class FaultSpecError(ReproError, ValueError):
@@ -142,15 +134,3 @@ class LintConfigError(ReproError):
     why it is legal.
     """
 
-
-class ResilienceExhaustedError(ReproError):
-    """Raised by :class:`repro.resilience.runner.ResilientRunner` when a
-    cell keeps failing after every retry and every fallback algorithm.
-
-    :attr:`failures` holds the per-attempt failure records (see
-    :class:`repro.resilience.runner.FailureRecord`).
-    """
-
-    def __init__(self, message: str, *, failures: Optional[list] = None) -> None:
-        super().__init__(message)
-        self.failures = failures or []

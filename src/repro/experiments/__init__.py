@@ -11,7 +11,6 @@ from repro.experiments.calibration import (
 )
 from repro.experiments.export import (
     export_json,
-    export_resilient_table2,
     export_series_csv,
     export_table2_csv,
     to_jsonable,
@@ -35,7 +34,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.registry import (
     ALGORITHMS,
-    FALLBACK_CHAINS,
     GRAPHS,
     PAPER_ALGORITHM_ORDER,
     PAPER_GRAPH_ORDER,
@@ -53,7 +51,6 @@ from repro.experiments.tables import (
 
 __all__ = [
     "ALGORITHMS",
-    "FALLBACK_CHAINS",
     "GRAPHS",
     "PAPER_ALGORITHM_ORDER",
     "PAPER_GRAPH_ORDER",
@@ -63,7 +60,6 @@ __all__ = [
     "build_graph",
     "build_suite",
     "export_json",
-    "export_resilient_table2",
     "export_series_csv",
     "export_table2_csv",
     "to_jsonable",

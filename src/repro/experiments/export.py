@@ -20,7 +20,6 @@ __all__ = [
     "export_json",
     "export_table2_csv",
     "export_series_csv",
-    "export_resilient_table2",
     "to_jsonable",
 ]
 
@@ -81,36 +80,6 @@ def export_table2_csv(
                 for threads in ("1", "40h"):
                     if threads in cells:
                         writer.writerow([algo, graph, threads, cells[threads]])
-
-
-def export_resilient_table2(sweep: Dict[str, Any], path: PathLike) -> None:
-    """Write a resilient sweep artifact with its full provenance.
-
-    *sweep* is the structure :meth:`repro.resilience.runner.
-    ResilientRunner.run_table2` returns; the JSON records, per cell,
-    the timing values **plus** how many attempts it took, which
-    implementation finally produced it (after graceful degradation),
-    and the structured failure log — so an artifact is auditable: a
-    cell that needed three retries or fell back to ``serial-SF`` says
-    so in the file, instead of silently looking like a clean run.
-    """
-    table = sweep.get("table", {})
-    degraded = {
-        f"{algo}/{gname}": used
-        for algo, row in sweep.get("resolved", {}).items()
-        for gname, used in row.items()
-        if used != algo
-    }
-    export_json(
-        {
-            "table": table,
-            "attempts": sweep.get("attempts", {}),
-            "degraded_cells": degraded,
-            "failures": sweep.get("failures", []),
-            "total_failures": len(sweep.get("failures", [])),
-        },
-        path,
-    )
 
 
 def export_series_csv(

@@ -44,7 +44,6 @@ __all__ = [
     "AlgorithmSpec",
     "GRAPHS",
     "ALGORITHMS",
-    "FALLBACK_CHAINS",
     "PAPER_ALGORITHM_ORDER",
     "PAPER_GRAPH_ORDER",
     "TABLE2_ALGORITHM_ORDER",
@@ -231,26 +230,6 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         "classical O(m log n) hook-and-shortcut",
     ),
 }
-
-#: Graceful-degradation chains for the resilient runner: when an
-#: algorithm keeps failing a cell (crash, verification failure, blown
-#: round budget), the runner walks this chain left to right.  Chains
-#: step from the most engineered implementation toward the simplest
-#: sound baseline — ``serial-SF`` is deterministic, loop-free and
-#: immune to every schedule-level fault, so it terminates every chain.
-FALLBACK_CHAINS: Dict[str, List[str]] = {
-    "decomp-arb-hybrid-CC": ["decomp-arb-CC", "serial-SF"],
-    "decomp-min-hybrid-CC": ["decomp-min-CC", "serial-SF"],
-    "decomp-arb-CC": ["decomp-min-CC", "serial-SF"],
-    "decomp-min-CC": ["serial-SF"],
-    "parallel-SF-PBBS": ["serial-SF"],
-    "parallel-SF-PRM": ["serial-SF"],
-    "hybrid-BFS-CC": ["serial-SF"],
-    "multistep-CC": ["serial-SF"],
-    "label-prop-CC": ["serial-SF"],
-    "shiloach-vishkin-CC": ["serial-SF"],
-}
-
 
 #: Row order of the paper's Table 2.
 PAPER_ALGORITHM_ORDER: List[str] = [

@@ -54,6 +54,7 @@ def run_table2(
     algorithms: Optional[Sequence[str]] = None,
     beta: float = 0.2,
     seed: int = 1,
+    verify: bool = False,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Table 2: simulated times for each implementation on each graph.
 
@@ -62,6 +63,11 @@ def run_table2(
     work/depth profile (DESIGN.md §5).  The default row set is
     :data:`~repro.experiments.registry.TABLE2_ALGORITHM_ORDER` — the
     paper's eight rows plus Decomp-Min-Hybrid.
+
+    With *verify*, every cell's labeling is checked after its timed
+    run, and the first wrong cell raises a
+    :class:`~repro.errors.VerificationError` naming its algorithm and
+    graph.
     """
     graphs = graphs if graphs is not None else build_suite(scale)
     algorithms = list(algorithms) if algorithms else TABLE2_ALGORITHM_ORDER
@@ -70,7 +76,7 @@ def run_table2(
         table[algo] = {}
         for gname, graph in graphs.items():
             kwargs = {"beta": beta, "seed": seed} if algo.startswith("decomp-") else {}
-            prof = profile_run(algo, graph, graph_name=gname, verify=False, **kwargs)
+            prof = profile_run(algo, graph, graph_name=gname, verify=verify, **kwargs)
             table[algo][gname] = {
                 "1": prof.seconds_at(1),
                 "40h": prof.seconds_at("40h"),

@@ -1,6 +1,6 @@
 """Atomic file-write helpers (write to a temp file, ``os.replace``).
 
-A sweep checkpoint or a saved graph must never be observed half-written
+A fuzz-corpus case or a saved graph must never be observed half-written
 — a crash mid-write would otherwise leave a file that parses as a
 truncated (and silently wrong) artifact.  POSIX ``rename``/``replace``
 within one directory is atomic, so every writer in this package funnels

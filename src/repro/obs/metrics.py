@@ -1,9 +1,8 @@
-"""Counters and histograms for the runtime, session and backend layers.
+"""Counters and histograms for the runtime and backend layers.
 
 Where the tracer (:mod:`repro.obs.tracer`) records *when* things
 happened, the metrics registry records *how often* and *how big*:
-Session memo hits and misses, resilience retries, fault injections,
-fuzz oracle comparisons.  The catalog of names lives in
+profiled runs, fault injections, fuzz oracle comparisons.  The catalog of names lives in
 ``docs/observability.md``.
 
 The same null-object idiom as the tracer applies: the process default
@@ -13,8 +12,9 @@ call sites never branch.  An active :class:`Metrics` is thread-safe
 native Python types, ready for ``json.dump``.
 
 Determinism contract: metrics are observational.  Counter values may
-legitimately differ between configurations (a second `Session.run`
-records a memo hit where the first recorded a miss), but recording them never feeds back into the run.
+legitimately differ between configurations (an armed fault plan
+records injections an unarmed run does not), but recording them never
+feeds back into the run.
 """
 
 from __future__ import annotations

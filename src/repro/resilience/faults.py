@@ -32,12 +32,13 @@ hazard lives:
     Merges partitions that may lie in different true components — the
     verifier's partition-equality check must catch it.
 
-Plans are **armed for a bounded number of runs** (default 1): the
-sabotaged attempt fails, the :class:`~repro.resilience.runner.
-ResilientRunner` retries, and the retry executes clean — exactly the
-recover-under-fault behavior the acceptance tests exercise.  All
-randomness is drawn from a per-run ``numpy`` generator seeded with
-``(seed, run_index)``, so a plan is bit-reproducible.
+Plans are **armed for a bounded number of runs** (default 1); any
+later run of the same plan executes clean.  A corrupting fault is
+caught by verification, the sanitizer or a round budget, and nothing
+recovers the caught run: ``repro run --inject-fault`` exits 2 with a
+one-line ``error:`` naming the fault.  All randomness is drawn from a
+per-run ``numpy`` generator seeded with ``(seed, run_index)``, so a
+plan is bit-reproducible.
 
 Hooks cost nothing when no plan is active (a single ``None`` check):
 the armed plan rides in the
@@ -155,8 +156,8 @@ class FaultPlan:
     Activate around one algorithm run with :meth:`activate`; the
     production hooks (``current_context().fault_plan`` readers) consult
     the innermost active plan.  The plan sabotages its first
-    ``sabotage_runs`` activations and is inert afterwards, so a retry
-    loop observes fail-then-recover.
+    ``sabotage_runs`` activations and is inert afterwards, so a plan
+    reused across several runs corrupts only the first ones.
     """
 
     def __init__(
@@ -170,7 +171,7 @@ class FaultPlan:
         self.sabotage_runs = int(sabotage_runs)
         self.run_index = 0
         #: Log of fired corruptions: {kind, run, round, detail} dicts,
-        #: surfaced by the runner's failure log and the CLI.
+        #: kept for inspection (the tests read it).
         self.fired: List[Dict[str, object]] = []
         self._rng = np.random.default_rng(self.seed)
         self._active_depth = 0

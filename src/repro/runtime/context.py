@@ -6,15 +6,16 @@ separate module-global mutable stacks — the cost tracker
 sanitizer (``pram.sanitizer``) and the execution backend
 (``engine.backend``).  That ambient-state pattern is exactly what the
 reprolint pass polices *inside* kernels, and it made running two
-sessions in two threads unsafe: two threads pushing onto one stack
+labelings in two threads unsafe: two threads pushing onto one stack
 corrupt each other's accounting.
 
 :class:`ExecutionContext` bundles all of that per-run state into one
 immutable-by-convention record carried in a single
 :data:`contextvars.ContextVar`.  ``contextvars`` gives every thread —
 and every asyncio task — its own independent binding, so concurrent
-:class:`~repro.runtime.session.Session` objects are isolated for free:
-a tracker activated in one thread is invisible to every other.
+runs (:func:`~repro.runtime.session.execute_profiled` in a thread
+pool) are isolated for free: a tracker activated in one thread is
+invisible to every other.
 
 The reading side is :func:`current_context`; kernels use it as::
 
@@ -92,9 +93,9 @@ class ExecutionContext:
         The active :class:`~repro.pram.sanitizer.PramSanitizer`, or
         ``None``.
     seed / rng:
-        The context's seed and the generator derived from it; a
-        :class:`~repro.runtime.session.Session` threads its seed here
-        so host-side randomness is reproducible per context.
+        The context's seed and the generator derived from it; a caller
+        that derives ``child(seed=...)`` makes host-side randomness
+        reproducible per context.
     tracer:
         The :mod:`repro.obs` span recorder.  Defaults to the shared
         no-op :data:`~repro.obs.tracer.NULL_TRACER`; instrumented code

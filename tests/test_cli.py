@@ -127,28 +127,12 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
 
     def test_repro_error_is_one_line_no_traceback(self, capsys):
-        # --resume without --checkpoint raises a ParameterError inside
-        # the command; main() must turn it into the one-line contract.
-        code, out, err = self.run_cli_full(
-            capsys, "--scale", "tiny", "table2", "--resume"
-        )
+        # An unknown rule raises a ParameterError inside the command;
+        # main() must turn it into the one-line contract.
+        code, out, err = self.run_cli_full(capsys, "lint", "--explain", "RL999")
         assert code == 2
         assert err.startswith("error: ")
         assert err.count("\n") == 1
-        assert "Traceback" not in err
-
-    def test_checkpoint_meta_mismatch_exits_2(self, capsys, tmp_path):
-        from repro.resilience import SweepCheckpoint
-
-        path = tmp_path / "ckpt.json"
-        SweepCheckpoint(path, meta={"scale": "tiny", "beta": 0.2, "seed": 1}).save()
-        code, out, err = self.run_cli_full(
-            capsys, "--scale", "tiny", "table2",
-            "--checkpoint", str(path), "--resume", "--beta", "0.5",
-        )
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "parameters" in err
         assert "Traceback" not in err
 
     def test_bad_fault_spec_exits_2(self, capsys):
@@ -160,45 +144,18 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert "warp_core_breach" in err
 
-
-class TestResilienceOptions:
-    def test_run_with_fault_injection_recovers(self, capsys):
-        code, out = run_cli(
+    def test_detected_fault_exits_2_naming_the_cell(self, capsys):
+        # Two dropped frontier vertices on the path leave an edge
+        # unclassified; verification catches it and nothing retries.
+        code, out, err = self.run_cli_full(
             capsys, "--scale", "tiny", "run", "decomp-arb-CC", "line",
-            "--inject-fault", "cas_flip:p=1.0,max_fires=1000000",
-            "--retries", "2",
+            "--inject-fault", "drop_frontier:vertices=10|11",
         )
-        assert code == 0
-        assert "attempts   :" in out
-        assert "verified   : OK" in out
-
-    def test_run_reports_retry_on_detected_fault(self, capsys):
-        # line [tiny] is permuted, so hit a random-vertex drop instead
-        # of a targeted one; probability 1 on every round guarantees a
-        # detectable hole on the first (sabotaged) attempt.
-        code, out = run_cli(
-            capsys, "--scale", "tiny", "run", "decomp-arb-CC", "3D-grid",
-            "--inject-fault", "drop_frontier:vertices=10|11|12",
-            "--retries", "2",
-        )
-        assert code == 0
-        assert "verified   : OK" in out
-
-    def test_table2_checkpoint_resume_cycle(self, capsys, tmp_path):
-        path = tmp_path / "sweep.json"
-        code, out = run_cli(
-            capsys, "--scale", "tiny", "table2", "--checkpoint", str(path)
-        )
-        assert code == 0
-        assert path.exists()
-        assert "computed, 0 from checkpoint" in out
-
-        code, out = run_cli(
-            capsys, "--scale", "tiny", "table2",
-            "--checkpoint", str(path), "--resume",
-        )
-        assert code == 0
-        assert "cells      : 0 computed" in out
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: decomp-arb-CC on line: ")
+        assert "crosses labels" in err
+        assert err.count("\n") == 1
 
 
 class TestFlagValidation:
@@ -232,16 +189,16 @@ class TestFlagValidation:
         assert "0 race(s)" in captured.err
 
     def test_sanitize_detects_injected_cas_flip(self, capsys):
-        # Without retries the resilient runner still recovers (clean
-        # re-run), but the sanitizer's catch must be visible.  Round 6
-        # is the first with a contested race on this input.
+        # The caught race stops the run: one error line, exit 2.  Round
+        # 6 is the first with a contested race on this input.
         code = main(
             ["--sanitize", "--scale", "tiny", "run", "decomp-arb-CC", "line",
              "--inject-fault", "cas_flip:p=1.0,round=6"]
         )
         captured = capsys.readouterr()
-        assert code == 0
-        assert "cas-order" in captured.out
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cas-order on '<cas>' (round 6)")
 
     def test_lint_command_exits_zero_on_clean_tree(self, capsys):
         code, out = run_cli(capsys, "lint")
@@ -472,7 +429,7 @@ class TestBrokenPipe:
         # ReproError printing "error: ..." to a closed stderr: the
         # nested handler must still exit 1, not crash in the handler.
         code, out = self._run_with_closed(
-            ["--scale", "tiny", "table2", "--resume"], "stderr"
+            ["lint", "--explain", "RL999"], "stderr"
         )
         assert code == 1
         assert "Traceback" not in out

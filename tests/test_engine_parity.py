@@ -20,7 +20,6 @@ import pytest
 from repro.decomp import DECOMP_VARIANTS
 from repro.engine.backend import resolve_backend
 from repro.runtime.context import current_context
-from repro.runtime.session import Session
 
 from tests.conftest import _zoo, run_on_threads
 from tests.golden.generate_decomp_parity import capture_bfs, capture_one
@@ -101,40 +100,33 @@ def test_bfs_family_matches_pre_engine_capture(key, execution, zoo):
             assert got[algo] == want[algo], algo
 
 
-# -- the same 116 entries, driven through the Session runtime path --------
+# -- the same 116 entries, driven through a seeded runtime context -------
 #
-# The runtime refactor's acceptance bar: a Session-bound context (its
-# backend, whose one shared workspace serves every replay) must
-# reproduce each golden capture byte-for-byte.  One session per (graph,
-# backend) lives for the whole module, so later parametrized replays
-# run through the same session as earlier ones.  The ``parallel-wN``
-# cases activate the *same* session on N threads at once.
+# The runtime refactor's acceptance bar: a context derived with
+# ``child(backend=..., seed=...)`` — the way every profiled run binds
+# its backend, whose one shared workspace serves every replay — must
+# reproduce each golden capture byte-for-byte.  The ``parallel-wN``
+# cases activate such a context on N threads at once.
 
 
-@pytest.fixture(scope="module")
-def session_for(zoo):
-    sessions = {}
-
-    def get(gname, backend):
-        key = (gname, backend)
-        if key not in sessions:
-            sessions[key] = Session(zoo[gname], graph_name=gname, backend=backend)
-        return sessions[key]
-
-    return get
+def _activate_seeded(backend, seed):
+    return (
+        current_context()
+        .child(backend=resolve_backend(backend), seed=seed)
+        .activate()
+    )
 
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("key", _DECOMP_KEYS)
-def test_decomp_parity_via_session(key, execution, zoo, session_for):
+def test_decomp_parity_via_session(key, execution, zoo):
     backend, threads = execution
     gname, variant, beta_s, seed_s = key.split("/")
     beta = float(beta_s.split("=")[1])
     seed = int(seed_s.split("=")[1])
-    session = session_for(gname, backend)
 
     def replay():
-        with session.activate():
+        with _activate_seeded(backend, seed):
             return capture_one(DECOMP_VARIANTS[variant], zoo[gname], beta, seed)
 
     for got in _replays(threads, replay):
@@ -143,14 +135,13 @@ def test_decomp_parity_via_session(key, execution, zoo, session_for):
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("key", _BFS_KEYS)
-def test_bfs_family_parity_via_session(key, execution, zoo, session_for):
+def test_bfs_family_parity_via_session(key, execution, zoo):
     backend, threads = execution
     gname = key.split("/", 1)[1]
     want = _GOLD[key]
-    session = session_for(gname, backend)
 
     def replay():
-        with session.activate():
+        with _activate_seeded(backend, 1):
             return capture_bfs(zoo[gname])
 
     for got in _replays(threads, replay):

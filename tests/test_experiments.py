@@ -1,8 +1,10 @@
 """Tests for the experiment registry, harness, tables and figures."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, VerificationError
 from repro.experiments import (
     ALGORITHMS,
     GRAPHS,
@@ -127,6 +129,41 @@ class TestTables:
         assert cell["1"] > cell["40h"] > 0
         text = format_table2(table)
         assert "Implementation" in text and "(40h)" in text
+
+    def test_verified_table2_matches_unverified(self):
+        suite = build_suite("tiny", names=["line", "3D-grid"])
+        algorithms = ["serial-SF", "decomp-arb-CC"]
+        plain = run_table2(graphs=suite, algorithms=algorithms)
+        checked = run_table2(graphs=suite, algorithms=algorithms, verify=True)
+        for algo in algorithms:
+            for gname in suite:
+                for column in ("1", "40h", "components"):
+                    assert checked[algo][gname][column] == plain[algo][gname][column]
+
+    def test_verified_table2_stops_at_the_wrong_cell(self, monkeypatch):
+        # Plant one wrong cell: decomp-arb-CC splits vertex 0 off into
+        # its own component, on 3D-grid only.
+        real = ALGORITHMS["decomp-arb-CC"]
+
+        def doctored(graph, **kwargs):
+            result = real.run(graph, **kwargs)
+            if graph is suite["3D-grid"]:
+                labels = result.labels.copy()
+                labels[0] = labels.max() + 1
+                result.labels = labels
+            return result
+
+        monkeypatch.setitem(
+            ALGORITHMS, "decomp-arb-CC", dataclasses.replace(real, run=doctored)
+        )
+        suite = build_suite("tiny", names=["line", "3D-grid"])
+        algorithms = ["serial-SF", "decomp-arb-CC"]
+        table = run_table2(graphs=suite, algorithms=algorithms)
+        assert set(table["decomp-arb-CC"]) == {"line", "3D-grid"}
+        with pytest.raises(VerificationError) as excinfo:
+            run_table2(graphs=suite, algorithms=algorithms, verify=True)
+        assert str(excinfo.value).startswith("decomp-arb-CC on 3D-grid: edge ")
+        assert excinfo.value.reason == "crossing-edge"
 
 
 class TestFigures:

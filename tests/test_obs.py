@@ -42,7 +42,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.runtime.context import current_context
-from repro.runtime.session import Session, execute_profiled
+from repro.runtime.session import execute_profiled
 
 from tests.conftest import _zoo, run_on_threads
 from tests.golden.generate_decomp_parity import capture_bfs, capture_one
@@ -343,14 +343,11 @@ class TestTracedRun:
 
 
 class TestRuntimeCounters:
-    def test_session_memo_hit_and_miss(self):
+    def test_runtime_runs_counts_each_profiled_run(self):
         metrics = Metrics()
+        graph = build_graph("random", "tiny")
         with current_context().child(metrics=metrics).activate():
-            sess = Session("random", scale="tiny", seed=2)
-            first = sess.run()
-            assert sess.run() is first
-        assert metrics.counter("session.memo.miss") == 1
-        assert metrics.counter("session.memo.hit") == 1
+            execute_profiled("decomp-arb-CC", graph, beta=0.2, seed=2)
         assert metrics.counter("runtime.runs") == 1
 
 

@@ -17,8 +17,7 @@ concurrent threads; this module covers the pieces underneath:
 * concurrent runs of different decompositions on different graphs
   match their serial labelings and tracker snapshots, concurrent
   end-to-end runs match the serial labeling, and sanitized concurrent
-  runs are race-free with per-thread sanitizer accounting;
-* concurrent ``Session.run`` callers compute each key once.
+  runs are race-free with per-thread sanitizer accounting.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from repro.pram.cost import CostTracker
 from repro.pram.sanitizer import sanitizing
 from repro.primitives.atomics import write_min
 from repro.runtime.context import current_context
-from repro.runtime.session import Session
 
 from tests.conftest import run_on_threads
 
@@ -308,50 +306,6 @@ def test_sanitized_parallel_run_is_race_free(workers):
         # Each thread's seams reached only its own sanitizer: the
         # accounting equals a lone run's, nothing leaked across threads.
         assert sanitizer.summary() == serial.summary()
-
-
-# -------------------------------------------------- session concurrency
-
-
-def test_concurrent_session_runs_agree_per_key():
-    """Concurrent runs over shared keys agree, and every key ends memoized.
-
-    Callers that miss on one key at the same time may each compute it;
-    they must produce the same labeling, and once any of them finishes
-    the key is a memo hit.
-    """
-    graph = random_gnm(200, 400, seed=8)
-    session = Session(graph, graph_name="gnm", backend="fast")
-    seeds = [1, 2, 3, 4]
-    results = {}
-    errors = []
-
-    def work(tid):
-        try:
-            for seed in seeds:  # every thread asks for every key
-                profile = session.run("decomp-arb-CC", seed=seed, beta=0.25)
-                results[(tid, seed)] = profile.result.labels
-        except Exception as exc:  # pragma: no cover - failure reporting
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    # Every call is counted once, and every key was computed at least once.
-    assert session.hits + session.misses == len(seeds) * 4
-    assert session.misses >= len(seeds)
-    for seed in seeds:
-        for tid in range(1, 4):
-            np.testing.assert_array_equal(
-                results[(tid, seed)], results[(0, seed)]
-            )
-    hits = session.hits
-    for seed in seeds:
-        session.run("decomp-arb-CC", seed=seed, beta=0.25)
-    assert session.hits == hits + len(seeds)
 
 
 # --------------------------------------------------------------- CLI seam

@@ -1,63 +1,19 @@
-"""Tests for retry policies, round budgets and the structured errors."""
+"""Tests for round budgets and the structured errors."""
 
 import pytest
 
 from repro.errors import (
-    CheckpointError,
     ConvergenceError,
     GraphFormatError,
     ParameterError,
     ReproError,
-    ResilienceExhaustedError,
     VerificationError,
 )
 from repro.resilience import (
     DECOMP_ROUND_FACTOR,
     DECOMP_ROUND_SLACK,
-    RetryPolicy,
     RoundBudget,
 )
-
-
-class TestRetryPolicy:
-    def test_defaults(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts == 3
-        assert list(policy.attempts()) == [0, 1, 2]
-
-    def test_seed_rotation(self):
-        policy = RetryPolicy(seed_stride=100)
-        assert policy.seed_for(7, 0) == 7
-        assert policy.seed_for(7, 1) == 107
-        assert policy.seed_for(7, 2) == 207
-
-    def test_default_stride_avoids_iteration_stream(self):
-        # decomp_cc derives per-iteration seeds with stride 1000003;
-        # the rotation stride must not be a multiple of it (or vice
-        # versa), or a rotated attempt could replay iteration streams.
-        policy = RetryPolicy()
-        assert policy.seed_stride % 1000003 != 0
-        assert 1000003 % policy.seed_stride != 0
-
-    def test_backoff_is_exponential(self):
-        policy = RetryPolicy(backoff_base=100.0, backoff_factor=3.0)
-        assert policy.backoff_cost(0) == 0.0
-        assert policy.backoff_cost(1) == 100.0
-        assert policy.backoff_cost(2) == 300.0
-        assert policy.backoff_cost(3) == 900.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"max_attempts": -1},
-            {"backoff_base": -1.0},
-            {"backoff_factor": 0.5},
-        ],
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ParameterError):
-            RetryPolicy(**kwargs)
 
 
 class TestRoundBudget:
@@ -135,17 +91,10 @@ class TestStructuredErrors:
         # Everything the CLI converts to exit code 2 derives from
         # ReproError; parameter/spec errors stay ValueErrors too.
         for cls in (
-            CheckpointError,
             ConvergenceError,
             GraphFormatError,
             ParameterError,
-            ResilienceExhaustedError,
             VerificationError,
         ):
             assert issubclass(cls, ReproError)
         assert issubclass(ParameterError, ValueError)
-
-    def test_resilience_exhausted_carries_failures(self):
-        err = ResilienceExhaustedError("gave up", failures=[1, 2])
-        assert err.failures == [1, 2]
-        assert ResilienceExhaustedError("gave up").failures == []

@@ -1,16 +1,16 @@
-"""The runtime layer: ExecutionContext isolation, Session memoization.
+"""The runtime layer: ExecutionContext isolation, one profiled run.
 
 The refactor's acceptance bar lives here:
 
-* **concurrency** — several :class:`~repro.runtime.session.Session`
-  objects running simultaneously in a thread pool (different graphs,
-  different seeds) must produce exactly the labelings and (work, depth)
-  profiles that the same configurations produce serially.  Any
-  cost-tracker cross-talk between threads — the failure mode the old
-  global singleton stacks invited — shows up as a work/depth mismatch.
-* **memoization** — a repeated plain run is a dictionary hit returning
-  the *same* profile object; replacing the graph changes the CSR
-  fingerprint and misses; rebuilding a byte-identical graph hits again.
+* **concurrency** — several :func:`~repro.runtime.session.
+  execute_profiled` runs executing simultaneously in a thread pool
+  (different graphs, different seeds) must produce exactly the
+  labelings and (work, depth) profiles that the same configurations
+  produce serially.  Any cost-tracker cross-talk between threads — the
+  failure mode the old global singleton stacks invited — shows up as a
+  work/depth mismatch.
+* **one profiled run** — :func:`execute_profiled` returns a fresh
+  profile and leaves the ambient context untouched.
 * **context discipline** — :meth:`ExecutionContext.activate` restores
   the previous context even when the body raises: a failing nested
   activation restores the outer context and then the root, in the main
@@ -30,14 +30,13 @@ from repro.analysis.verify import verify_labeling
 from repro.decomp import contract, decomp_arb
 from repro.errors import ParameterError
 from repro.experiments.registry import build_graph
-from repro.graphs.generators import line_graph
 from repro.pram.cost import CostTracker, tracking
 from repro.runtime.context import (
     ExecutionContext,
     current_context,
     root_context,
 )
-from repro.runtime.session import Session, execute_profiled
+from repro.runtime.session import execute_profiled
 
 #: Four distinct (graph, seed) cells for the thread-pool test — enough
 #: that the pool genuinely interleaves runs on different inputs.
@@ -50,9 +49,11 @@ CONCURRENT_CONFIGS = [
 
 
 def _run_config(gname: str, seed: int):
-    """One fresh session run; returns (labels, work, depth, components)."""
-    sess = Session(gname, scale="tiny", seed=seed)
-    prof = sess.run()
+    """One fresh profiled run; returns (labels, work, depth, components)."""
+    graph = build_graph(gname, "tiny")
+    prof = execute_profiled(
+        "decomp-arb-CC", graph, graph_name=gname, beta=0.2, seed=seed
+    )
     return (
         np.array(prof.result.labels, copy=True),
         prof.tracker.total_work(),
@@ -63,7 +64,7 @@ def _run_config(gname: str, seed: int):
 
 class TestConcurrentSessions:
     def test_thread_pool_matches_serial_baseline(self):
-        """4 sessions in 4 threads: correct labelings, isolated profiles."""
+        """4 runs in 4 threads: correct labelings, isolated profiles."""
         baseline = {(g, s): _run_config(g, s) for g, s in CONCURRENT_CONFIGS}
         barrier = threading.Barrier(len(CONCURRENT_CONFIGS))
 
@@ -86,9 +87,16 @@ class TestConcurrentSessions:
             verify_labeling(build_graph(gname, "tiny"), labels)
 
     def test_profiles_are_distinct_trackers(self):
-        sessions = [Session(g, scale="tiny", seed=s) for g, s in CONCURRENT_CONFIGS]
-        with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
-            profiles = list(pool.map(lambda sess: sess.run(), sessions))
+        graphs = {g: build_graph(g, "tiny") for g, _ in CONCURRENT_CONFIGS}
+
+        def run(config):
+            gname, seed = config
+            return execute_profiled(
+                "decomp-arb-CC", graphs[gname], beta=0.2, seed=seed
+            )
+
+        with ThreadPoolExecutor(max_workers=len(CONCURRENT_CONFIGS)) as pool:
+            profiles = list(pool.map(run, CONCURRENT_CONFIGS))
         trackers = [prof.tracker for prof in profiles]
         assert len({id(t) for t in trackers}) == len(trackers)
         for prof in profiles:
@@ -109,86 +117,6 @@ class TestConcurrentSessions:
         with ThreadPoolExecutor(max_workers=2) as pool:
             totals = list(pool.map(worker, [7.0, 19.0]))
         assert totals == [7.0, 19.0]
-
-
-class TestSessionMemo:
-    def test_repeat_run_hits(self):
-        sess = Session("random", scale="tiny", seed=2)
-        first = sess.run()
-        second = sess.run()
-        assert second is first  # a memo hit returns the cached profile
-        assert sess.stats == {"hits": 1, "misses": 1}
-
-    def test_distinct_seeds_miss(self):
-        sess = Session("random", scale="tiny", seed=2)
-        sess.run()
-        sess.run(seed=3)
-        assert sess.stats == {"hits": 0, "misses": 2}
-
-    def test_graph_change_invalidates(self):
-        sess = Session("random", scale="tiny", seed=2)
-        first = sess.run()
-        sess.set_graph("rMat", scale="tiny")
-        other = sess.run()
-        assert other is not first
-        assert sess.stats == {"hits": 0, "misses": 2}
-
-    def test_identical_rebuild_still_hits(self):
-        # The memo keys on the CSR fingerprint, not object identity: a
-        # byte-identical rebuild of the same graph recalls the labeling.
-        sess = Session("random", scale="tiny", seed=2)
-        first = sess.run()
-        sess.set_graph(build_graph("random", "tiny"), graph_name="random")
-        assert sess.run() is first
-        assert sess.stats == {"hits": 1, "misses": 1}
-
-    def test_fault_and_extra_kwargs_bypass_memo(self):
-        sess = Session("random", scale="tiny", seed=2)
-        sess.run()
-        sess.run()  # hit
-        prof = sess.run("decomp-arb-CC", schedule_mode="permutation")
-        assert prof is not None
-        assert sess.stats == {"hits": 1, "misses": 1}  # bypass counts neither
-
-    def test_queries_share_one_labeling(self):
-        sess = Session("random", scale="tiny", seed=2)
-        labels = sess.components()
-        sizes = sess.component_sizes()
-        assert sum(sizes.values()) == sess.graph.num_vertices
-        assert sess.num_components() == len(sizes)
-        u, v = 0, int(np.argmax(labels == labels[0]))
-        assert sess.connected(u, v) is True
-        many = sess.connected(np.array([0, 1]), np.array([0, 1]))
-        assert many.tolist() == [True, True]
-        # All of the above resolved against one memoized run.
-        assert sess.stats["misses"] == 1
-
-
-class TestConnectedRange:
-    """``connected`` rejects ids outside ``[0, n)`` and non-integer ids.
-
-    The path 0-1-2-3 is one component, so a wrapped ``-1`` (vertex 3)
-    would silently answer ``True``.
-    """
-
-    @pytest.mark.parametrize("bad", [-1, 4, 0.5])
-    def test_scalar_id_out_of_range(self, bad):
-        sess = Session(line_graph(4), graph_name="line4")
-        assert sess.connected(3, 0) is True
-        with pytest.raises(ParameterError):
-            sess.connected(bad, 0)
-        with pytest.raises(ParameterError):
-            sess.connected(0, bad)
-
-    @pytest.mark.parametrize("bad", [-1, 4, 0.5])
-    def test_array_id_out_of_range(self, bad):
-        sess = Session(line_graph(4), graph_name="line4")
-        many = sess.connected(np.array([3, 1]), np.array([0, 2]))
-        assert many.tolist() == [True, True]
-        with pytest.raises(ParameterError):
-            sess.connected(np.array([1, bad]), np.array([0, 0]))
-        with pytest.raises(ParameterError):
-            sess.connected(np.array([0, 0]), np.array([bad, 1]))
 
 
 class TestExecuteProfiled:
@@ -239,47 +167,6 @@ class TestExecuteProfiled:
             con = contract(dec, graph.num_vertices)
         assert dec == dec and dec != decomp_arb(graph, 0.2, seed=1)
         assert con in [con] and con != contract(dec, graph.num_vertices)
-
-
-class TestSameKeyRuns:
-    """Runs on one memo key: failures memoize nothing, races agree."""
-
-    def test_failed_run_memoizes_nothing(self, monkeypatch):
-        import repro.runtime.session as session_mod
-
-        sess = Session("random", scale="tiny", seed=2)
-
-        def exploding_run(*args, **kwargs):
-            raise RuntimeError("run boom")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(session_mod, "execute_profiled", exploding_run)
-            with pytest.raises(RuntimeError, match="run boom"):
-                sess.run()
-        assert sess.stats == {"hits": 0, "misses": 0}
-        prof = sess.run()
-        assert prof.tracker.total_work() > 0.0
-        assert sess.stats == {"hits": 0, "misses": 1}
-
-    def test_concurrent_same_key_runs_agree(self):
-        """4 threads, one key: equal labels and charges, then a memo hit."""
-        sess = Session("random", scale="tiny", seed=2)
-        barrier = threading.Barrier(4)
-
-        def worker(_):
-            barrier.wait()
-            return sess.run()
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            profiles = list(pool.map(worker, range(4)))
-        first = profiles[0]
-        for prof in profiles[1:]:
-            assert np.array_equal(prof.result.labels, first.result.labels)
-            assert prof.tracker.snapshot() == first.tracker.snapshot()
-        hits = sess.stats["hits"]
-        later = sess.run()
-        assert any(later is prof for prof in profiles)
-        assert sess.stats["hits"] == hits + 1
 
 
 class TestContextDiscipline:
