@@ -16,6 +16,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.primitives.sort import count_distinct
 from repro.runtime.context import current_context
 
 __all__ = ["ConnectivityResult", "canonicalize_labels", "num_components"]
@@ -83,7 +84,4 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
 
 def num_components(labels: np.ndarray) -> int:
     """Number of distinct labels."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return 0
-    return int(np.unique(labels).size)
+    return count_distinct(np.asarray(labels))

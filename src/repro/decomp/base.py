@@ -35,6 +35,7 @@ from repro.engine.core import (
 from repro.engine.kernels import dense_round, filter_edges
 from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
+from repro.primitives.sort import count_distinct
 from repro.resilience.policy import RoundBudget
 from repro.runtime.context import current_context
 
@@ -168,7 +169,7 @@ class Decomposition:
 
     @property
     def num_components(self) -> int:
-        return int(np.unique(self.labels).size) if self.labels.size else 0
+        return count_distinct(self.labels)
 
     def component_sizes(self) -> np.ndarray:
         """Sizes of the partitions, in ascending center-id order."""
@@ -260,8 +261,8 @@ class DecompState(TraversalState):
         #: the post-loop filterEdges classification.
         self.deferred: List[np.ndarray] = []
         #: The level's storage-order label stream (a copy of the labels
-        #: it read, differing positions, per-vertex firsts), once a
-        #: drain round or filterEdges has run it; see
+        #: it read, the differing edges' targets, per-vertex firsts),
+        #: once a drain round or filterEdges has run it; see
         #: ``engine.kernels._label_stream``.
         self.label_stream: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 

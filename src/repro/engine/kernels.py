@@ -7,8 +7,8 @@ on a :class:`~repro.decomp.base.DecompState`; :func:`bottom_up_step`
 is the read-based sweep every pull round runs, the decomposition's
 dense round and the BFS family's alike.  The push rounds expand their
 frontier through the ragged gather; the hybrids' post-loop
-:func:`filter_edges` instead streams the whole CSR once in storage
-order, as the paper's sign-bit pass streams its edge array.  A
+:func:`filter_edges` instead reads the level's differing edges in
+storage order, as the paper's sign-bit pass streams its edge array.  A
 Decomp-Arb push round run after every vertex is visited (a drain
 round) on a level that ran a dense round reads that same stream, a
 round early, and :func:`filter_edges` reuses it.  On a level that ends
@@ -134,11 +134,12 @@ def _drain_reads_stream(state: "DecompState") -> bool:
     """Whether this push round is a drain round that reads the level's stream.
 
     A drain round runs once every vertex is visited.  On a level that
-    ran a dense round, :func:`filter_edges` streams the whole CSR at
-    level end (:func:`_label_stream`), so the drain classifies its
-    frontier off that stream instead of expanding it.  On a level with
-    no dense round the stream would read all ``m`` edges for a frontier
-    that holds a few percent of them, and the drain expands instead.
+    ran a dense round, :func:`filter_edges` builds the level's label
+    stream at level end (:func:`_label_stream`), so the drain classifies
+    its frontier off that stream instead of expanding it.  On a level
+    with no dense round the stream may read all ``m`` edges for a
+    frontier that holds a few percent of them, and the drain expands
+    instead.
     """
     return state.visited >= state.n and bool(state.deferred)
 
@@ -168,8 +169,8 @@ def arb_round(state: "DecompState") -> np.ndarray:
     races nothing: it only classifies its frontier's edges.  It does
     not expand its frontier when the level ends in one partition
     (:func:`_one_partition`), where it keeps nothing, or when the level
-    ran a dense round, whose :func:`filter_edges` streams the whole CSR
-    at level end anyway: the drain runs that stream now
+    ran a dense round, whose :func:`filter_edges` builds the level's
+    label stream at level end anyway: the drain builds it now
     (:func:`_label_stream`), keeps its frontier's differing edges, and
     leaves the stream for :func:`filter_edges`.  Either way it reads
     ``E`` from the degree array and charges what the full round
@@ -402,31 +403,42 @@ def dense_round(state: "DecompState") -> np.ndarray:
     return winners
 
 
-#: :func:`_label_stream` gathers one byte per edge and compares the
-#: minor vertices' edges apart while those edges are at most 1/this of
-#: the stream, and compares both labels of every edge past that: on
-#: ``orkut_like(30_000, 76.0)`` the two cost the same near 1/16
-#: (docs/performance.md).
-_MINOR_EDGE_SHARE = 16
+#: :func:`_label_stream` builds the stream from the minor vertices' own
+#: edges while those are at most 1/this of the CSR's edges, and compares
+#: both labels of every edge past that (or on unsorted lists).  The 35
+#: multi-partition level-0 streams of 80 ``decomp-arb-hybrid-CC`` runs
+#: on ``orkut_like(30_000, 76.0)`` (graph seeds 2 and 3), median per
+#: band, best of 5 (2-core x86-64 VM, numpy 2.4; docs/performance.md):
+#:
+#: ===============  =======  ==========  ===========
+#: minor edges / m  streams  minor side  both labels
+#: ===============  =======  ==========  ===========
+#: < 0.5 %          19       0.13 ms     5.02 ms
+#: 1-2 %            3        1.87 ms     9.28 ms
+#: 5-8 %            2        5.50 ms     10.17 ms
+#: 10-12 %          2        11.68 ms    10.98 ms
+#: 20-30 %          3        21.76 ms    10.19 ms
+#: ===============  =======  ==========  ===========
+_MINOR_EDGE_SHARE = 10
 
 
 def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
-    """The storage-order label stream of the level: ``(differ, first)``.
+    """The storage-order label stream of the level: ``(dst, first)``.
 
-    ``differ`` lists the positions, ascending, of the CSR's edges whose
-    two endpoint labels differ; ``first[v]`` is the index in ``differ``
-    of vertex ``v``'s first such edge (``first[n]`` is
-    ``differ.size``), one binary search of the vertex offsets each.
+    ``dst`` lists the targets of the CSR's edges whose two endpoint
+    labels differ, in storage order; ``first[v]`` is the index in
+    ``dst`` of vertex ``v``'s first such edge (``first[n]`` is
+    ``dst.size``).
 
     A multi-partition level usually ends with one partition holding
-    most vertices.  An edge whose source carries that *major* label
-    differs exactly where its target does not.  So while the *minor*
-    vertices' own edges are few (:data:`_MINOR_EDGE_SHARE`), the stream
-    gathers one byte per edge, whether its target is minor, and
-    overwrites the minor vertices' edges with a compare of both labels.
-    Otherwise it compares both labels of every edge, read in ``C``'s
-    narrow type (:func:`~repro.engine.core.label_dtype`).  Either way
-    the positions are the same.
+    most vertices.  Every edge between two of its *major* vertices
+    joins one label, so the differing edges are those of the *minor*
+    vertices plus the edges into them.  While the minor vertices' own
+    edges are few (:data:`_MINOR_EDGE_SHARE`) and the adjacency lists
+    are sorted (:attr:`~repro.graphs.csr.CSRGraph.sorted_adjacency`),
+    :func:`_minor_side_stream` builds the stream from those edges
+    alone.  Otherwise :func:`_two_label_stream` compares both labels of
+    every edge.  Either way the stream is the same.
 
     A level's drain round and its :func:`filter_edges` both read the
     stream, with labels that nothing writes in between unless a
@@ -440,23 +452,72 @@ def _label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
         return cached[1], cached[2]
     graph, ws = state.graph, state.workspace
     # Shifted by one so that an UNVISITED label is counted too.
-    major = np.bincount(labels.astype(np.intp) + 1).argmax() - 1
+    major = np.bincount(np.add(labels, 1, dtype=np.intp)).argmax() - 1
     minor = labels != major
     sources = minor.nonzero()[0]
     counts = ws.take(graph.degrees, sources)
-    if int(counts.sum()) * _MINOR_EDGE_SHARE <= graph.targets.size:
-        differ = ws.take(minor.view(np.uint8), graph.targets)
-        at = ragged_positions(ws.take(graph.offsets, sources), counts)
-        differ[at] = ws.take(labels, ws.take(graph.targets, at)) != (
-            labels.take(sources).repeat(counts)
-        )
-        differ = differ.view(bool)
+    if (
+        int(counts.sum()) * _MINOR_EDGE_SHARE <= graph.targets.size
+        and graph.sorted_adjacency
+    ):
+        dst, first = _minor_side_stream(state, minor, sources, counts)
     else:
-        differ = ws.take(labels, graph.targets) != labels.repeat(graph.degrees)
-    differ = differ.nonzero()[0]
-    first = differ.searchsorted(graph.offsets)
-    state.label_stream = (labels.copy(), differ, first)
-    return differ, first
+        dst, first = _two_label_stream(state)
+    state.label_stream = (labels.copy(), dst, first)
+    return dst, first
+
+
+def _minor_side_stream(
+    state: "DecompState", minor: np.ndarray, sources: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The label stream from the edges of the *minor* vertices only.
+
+    *sources* are the vertices where *minor* is set, *counts* their
+    degrees.  Their edges whose two labels differ are the differing
+    edges with a minor source.  A differing edge with a major source
+    ends at a minor vertex: it is the mirror of a kept edge into a
+    major vertex (the graph is symmetric, as every decomposition
+    input).  On strictly ascending lists storage order is the order of
+    the packed keys ``(src << b) | dst``, so one sort of the kept edges
+    and their mirrors gives the stream.  O(q log q) for the q minor
+    edges, plus O(n) for ``first``.
+    """
+    graph, labels, ws = state.graph, state.C, state.workspace
+    n = graph.num_vertices
+    at = ragged_positions(ws.take(graph.offsets, sources), counts)
+    dst = ws.take(graph.targets, at)
+    del at
+    differ = ws.take(labels, dst) != ws.take(labels, sources).repeat(counts)
+    keep = differ.nonzero()[0]
+    src = sources.repeat(counts).take(keep)
+    dst = dst.take(keep)
+    back = (~ws.take(minor, dst)).nonzero()[0]
+    bits = max(n - 1, 0).bit_length()
+    keys = np.empty(src.size + back.size, dtype=np.int64)
+    own, mirrors = keys[: src.size], keys[src.size :]
+    np.left_shift(src, bits, out=own)
+    own |= dst
+    np.left_shift(dst.take(back), bits, out=mirrors)
+    mirrors |= src.take(back)
+    del src, dst, back, own, mirrors
+    keys.sort()
+    # first[v + 1] counts the edges out of vertices up to v.
+    first = np.bincount((keys >> bits) + 1, minlength=n + 1)
+    first.cumsum(out=first)
+    keys &= (1 << bits) - 1
+    return keys, first
+
+
+def _two_label_stream(state: "DecompState") -> Tuple[np.ndarray, np.ndarray]:
+    """The label stream from both labels of every edge of the CSR.
+
+    Read in ``C``'s narrow type (:func:`~repro.engine.core.label_dtype`).
+    O(m) on any adjacency order.
+    """
+    graph, labels, ws = state.graph, state.C, state.workspace
+    differ = ws.take(labels, graph.targets) != labels.repeat(graph.degrees)
+    at = differ.nonzero()[0]
+    return ws.take(graph.targets, at), at.searchsorted(graph.offsets)
 
 
 def _keep_differing(
@@ -466,25 +527,24 @@ def _keep_differing(
 
     In *vertices* order and adjacency order within each vertex: the
     edges, in the order, that expanding *vertices* and comparing the
-    labels per edge would keep.  The stream stays on the state for a
-    later reader only if *keep_stream*; otherwise it is freed before
-    the kept arrays, which outlive the level, are allocated.
-    Uncharged: the callers charge the classification their PRAM step
-    runs.
+    labels per edge would keep.  Only the vertices that own a
+    differing edge are gathered past one byte each.  The stream stays
+    on the state for a later reader only if *keep_stream*; otherwise
+    it is freed before the kept arrays, which outlive the level, are
+    allocated.  Uncharged: the callers charge the classification their
+    PRAM step runs.
     """
-    differ, first = _label_stream(state)
+    stream, first = _label_stream(state)
     if not keep_stream:
         state.label_stream = None
-    C, ws, targets = state.C, state.workspace, state.graph.targets
-    starts = ws.take(first, vertices)
-    kept = ws.take(first, vertices + 1) - starts
-    owners = kept.nonzero()[0]
+    C, ws = state.C, state.workspace
+    owners = ws.take(first[1:] != first[:-1], vertices).nonzero()[0]
     sources = vertices.take(owners)
-    kept = kept.take(owners)
-    at = ws.take(differ, ragged_positions(starts.take(owners), kept))
-    del differ, first, starts
-    dst = ws.take(targets, at)
-    del at
+    starts = ws.take(first, sources)
+    kept = ws.take(first[1:], sources)
+    kept -= starts
+    dst = ws.take(stream, ragged_positions(starts, kept))
+    del stream, first, starts
     state.keep_inter(
         ws.take(C, sources).repeat(kept),
         ws.take(C, dst),
@@ -498,9 +558,10 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
 
     *deferred* holds the frontiers of the dense rounds; their out-edges
     were never inspected write-based.  The paper finds them by a sign
-    bit on the edge array and streams that array once; so does this
-    pass (:func:`_label_stream`, which the level's drain round may
-    have run already), then gathers the differing edges of the
+    bit on the edge array and streams that array once; this pass reads
+    the level's differing edges in storage order instead
+    (:func:`_label_stream`, which the level's drain round may have
+    built already), then gathers the differing edges of the
     deferred vertices only, in deferred order and adjacency order
     within each vertex.
 
@@ -513,10 +574,11 @@ def filter_edges(state: "DecompState", deferred: List[np.ndarray]) -> None:
     non-deferred edges is host execution, not charged: the paper's pass
     skips them by their sign bit.
 
-    So the host reads every edge of the CSR once per level whatever
-    *E* is, except on a level that ends in one partition
-    (:func:`_one_partition`): no edge's two labels differ there, and
-    nothing is streamed but the charge is the same.
+    So the host reads the minor vertices' edges, or every edge of the
+    CSR (:func:`_label_stream`), once per level whatever *E* is, except
+    on a level that ends in one partition (:func:`_one_partition`): no
+    edge's two labels differ there, and nothing is streamed but the
+    charge is the same.
     """
     if not deferred:
         return

@@ -160,6 +160,33 @@ class CSRGraph:
             object.__setattr__(self, "_degrees", cached)
         return cached
 
+    @property
+    def sorted_adjacency(self) -> bool:
+        """Whether every adjacency list is strictly ascending.
+
+        Then the directed edges in storage order are the pairs
+        ``(u, v)`` in ascending order, each stored once, so an edge's
+        place follows from its two endpoints.  Every
+        :func:`~repro.graphs.builder.from_edges` build has it (its CSR
+        comes from sorted, distinct packed keys); a
+        :func:`~repro.graphs.builder.from_directed_edges` build keeps
+        its lists in input order, so it has it only if they were given
+        sorted and without repeats.  One pass over the targets,
+        computed once per instance and cached.  Host-side bookkeeping —
+        charges nothing.
+        """
+        cached = getattr(self, "_sorted_adjacency", None)
+        if cached is None:
+            targets, m = self.targets, self.targets.size
+            rising = targets[1:] > targets[:-1]
+            # A list may start anywhere below any target: exempt every
+            # step from a list's last edge to the next list's first.
+            starts = self.offsets[1:-1]
+            rising[starts[(starts > 0) & (starts < m)] - 1] = True
+            cached = bool(rising.all())
+            object.__setattr__(self, "_sorted_adjacency", cached)
+        return cached
+
     def neighbors(self, v: int) -> np.ndarray:
         """Targets of vertex *v*'s outgoing edges (a view, do not mutate)."""
         return self.targets[self.offsets[v] : self.offsets[v + 1]]

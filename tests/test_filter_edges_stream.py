@@ -30,7 +30,7 @@ from repro.engine import kernels
 from repro.engine.backend import use_backend
 from repro.engine.core import end_round
 from repro.engine.kernels import _edge_sources, filter_edges
-from repro.graphs.builder import from_edges
+from repro.graphs.builder import from_directed_edges, from_edges
 from repro.graphs.generators import (
     clique,
     disjoint_union_edges,
@@ -133,6 +133,15 @@ def _labels(n, seed, components=3):
     return centers[rng.integers(0, centers.size, size=n)]
 
 
+def _lists_permuted(graph, seed):
+    """*graph* with its adjacency lists in random order, the same edges."""
+    src, dst = graph.edge_array()
+    order = np.random.default_rng(seed).permutation(src.size)
+    return from_directed_edges(
+        src[order], dst[order], graph.num_vertices, symmetric=True
+    )
+
+
 def _named_cases():
     k = clique(8)
     yield "no-deferred-list", k, _labels(8, 1), []
@@ -151,6 +160,17 @@ def _named_cases():
     yield (
         "frontiers-out-of-id-order",
         union,
+        _labels(16, 4, components=5),
+        [[14, 2, 9], [0, 15], [7, 5, 11, 1]],
+    )
+    # The same graph and frontiers on unsorted lists: storage order is no
+    # longer the order of (source, target), so the stream compares both
+    # labels of every edge whatever the minor vertices' share.
+    shuffled = _lists_permuted(union, 6)
+    assert not shuffled.sorted_adjacency
+    yield (
+        "unsorted-lists",
+        shuffled,
         _labels(16, 4, components=5),
         [[14, 2, 9], [0, 15], [7, 5, 11, 1]],
     )
@@ -176,8 +196,8 @@ _BY_NAME = {case[0]: case for case in _CASES}
 
 
 #: ``_MINOR_EDGE_SHARE`` values that send every label stream down one
-#: of its two ways: the byte gather with the minor vertices' edges
-#: compared apart (1), or both labels of every edge compared.
+#: of its two ways: built from the minor vertices' edges wherever the
+#: lists are sorted (1), or both labels of every edge compared.
 STREAM_WAYS = {"minor-gather": 1, "both-labels": 1 << 62}
 
 
@@ -231,6 +251,8 @@ def filter_inputs(draw, max_vertices=40, max_edges=150):
     # An edgeless draw becomes one self-loop, which the builder drops.
     src, dst = (np.array(side, dtype=np.int64) for side in zip(*pairs or [(0, 0)]))
     graph = from_edges(src, dst, num_vertices=n)
+    if draw(st.booleans()):
+        graph = _lists_permuted(graph, draw(st.integers(0, 1 << 16)))
     components = draw(st.integers(1, n))
     labels = _labels(n, draw(st.integers(0, 1 << 16)), components)
     order = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
@@ -259,20 +281,52 @@ def test_random_deferred_sets_either_stream_way(case, backend, way):
         _assert_matches_reference(graph, labels, deferred, backend)
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of ``kernels.<name>``."""
+    calls = []
+    real = getattr(kernels, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_pass_allocates_no_edge_sized_positions(backend):
+def test_sorted_graphs_below_the_gate_never_compare_every_edge(backend, monkeypatch):
+    monkeypatch.setattr(kernels, "_MINOR_EDGE_SHARE", 1)
+    minor_side = _counting(monkeypatch, "_minor_side_stream")
+    two_label = _counting(monkeypatch, "_two_label_stream")
+    for _name, graph, labels, deferred in _CASES:
+        if graph.sorted_adjacency:
+            _assert_matches_reference(graph, labels, deferred, backend)
+    assert minor_side and not two_label
+    _name, graph, labels, deferred = _BY_NAME["unsorted-lists"]
+    _assert_matches_reference(graph, labels, deferred, backend)
+    assert two_label
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pass_allocates_no_edge_sized_positions(backend, monkeypatch):
     # Every vertex deferred and almost no inter edge: the ragged pass
     # would build an int64 position per deferred edge (8 bytes each,
     # and more for the gathered targets and labels).  The storage-order
-    # pass holds one byte per edge, whether its target's label is a
-    # minor one, plus vertex 0's own edges.  Vertex 0 gets a label of
+    # pass reads vertex 0's own edges and the mirrors of its kept ones,
+    # and holds a few arrays of n entries.  Vertex 0 gets a label of
     # its own: with one label everywhere the pass would stream nothing.
     graph = orkut_like(2000, 20.0, seed=3)
-    m = graph.targets.size
-    assert np.min_scalar_type(-graph.num_vertices) == np.int16
-    labels = np.zeros(graph.num_vertices, dtype=np.int64)
+    n, m = graph.num_vertices, graph.targets.size
+    assert np.min_scalar_type(-n) == np.int16
+    # The degrees and the sorted flag are per-graph caches, filled here
+    # and not by the measured pass.
+    minor_edges = int(graph.degrees[0])
+    assert graph.sorted_adjacency
+    labels = np.zeros(n, dtype=np.int64)
     labels[0] = 1
-    deferred = [np.arange(graph.num_vertices, dtype=np.int64)]
+    deferred = [np.arange(n, dtype=np.int64)]
+    two_label = _counting(monkeypatch, "_two_label_stream")
 
     def peak(fn):
         state = _state(graph, labels, backend)
@@ -283,7 +337,10 @@ def test_pass_allocates_no_edge_sized_positions(backend):
         finally:
             tracemalloc.stop()
 
-    assert peak(filter_edges) < 8 * m
+    # O(n + minor edges), with no term in m: 32 bytes per vertex and 64
+    # per minor edge (95,360 bytes here, about 2.4 m).
+    assert peak(filter_edges) < 32 * n + 64 * minor_edges
+    assert not two_label
     assert peak(ragged_filter_edges) > 8 * m
 
 

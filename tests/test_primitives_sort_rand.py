@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.connectivity.base import num_components
+from repro.decomp.base import Decomposition
 from repro.errors import ParameterError
 from repro.pram.cost import tracking
 from repro.primitives.rand import (
@@ -15,11 +17,52 @@ from repro.primitives.rand import (
     uniform_fractions,
 )
 from repro.primitives.sort import (
+    count_distinct,
     packed_argsort,
     radix_argsort,
     radix_sort,
     sort_pairs_by_key,
 )
+
+
+class TestCountDistinct:
+    """``count_distinct`` and the two ``num_components`` built on it."""
+
+    @staticmethod
+    def _counts(values):
+        empty = np.zeros(0, dtype=np.int64)
+        dec = Decomposition(values, empty, empty, empty, empty, num_rounds=0)
+        return count_distinct(values), num_components(values), dec.num_components
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int8, np.int16, np.int64]),
+        values=st.lists(st.integers(-1, 40), max_size=60),
+    )
+    def test_matches_unique(self, dtype, values):
+        values = np.asarray(values, dtype=dtype)
+        want = np.unique(values).size
+        assert self._counts(values) == (want, want, want)
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([], 0),
+            ([7], 1),
+            ([5, 5, 5, 5], 1),
+            ([-1, -1, -1], 1),
+            ([-1, 3, -1, 0, 3], 3),
+            ([127, -128, 0, 127], 3),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    def test_edge_cases(self, values, want, dtype):
+        assert self._counts(np.asarray(values, dtype=dtype)) == (want, want, want)
+
+    def test_does_not_reorder_its_input(self):
+        values = np.array([3, 1, 2, 1])
+        assert count_distinct(values) == 3
+        assert values.tolist() == [3, 1, 2, 1]
 
 
 class TestRadixSort:

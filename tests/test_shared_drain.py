@@ -1,7 +1,7 @@
 """The drain round that classifies its frontier off filterEdges' stream.
 
-A Decomp-Arb-Hybrid level that ran a dense round streams the whole CSR
-in ``filter_edges`` at level end.  The push round run after every
+A Decomp-Arb-Hybrid level that ran a dense round builds the level's
+label stream in ``filter_edges`` at level end.  The push round run after every
 vertex is visited (the drain round) runs that stream instead of
 expanding its frontier, keeps its frontier's differing edges at the
 round, and leaves the stream for ``filter_edges``, which reuses it
