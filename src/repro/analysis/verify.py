@@ -11,12 +11,22 @@ scipy.  Graphs are read with symmetric-graph semantics: a graph
 declared symmetric contributes each edge once, in its ``src < dst``
 orientation.
 
+The ground truth streams every edge; the check of a claimed labeling
+need not.  Once no edge crosses labels, each component carries one
+label, and the labeling is right iff no two components share one.  If
+no two components of a spanning subgraph share a label, neither do the
+graph's, which are unions of them.  On a dense symmetric graph a sample
+of two edges per vertex usually settles it; otherwise an exact finish
+over the edges stored at the vertices outside the sample's largest
+component does (Afforest's subgraph sampling: Sutton, Ben-Nun and
+Barak, IPDPS 2018).
+
 * :func:`labelings_equivalent` — do two labelings induce the same
   partition of the vertices?  (Labels are arbitrary names.)
 * :func:`verify_labeling` — full check against the graph: every edge
   must join same-labeled vertices (the labeling *refines* into
   components) and same-labeled vertices must be connected (no
-  over-merging), established against the ground truth.  Raises
+  over-merging), established against the graph's components.  Raises
   :class:`~repro.errors.VerificationError` with a counterexample on
   failure.
 * :func:`verify_decomposition` — the structural invariants of a
@@ -131,11 +141,28 @@ def ground_truth_labels(graph: CSRGraph) -> np.ndarray:
 
 
 def _canonical(labels: np.ndarray) -> np.ndarray:
-    """Rename labels to first-occurrence order: the partition's normal form."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse.reshape(-1)]
+    """Rename labels to first-occurrence order: the partition's normal form.
+
+    A sort groups equal labels into runs.  A run's first occurrence is
+    its smallest vertex, and the runs are named 0, 1, ... in the order
+    of their first occurrences.
+    """
+    labels = labels.reshape(-1)
+    n = labels.size
+    order = np.argsort(labels)
+    ordered = labels.take(order)
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    first = np.minimum.reduceat(order, starts) if n else starts
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    name = np.empty(n, dtype=np.int64)
+    name[is_first.nonzero()[0]] = np.arange(first.size)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = np.repeat(name.take(first), np.diff(starts, append=n))
+    return out
 
 
 def labelings_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
@@ -145,6 +172,114 @@ def labelings_equivalent(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape != b.shape:
         return False
     return bool(np.array_equal(_canonical(a), _canonical(b)))
+
+
+def _narrow(labels: np.ndarray) -> np.ndarray:
+    """*labels* as int32 when every value fits, else unchanged.
+
+    Equality is all the crossing check asks of a label, and half-width
+    labels halve the bytes its gathers over every stored edge move.
+    """
+    if labels.dtype.kind not in "iu" or labels.dtype.itemsize <= 4 or not labels.size:
+        return labels
+    if labels.min() < np.iinfo(np.int32).min or labels.max() > np.iinfo(np.int32).max:
+        return labels
+    return labels.astype(np.int32)
+
+
+def _first_crossing(
+    graph: CSRGraph,
+    labels: np.ndarray,
+    stream: Optional[Tuple[np.ndarray, np.ndarray]],
+) -> Optional[Tuple[int, int]]:
+    """The first edge in CSR order whose endpoints' labels differ.
+
+    Reads the edge *stream* when the caller built one, else every stored
+    edge in one pass, recovering the source from the offsets.  On a
+    symmetric graph both find the same edge: the first crossing directed
+    edge has ``src < dst``, because its mirror is stored later.
+    """
+    if stream is not None:
+        src, dst = stream
+        crossing = labels.take(src) != labels.take(dst)
+    else:
+        names = _narrow(labels)
+        crossing = names.take(graph.targets) != np.repeat(names, graph.degrees)
+    if not crossing.size:
+        return None
+    i = int(np.argmax(crossing))
+    if not crossing[i]:
+        return None
+    if stream is not None:
+        return int(src[i]), int(dst[i])
+    u = int(np.searchsorted(graph.offsets, i, side="right")) - 1
+    return u, int(graph.targets[i])
+
+
+def _sample(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Each vertex's first two stored edges, as ``(lo, hi)`` pairs.
+
+    An edge ``(v, t)`` with ``v > t`` is left out when ``deg(t) <= 2``:
+    then ``t`` sampled its mirror.  So on a graph whose lists are all
+    short, the sample holds each edge once, as the stream does.
+    """
+    deg = graph.degrees
+    start = graph.offsets[:-1]
+    one = (deg >= 1).nonzero()[0]
+    two = (deg >= 2).nonzero()[0]
+    src = np.concatenate([one, two])
+    dst = graph.targets.take(np.concatenate([start.take(one), start.take(two) + 1]))
+    keep = ((src < dst) | (deg.take(dst) > 2)).nonzero()[0]
+    src, dst = src.take(keep), dst.take(keep)
+    return np.minimum(src, dst), np.maximum(src, dst)
+
+
+def _distinct(names: np.ndarray) -> bool:
+    names = np.sort(names)
+    return not (names[1:] == names[:-1]).any()
+
+
+def _shared_label(
+    graph: CSRGraph,
+    labels: np.ndarray,
+    stream: Optional[Tuple[np.ndarray, np.ndarray]],
+) -> Optional[int]:
+    """``None`` if no two components share a label, else the component count.
+
+    Requires that no edge crosses labels, so each component carries one
+    label: the labeling is right iff the labels at the components'
+    roots are pairwise distinct.  The roots of a subgraph's components
+    serve as well when their labels are already distinct, because the
+    subgraph's components refine the graph's.
+
+    With an edge *stream*, its components are the graph's.  Without
+    one, the sample of :func:`_sample` is checked first.  If two sampled
+    roots share a label, the edges stored at vertices outside the
+    largest sampled component, mapped to their sampled roots, finish the
+    components exactly: on a symmetric graph an edge with an endpoint
+    outside that component is stored at that endpoint too.
+    """
+    n = graph.num_vertices
+    ids = np.arange(n, dtype=np.int64)
+    if stream is not None:
+        root = _component_roots(n, *_ordered(graph, *stream))
+        roots = (root == ids).nonzero()[0]
+        return None if _distinct(labels.take(roots)) else roots.size
+    root = _component_roots(n, *_sample(graph))
+    roots = (root == ids).nonzero()[0]
+    if _distinct(labels.take(roots)):
+        return None
+    outside = (root != np.bincount(root).argmax()).nonzero()[0]
+    deg = graph.degrees.take(outside)
+    skip = graph.offsets.take(outside) - (np.cumsum(deg) - deg)
+    pos = np.repeat(skip, deg) + np.arange(int(deg.sum()), dtype=np.int64)
+    lo = np.repeat(root.take(outside), deg)
+    hi = root.take(graph.targets.take(pos))
+    live = (lo != hi).nonzero()[0]
+    lo, hi = lo.take(live), hi.take(live)
+    joined = _component_roots(n, np.minimum(lo, hi), np.maximum(lo, hi))
+    roots = roots.take((joined.take(roots) == roots).nonzero()[0])
+    return None if _distinct(labels.take(roots)) else roots.size
 
 
 def verify_labeling(
@@ -158,8 +293,14 @@ def verify_labeling(
     2. edge consistency: no edge may cross labels (otherwise the
        labeling splits a component);
     3. partition equality with the ground truth — *reference* when
-       given, else the hook-and-shortcut components of the same edge
-       stream (otherwise it merges two components).
+       given, else the graph's components (otherwise it merges two
+       components).
+
+    Without *reference*, a symmetric graph storing more than four edges
+    per vertex is checked against a sample of at most two edges per
+    vertex, finished exactly only when the sample leaves two components
+    sharing a label; any other graph against its edge stream, which
+    the crossing check then reads too.
     """
     labels = np.asarray(labels)
     n = graph.num_vertices
@@ -168,30 +309,23 @@ def verify_labeling(
             f"labels shape {labels.shape} != ({n},) for this graph",
             reason="shape",
         )
-    # On a symmetric graph the first crossing directed edge in CSR
-    # order always has src < dst, so one orientation finds the same one.
-    src, dst = _edge_stream(graph)
-    crossing = labels.take(src) != labels.take(dst)
-    if crossing.any():
-        i = int(np.argmax(crossing))
+    stream = None
+    if reference is None and not (graph.symmetric and graph.num_directed > 4 * n):
+        stream = _edge_stream(graph)
+    edge = _first_crossing(graph, labels, stream)
+    if edge is not None:
+        u, v = edge
         raise VerificationError(
-            f"edge ({int(src[i])}, {int(dst[i])}) crosses labels "
-            f"{int(labels[src[i]])} != {int(labels[dst[i]])}",
+            f"edge ({u}, {v}) crosses labels {int(labels[u])} != {int(labels[v])}",
             reason="crossing-edge",
         )
-    del crossing
     if reference is None:
-        root = _component_roots(n, *_ordered(graph, src, dst))
-        roots = (root == np.arange(n)).nonzero()[0]
-        # No edge crosses labels, so each component carries one label:
-        # the partitions differ iff two components share a label.
-        named = np.sort(labels.take(roots))
-        same = not (named[1:] == named[:-1]).any()
-        want = roots.size
+        want = _shared_label(graph, labels, stream)
+    elif labelings_equivalent(labels, reference):
+        want = None
     else:
-        same = labelings_equivalent(labels, reference)
         want = np.unique(reference).size
-    if not same:
+    if want is not None:
         got = int(np.unique(labels).size)
         raise VerificationError(
             f"labeling partitions vertices into {got} classes; "

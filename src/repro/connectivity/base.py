@@ -70,16 +70,28 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     """Rename labels to first-occurrence order: the partition's normal form.
 
     Two labelings describe the same partition of the vertices iff their
-    canonical forms are identical arrays.
+    canonical forms are identical arrays.  A sort groups equal labels
+    into runs; a run's first occurrence is its smallest position, and
+    the runs are named 0, 1, ... in the order of their first occurrences.
     """
     labels = np.asarray(labels)
     current_context().tracker.add("scan", work=float(labels.size), depth=1.0)
-    _, first_index, inverse = np.unique(
-        labels, return_index=True, return_inverse=True
-    )
-    # np.unique orders by label value; re-rank by first occurrence.
-    order = np.argsort(np.argsort(first_index, kind="stable"), kind="stable")
-    return order[inverse].astype(np.int64)
+    flat = labels.reshape(-1)
+    n = flat.size
+    order = np.argsort(flat)
+    ordered = flat.take(order)
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    first = np.minimum.reduceat(order, starts) if n else starts
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    name = np.empty(n, dtype=np.int64)
+    name[is_first.nonzero()[0]] = np.arange(first.size)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = np.repeat(name.take(first), np.diff(starts, append=n))
+    return out.reshape(labels.shape)
 
 
 def num_components(labels: np.ndarray) -> int:

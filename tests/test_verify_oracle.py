@@ -8,17 +8,28 @@ hooks, must return exactly the roots of the plain hook-and-shortcut
 that pointer-jumps every vertex each round, also kept here.  Every
 rejection of ``verify_labeling`` / ``verify_decomposition`` must still
 fire with its ``reason``, and verification must charge no cost
-tracker.
+tracker.  On graphs dense enough to take the sampled component check,
+every verdict must equal the plain stream check's, kept here, both
+when the sample decides and when the exact finish has to.  The sort
+based normal forms must equal the ``np.unique`` formulas they replaced,
+also kept here, and the oracle must import none of the layers it
+checks.
 """
 
+import ast
+from pathlib import Path
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import repro.analysis.verify as oracle
 from repro.analysis.verify import (
+    _canonical,
     _component_roots,
     _edge_stream,
     _ordered,
@@ -394,6 +405,17 @@ def test_planted_crossing_names_the_first_crossing_edge():
     assert exc.value.reason == "crossing-edge"
     assert str(exc.value) == "edge (0, 768) crosses labels 0 != 53"
     assert first_crossing(graph, labels) == (0, 768)
+    # Dense enough to take the sample: the crossing scan reads every
+    # stored edge, and still names the first crossing one.
+    graph = orkut_like(2000, seed=3)
+    assert graph.num_directed > 4 * graph.num_vertices
+    labels = ground_truth_labels(graph)
+    labels[1500:] = 7
+    with pytest.raises(VerificationError) as exc:
+        verify_labeling(graph, labels)
+    assert exc.value.reason == "crossing-edge"
+    assert str(exc.value) == "edge (0, 1506) crosses labels 0 != 7"
+    assert first_crossing(graph, labels) == (0, 1506)
 
 
 class TestDecompositionRejections:
@@ -446,6 +468,293 @@ class TestDecompositionRejections:
             with pytest.raises(VerificationError) as exc:
                 verify_decomposition(g, labels)
             assert exc.value.reason == reason
+
+
+# -- the sampled component check ------------------------------------------------
+
+
+def stream_verdict(graph: CSRGraph, labels: np.ndarray) -> Optional[tuple]:
+    """The check without sampling: ``(reason, message)``, or ``None``.
+
+    One crossing scan over the edge stream, then the labels at the
+    stream's component roots must be pairwise distinct.
+    """
+    src, dst = stored_edges(graph)
+    crossing = labels[src] != labels[dst]
+    if crossing.any():
+        i = int(np.argmax(crossing))
+        u, v = int(src[i]), int(dst[i])
+        return (
+            "crossing-edge",
+            f"edge ({u}, {v}) crosses labels {int(labels[u])} != {int(labels[v])}",
+        )
+    n = graph.num_vertices
+    roots = np.flatnonzero(full_jump_roots(n, src, dst) == np.arange(n))
+    if np.unique(labels[roots]).size < roots.size:
+        return (
+            "partition-mismatch",
+            f"labeling partitions vertices into {np.unique(labels).size} "
+            f"classes; the graph has {roots.size} components",
+        )
+    return None
+
+
+def verdict(graph: CSRGraph, labels: np.ndarray) -> Optional[tuple]:
+    try:
+        verify_labeling(graph, labels)
+    except VerificationError as exc:
+        return exc.reason, str(exc)
+    return None
+
+
+#: Label namings: wide and narrow, signed and unsigned, and names that
+#: do not fit in 32 bits.
+NAMINGS = [
+    lambda x: x,
+    lambda x: x.astype(np.int32) - 3,
+    lambda x: x.astype(np.uint64) * 5,
+    lambda x: x * (1 << 33) - 7,
+    lambda x: -x,
+]
+
+
+@st.composite
+def labelings(draw, graph: CSRGraph):
+    """Right, merged, split and random labelings of *graph*, renamed."""
+    truth = ground_truth_labels(graph)
+    n = truth.size
+    kind = draw(st.sampled_from(["right", "merged", "split", "random"]))
+    if kind == "random":
+        labels = np.asarray(
+            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64
+        )
+    else:
+        labels = truth.copy()
+    if kind == "merged" and n and truth.max() >= 1:
+        a, b = draw(
+            st.lists(
+                st.integers(0, int(truth.max())), min_size=2, max_size=2, unique=True
+            )
+        )
+        labels[truth == b] = a
+    if kind == "split" and n:
+        moved = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        labels[sorted(moved)] = n
+    names = np.random.default_rng(draw(st.integers(0, 99))).permutation(n + 4)
+    return draw(st.sampled_from(NAMINGS))(names[labels])
+
+
+@st.composite
+def dense_graphs(draw):
+    """Symmetric graphs storing more than four edges per vertex.
+
+    A union of cliques, random graphs and paths, topped up with one
+    more clique when the parts are too sparse, with the vertices
+    optionally renamed so that the components interleave.
+    """
+    parts = draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 10).map(clique),
+                random_edges(max_vertices=12, max_edges=60),
+                st.integers(1, 8).map(line_graph),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    n = sum(p.num_vertices for p in parts)
+    m = sum(p.num_directed for p in parts)
+    k = 1
+    while m + k * (k - 1) <= 4 * (n + k):
+        k += 1
+    if m <= 4 * n:
+        parts.append(clique(k))
+    graph = disjoint_union_edges(parts)
+    if draw(st.booleans()):
+        perm = np.asarray(
+            draw(st.permutations(range(graph.num_vertices))), dtype=np.int64
+        )
+        src = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+        graph = from_edges(
+            perm[src], perm[graph.targets], num_vertices=graph.num_vertices
+        )
+    return graph
+
+
+@st.composite
+def dense_directed_graphs(draw):
+    """Non-symmetric graphs with more than four stored edges per vertex."""
+    n = draw(st.integers(1, 12))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            min_size=4 * n + 1,
+            max_size=8 * n + 1,
+        )
+    )
+    return directed_csr(n, [a for a, _ in edges], [b for _, b in edges])
+
+
+@st.composite
+def bridged_cliques(draw):
+    """Two k-cliques joined by one bridge stored at rank >= 2 at both ends.
+
+    Each vertex's first two stored edges stay inside its clique, so the
+    two-edge sample splits the one component in two.
+    """
+    k = draw(st.integers(5, 9))
+    ids = np.asarray(draw(st.permutations(range(2 * k))), dtype=np.int64)
+    a, b = ids[:k], ids[k:]
+    bridges = [
+        (int(u), int(v))
+        for u in a
+        for v in b
+        if (a < v).sum() - (u < v) >= 2 and (b < u).sum() - (v < u) >= 2
+    ]
+    assume(bridges)
+    u, v = draw(st.sampled_from(bridges))
+    i, j = np.triu_indices(k, 1)
+    src = np.concatenate([a[i], b[i], [u]])
+    dst = np.concatenate([a[j], b[j], [v]])
+    return from_edges(src, dst, num_vertices=2 * k)
+
+
+def counted_roots():
+    """Patch the oracle's ``_component_roots`` with a spy that wraps it."""
+    return mock.patch.object(oracle, "_component_roots", wraps=_component_roots)
+
+
+class TestSampledComponentCheck:
+    @settings(**COMMON)
+    @given(graph=dense_graphs(), data=st.data())
+    def test_property_symmetric_verdict_equals_the_stream_check(self, graph, data):
+        labels = data.draw(labelings(graph))
+        assert verdict(graph, labels) == stream_verdict(graph, labels)
+
+    @settings(**COMMON)
+    @given(graph=dense_directed_graphs(), data=st.data())
+    def test_property_directed_verdict_equals_the_stream_check(self, graph, data):
+        labels = data.draw(labelings(graph))
+        assert verdict(graph, labels) == stream_verdict(graph, labels)
+
+    @settings(**COMMON)
+    @given(graph=bridged_cliques())
+    def test_right_labels_pass_through_the_exact_finish(self, graph):
+        n = graph.num_vertices
+        assert graph.num_directed > 4 * n
+        with counted_roots() as roots:
+            verify_labeling(graph, np.zeros(n, dtype=np.int64))
+        # The sample leaves two components, so the finish runs too.
+        assert roots.call_count == 2
+        assert roots.call_args_list[0].args[1].size <= 2 * n
+
+    @settings(**COMMON)
+    @given(first=bridged_cliques(), second=bridged_cliques())
+    def test_merged_labels_fail_after_the_exact_finish(self, first, second):
+        graph = disjoint_union_edges([first, second])
+        labels = np.zeros(graph.num_vertices, dtype=np.int64)
+        with counted_roots() as roots:
+            with pytest.raises(VerificationError) as exc:
+                verify_labeling(graph, labels)
+        assert roots.call_count == 2
+        assert exc.value.reason == "partition-mismatch"
+        assert str(exc.value) == (
+            "labeling partitions vertices into 1 classes; the graph has 2 components"
+        )
+        verify_labeling(graph, ground_truth_labels(graph))
+
+    def test_a_dense_graph_exits_on_the_sample(self):
+        graph = orkut_like(2000, seed=3)
+        n = graph.num_vertices
+        labels = ground_truth_labels(graph) + 4
+        with counted_roots() as roots:
+            verify_labeling(graph, labels)
+        assert roots.call_count == 1
+        assert roots.call_args_list[0].args[1].size <= 2 * n
+
+    def test_a_sparse_graph_reads_the_stream(self):
+        graph = line_graph(100, seed=2)
+        with counted_roots() as roots:
+            verify_labeling(graph, np.zeros(100, dtype=np.int64))
+        assert roots.call_count == 1
+        assert roots.call_args_list[0].args[1].size == 99
+
+
+# -- the normal form ---------------------------------------------------------------
+
+
+def unique_canonical(labels: np.ndarray) -> np.ndarray:
+    """The oracle's former normal form, through ``np.unique``."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.reshape(-1)]
+
+
+def unique_canonicalize_labels(labels: np.ndarray) -> np.ndarray:
+    """``canonicalize_labels``' former body, through ``np.unique``."""
+    _, first_index, inverse = np.unique(
+        labels, return_index=True, return_inverse=True
+    )
+    order = np.argsort(np.argsort(first_index, kind="stable"), kind="stable")
+    return order[inverse].astype(np.int64)
+
+
+@st.composite
+def label_arrays(draw):
+    """Label arrays of several integer dtypes, with few or sparse names."""
+    dtype = np.dtype(
+        draw(st.sampled_from([np.int64, np.int32, np.int8, np.uint8, np.uint64]))
+    )
+    info = np.iinfo(dtype)
+    elements = draw(
+        st.sampled_from(
+            [
+                st.integers(max(info.min, -3), 3),
+                st.integers(int(info.min), int(info.max)),
+            ]
+        )
+    )
+    return draw(hnp.arrays(dtype, st.integers(0, 60), elements=elements))
+
+
+class TestNormalForm:
+    @settings(**COMMON)
+    @given(labels=label_arrays())
+    def test_property_oracle_form_equals_the_unique_formula(self, labels):
+        got, want = _canonical(labels), unique_canonical(labels)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(**COMMON)
+    @given(labels=label_arrays())
+    def test_property_canonicalize_labels_equals_the_unique_formula(self, labels):
+        with tracking() as tracker:
+            got = canonicalize_labels(labels)
+        want = unique_canonicalize_labels(labels)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert tracker.phase_kind_work() == {"unphased": {"scan": float(labels.size)}}
+        assert tracker.total_depth() == 1.0
+
+
+# -- the oracle imports none of the layers it checks --------------------------------
+
+
+def test_the_oracle_imports_no_checked_layer():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""]
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert "repro.errors" in imported
+    checked = ("repro.primitives", "repro.engine", "repro.connectivity")
+    bad = [m for m in imported if any(m == c or m.startswith(c + ".") for c in checked)]
+    assert not bad
 
 
 # -- verification charges no tracker ----------------------------------------------
