@@ -16,9 +16,6 @@ Gives shell access to the whole reproduction:
     Regenerate the paper's tables.
 ``figure {2,3,4,5,6,7,8}``
     Regenerate one of the paper's figures as ASCII series.
-``lint``
-    Run the reprolint PRAM-invariant static analyzer (RL001, RL003,
-    RL004, RL010; see docs/static_analysis.md).
 ``fuzz``
     Run the differential fuzzer: seed-determined adversarial inputs
     through every implementation x backend, failures delta-debugged to
@@ -118,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm the runtime PRAM race sanitizer: every engine run is "
         "checked for same-round conflicting non-atomic writes and CAS "
         "schedule violations (fast backend only; "
-        "see docs/static_analysis.md)",
+        "see docs/robustness.md)",
     )
     parser.add_argument(
         "--trace",
@@ -203,28 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("outdir")
     rep.add_argument("--beta", type=float, default=0.2)
     rep.add_argument("--seed", type=int, default=1)
-
-    lint = sub.add_parser(
-        "lint", help="run the reprolint PRAM-invariant static analyzer"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the whole repro "
-        "package, with stale allowlist entries treated as errors)",
-    )
-    lint.add_argument(
-        "--config",
-        metavar="PATH",
-        help="explicit reprolint.toml (default: auto-discovered from the "
-        "working directory or the source checkout root)",
-    )
-    lint.add_argument(
-        "--explain",
-        metavar="RLxxx",
-        help="print the documentation of one rule (what it proves, its "
-        "runtime counterpart, allowlist policy) and exit",
-    )
 
     fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing with delta-debugging shrinker"
@@ -500,25 +475,6 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis.reprolint import RULE_DOCS, run_lint
-
-    if args.explain is not None:
-        rule = args.explain.upper()
-        doc = RULE_DOCS.get(rule)
-        if doc is None:
-            raise ParameterError(
-                f"unknown rule {args.explain!r} "
-                f"(known: {', '.join(RULE_DOCS)})"
-            )
-        print(f"{rule}: {doc}")
-        return 0
-    report = run_lint(paths=args.paths or None, config_path=args.config)
-    for line in report.format_lines() + [report.summary()]:
-        print(line)
-    return 0 if report.ok else 1
-
-
 def _resolve_fuzz_seed(spec: str) -> int:
     """An integer seed, or ``from-run-id`` -> $GITHUB_RUN_ID (else 0)."""
     import os
@@ -593,7 +549,6 @@ _COMMANDS = {
     "table2": _cmd_table2,
     "figure": _cmd_figure,
     "report": _cmd_report,
-    "lint": _cmd_lint,
     "fuzz": _cmd_fuzz,
     "replay": _cmd_replay,
     "trace": _cmd_trace,

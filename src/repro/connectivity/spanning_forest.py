@@ -83,6 +83,7 @@ class _PartitionParentState(TraversalState):
 
     def initial_frontier(self) -> np.ndarray:
         centers = np.unique(self.labels)
+        # Seeding write: distinct centers, before the first round window.
         self.reached[centers] = True
         self.tracker.add("scatter", work=float(centers.size), depth=1.0)
         return centers
@@ -102,6 +103,7 @@ class _PartitionParentState(TraversalState):
         # arbitrary-CRCW: first claimer per target wins parenthood
         fresh_pos = np.flatnonzero(fresh)
         first, targets = first_winner(dst[fresh_pos])
+        # Winner scatter: the stores hit only first_winner's sanctioned set.
         self.parents[targets] = src[fresh_pos[first]]
         self.reached[targets] = True
         end_round(packing="unit", tracker=self.tracker)

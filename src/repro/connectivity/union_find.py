@@ -66,6 +66,7 @@ class UnionFind:
 
     def find(self, x: int) -> int:
         """Root of x's set, compressing per the selected strategy."""
+        # Sequential baseline: plain list stores, not PRAM-simulated code.
         parent = self.parent
         ops = 1
         if self.compression == "halving":
@@ -103,6 +104,7 @@ class UnionFind:
             return False
         if self.rank[rx] < self.rank[ry]:
             rx, ry = ry, rx
+        # Sequential baseline: one single-threaded store per union.
         self.parent[ry] = rx
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
@@ -222,4 +224,5 @@ def compress_all(parent: np.ndarray) -> int:
         rounds += 1
         if np.array_equal(grand, parent):
             return rounds
+        # Whole-array pointer jump outside any round: one writer per cell.
         parent[:] = grand

@@ -258,8 +258,15 @@ class TraversalEngine:
                     )
                     span.close()
                 state.round += 1
+            # The end-of-traversal pass (the hybrids' filterEdges) gets
+            # a window of its own: it declares no write, so any store
+            # it makes to a shared array is an unsanctioned write.
+            if sanitizer is not None:
+                sanitizer.open_round(state.round)
+            state.finalize(self)
+            if sanitizer is not None:
+                sanitizer.close_round()
         finally:
             if sanitizer is not None:
                 sanitizer.close_run()
-        state.finalize(self)
         return state

@@ -219,6 +219,8 @@ def arb_round(state: "DecompState") -> np.ndarray:
         plan=state.plan,
         sanitizer=state.sanitizer,
     )
+    # Winner scatter: first_winner's winners are distinct (claim-once),
+    # and the sanitizer sanctions exactly them.
     C[winners] = ws.take(cu, ws.take(unvis_pos, win_local))
     tracker.add("scatter", work=float(winners.size), depth=1.0)
     state.visited += int(winners.size)
@@ -344,6 +346,8 @@ def min_round(
             sanitizer=state.sanitizer,
         )
         # A won edge's source label is its target's winning center.
+        # Winner scatter: one writer per target, the write_min survivor,
+        # deduplicated by first_winner, whose winners are sanctioned.
         C[new_vertices] = cu_unvis.take(won_pos.take(first_pos))
         # Mark claimed cells so later writeMins cannot touch them
         # (the paper sets C1[w] = -1; our pair array is per-DECOMP and
@@ -393,6 +397,8 @@ def dense_round(state: "DecompState") -> np.ndarray:
         state.workspace,
         tracker=tracker,
     )
+    # The pull sweep returns each vertex once (one writer per vertex,
+    # no CAS), so the adoption scatter is declared to the sanitizer.
     if state.sanitizer is not None:
         state.sanitizer.record_write(C, winners)
     C[winners] = state.workspace.take(C, adopted_from)

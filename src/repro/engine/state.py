@@ -78,6 +78,7 @@ class ComponentLabelState(TraversalState):
         self.plan = ctx.fault_plan
         self.sanitizer = ctx.sanitizer
         self.workspace = ctx.backend.workspace
+        # Seeding write: one cell, before the engine's first round window.
         labels[source] = self.label
         self.count = 1
         self._frontier = np.zeros(0, dtype=np.int64)
@@ -109,6 +110,8 @@ class ComponentLabelState(TraversalState):
         self._frontier = next_frontier
 
     def _claim(self, winners: np.ndarray) -> None:
+        # Winner scatter: first_winner's or the pull sweep's winners,
+        # distinct by construction and sanctioned or declared.
         self.labels[winners] = self.label
         self.tracker.add("scatter", work=float(winners.size), depth=1.0)
         self.count += int(winners.size)

@@ -123,14 +123,3 @@ class SanitizerError(ReproError):
     def __init__(self, message: str, *, report: Optional[object] = None) -> None:
         super().__init__(message)
         self.report = report
-
-
-class LintConfigError(ReproError):
-    """Raised when ``reprolint.toml`` cannot be used.
-
-    Examples: unparseable TOML, an allowlist entry with an unknown rule
-    id, or an entry missing its justification ``reason`` — the allowlist
-    policy (docs/static_analysis.md) requires every suppression to say
-    why it is legal.
-    """
-

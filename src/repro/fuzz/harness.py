@@ -10,9 +10,8 @@ or wall-clock readings, so two identical invocations produce identical
 reports (the acceptance contract, pinned by ``tests/test_fuzz.py``).
 
 The wall clock appears in exactly one role — the ``time_budget``
-stopping condition for CI smoke jobs — which is why this module (alone
-in the fuzz package) is carved out of reprolint's RL004 wall-clock
-rule, like the experiment harness before it.
+stopping condition for CI smoke jobs — and never in a case, a verdict
+or the report.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ Two implementations share one interface:
   instant events into an in-memory list, timestamped with
   ``time.perf_counter`` relative to the tracer's construction.
 
-Determinism contract (machine-checked by ``repro lint`` RL010): tracer
-code observes — it never mutates shared arrays, never charges the cost
-tracker, and never touches the run's RNG.  Timestamps are wall-clock
-(this module is exempt from RL004's clock ban for exactly that reason);
-everything else recorded is a pure function of the run.
+Determinism contract (checked by the tracing on/off parity tests in
+``tests/test_obs.py``): tracer code observes — it never mutates shared
+arrays, never charges the cost tracker, and never touches the run's
+RNG.  Timestamps are wall-clock; everything else recorded is a pure
+function of the run.
 
 Span records follow the Chrome ``trace_event`` vocabulary so the export
 (:mod:`repro.obs.export`) is a direct mapping: complete spans are

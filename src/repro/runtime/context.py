@@ -4,10 +4,9 @@ Historically every run communicated with the kernels through four
 separate module-global mutable stacks — the cost tracker
 (``pram.cost``), the fault plan (``resilience.faults``), the race
 sanitizer (``pram.sanitizer``) and the execution backend
-(``engine.backend``).  That ambient-state pattern is exactly what the
-reprolint pass polices *inside* kernels, and it made running two
-labelings in two threads unsafe: two threads pushing onto one stack
-corrupt each other's accounting.
+(``engine.backend``).  That ambient state made running two labelings
+in two threads unsafe: two threads pushing onto one stack corrupt
+each other's accounting.
 
 :class:`ExecutionContext` bundles all of that per-run state into one
 immutable-by-convention record carried in a single

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -127,9 +125,11 @@ class TestErrorPaths:
         assert excinfo.value.code == 2
 
     def test_repro_error_is_one_line_no_traceback(self, capsys):
-        # An unknown rule raises a ParameterError inside the command;
-        # main() must turn it into the one-line contract.
-        code, out, err = self.run_cli_full(capsys, "lint", "--explain", "RL999")
+        # A non-integer fuzz seed raises a ParameterError inside the
+        # command; main() must turn it into the one-line contract.
+        code, out, err = self.run_cli_full(
+            capsys, "fuzz", "--seed", "not-a-number"
+        )
         assert code == 2
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -199,72 +199,6 @@ class TestFlagValidation:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: cas-order on '<cas>' (round 6)")
-
-    def test_lint_command_exits_zero_on_clean_tree(self, capsys):
-        code, out = run_cli(capsys, "lint")
-        assert code == 0
-        assert "0 violation(s)" in out
-
-    def test_lint_command_reports_violations_with_exit_one(self, capsys, tmp_path):
-        bad = tmp_path / "src" / "repro" / "engine" / "evil.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def f(labels, idx):\n    labels[idx] = 1\n")
-        code, out = run_cli(capsys, "lint", str(bad))
-        assert code == 1
-        assert "RL001" in out
-        assert "evil.py:2:" in out
-
-    def test_lint_broken_config_exits_two(self, capsys, tmp_path):
-        cfg = tmp_path / "reprolint.toml"
-        cfg.write_text('[[allow]]\nrule = "RL001"\nsite = "a.py::f"\n')
-        code = main(["lint", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:")
-        assert "reason" in err
-
-
-class TestLintFormats:
-    def test_explain_prints_rule_documentation(self, capsys):
-        code, out = run_cli(capsys, "lint", "--explain", "RL001")
-        assert code == 0
-        assert "RL001" in out
-        assert "primitives.atomics" in out
-
-    def test_explain_is_case_insensitive(self, capsys):
-        code, out = run_cli(capsys, "lint", "--explain", "rl001")
-        assert code == 0
-        assert "sanitizer" in out.lower()
-
-    def test_explain_unknown_rule_exits_two(self, capsys):
-        code = main(["lint", "--explain", "RL999"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:")
-        assert "RL999" in err
-
-    def test_explain_retired_rule_exits_two(self, capsys):
-        code = main(["lint", "--explain", "RL008"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "RL008" in err
-
-    def test_help_has_no_report_format_options(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["lint", "--help"])
-        out = capsys.readouterr().out
-        assert "--explain" in out
-        assert "--format" not in out
-        assert "--output" not in out
-
-    @pytest.mark.parametrize("target", ["does/not/exist", "README.md"])
-    def test_unreadable_lint_path_exits_two(self, capsys, target):
-        path = Path(__file__).resolve().parent.parent / target
-        code = main(["lint", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error:")
-        assert "0 file(s)" not in captured.out
 
 
 class TestJsonOutput:
@@ -429,7 +363,7 @@ class TestBrokenPipe:
         # ReproError printing "error: ..." to a closed stderr: the
         # nested handler must still exit 1, not crash in the handler.
         code, out = self._run_with_closed(
-            ["lint", "--explain", "RL999"], "stderr"
+            ["fuzz", "--seed", "not-a-number"], "stderr"
         )
         assert code == 1
         assert "Traceback" not in out

@@ -419,6 +419,20 @@ class TestTracingDeterminism:
         assert traced == untraced
         assert len(tracer) > 0
 
+    def test_a_span_that_writes_back_breaks_parity(self, monkeypatch, zoo):
+        """Negative control: the parity check sees a span that charges."""
+        real = Tracer.span
+
+        def charging(self, name, cat="run", **args):
+            current_context().tracker.add("scan", work=1.0, depth=0.0)
+            return real(self, name, cat, **args)
+
+        monkeypatch.setattr(Tracer, "span", charging)
+        run = lambda: capture_one(DECOMP_VARIANTS["arb"], zoo["rmat"], 0.2, 1)
+        untraced = _capture(("fast", 0), NULL_TRACER, NullMetrics(), run)
+        traced = _capture(("fast", 0), Tracer(), Metrics(), run)
+        assert traced != untraced
+
     def test_traced_parallel_matches_untraced_fast(self, zoo):
         """Cross-configuration: 4 threads sharing one tracer vs plain fast."""
         run = lambda: capture_one(DECOMP_VARIANTS["arb"], zoo["rmat"], 0.2, 1)

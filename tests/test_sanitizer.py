@@ -1,4 +1,4 @@
-"""The runtime PRAM race sanitizer (docs/static_analysis.md).
+"""The runtime PRAM race sanitizer (docs/robustness.md).
 
 Three obligations:
 
@@ -7,7 +7,8 @@ Three obligations:
   zero races, on both execution backends.
 * **Injected faults are caught** — a ``cas_flip`` surfaces as a
   cas-order race and a ``label_corrupt`` as an unsanctioned write; the
-  cross-validation the fault framework provides.
+  cross-validation the fault framework provides.  So does a bare store
+  planted in a pull round or in the end-of-level ``filterEdges`` pass.
 * The primitive checks (duplicate claims, atomic/plain mixing, halt
   semantics) work in isolation.
 """
@@ -26,7 +27,7 @@ from repro.connectivity.hybrid_bfs_cc import bfs_from_source
 from repro.decomp import DECOMP_VARIANTS, decomp_arb_hybrid
 from repro.engine import ComponentLabelState
 from repro.engine.backend import use_backend
-from repro.engine.kernels import dense_round
+from repro.engine.kernels import dense_round, filter_edges
 from repro.errors import SanitizerError
 from repro.experiments.harness import profile_run
 from repro.graphs import (
@@ -203,6 +204,37 @@ class TestPullRoundStores:
         )
         assert code == 0
         assert "sanitizer: 0 race(s)" in capsys.readouterr().err
+
+
+class TestEndOfLevelPass:
+    """The hybrids' ``filterEdges`` pass runs inside a round window.
+
+    It declares no write, so a bare store it makes to ``C`` is an
+    unsanctioned write, caught in the window after the last round.
+    """
+
+    def test_planted_store_in_filter_edges_is_caught(self, monkeypatch):
+        changed = []
+
+        def planted(state, deferred):
+            vertices = np.concatenate(deferred)
+            before = state.C[vertices[0]]
+            state.C[vertices[:1]] = state.C[vertices[-1:]]
+            changed.append(bool(state.C[vertices[0]] != before))
+            return filter_edges(state, deferred)
+
+        monkeypatch.setattr(decomp_base, "filter_edges", planted)
+        with pytest.raises(SanitizerError) as excinfo:
+            with sanitizing():
+                decomp_arb_hybrid(line_graph(64), 0.2, seed=1, dense_threshold=0.0)
+        # The shadow check compares values: the store must move a label.
+        assert changed == [True]
+        report = excinfo.value.report
+        assert (report.kind, report.array, report.round_index) == (
+            "unsanctioned-write",
+            "C",
+            19,
+        )
 
 
 class TestPrimitiveChecks:
